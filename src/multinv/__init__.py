@@ -86,7 +86,6 @@ from .orbit_algebra import (
     DecompositionFailure,
     DecompositionResult,
     LaurentElement,
-    OrbitBasis,
     act,
     alternating_d,
     elementary_symmetric,
@@ -96,14 +95,6 @@ from .orbit_algebra import (
     orbit_sum,
     verify_free_decomposition,
 )
-from .reflections import (
-    ReflectionProfile,
-    bireflection_subgroup,
-    in_Xk,
-    is_perfect_mod_bireflections,
-    moved_rank,
-    moved_rank_subgroup,
-    reflection_profile,
-)
+from .reflections import bireflection_subgroup, moved_rank, moved_rank_subgroup
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import ParseError, UnknownBuiltin, ValidationError, InvalidGenerator
 from .groups import GLattice
-from .intlinalg import IntMatrix, hnf
+from .intlinalg import IntMatrix, hnf_basis, solve_echelon
 
 SCHEMA_VERSION = 1
 
@@ -126,24 +126,6 @@ def _z8_to_quat(v):
     )
 
 
-def _solve_in_basis(basis: IntMatrix, vec) -> list[int]:
-    """Integer coordinates of vec in a full-rank Hermite basis."""
-    coords = [0] * basis.rows
-    t = list(vec)
-    for r in range(basis.rows):
-        row = basis.row(r)
-        c = next(j for j, x in enumerate(row) if x)
-        if t[c] % row[c]:
-            raise ArithmeticError("vector outside the lattice")
-        q = t[c] // row[c]
-        coords[r] = q
-        for j in range(len(t)):
-            t[j] -= q * row[j]
-    if any(t):
-        raise ArithmeticError("vector outside the lattice")
-    return coords
-
-
 def _icosian_lattice() -> GLattice:
     """Left multiplication of the binary icosahedral group on the integer
     span of its 120 elements, a rank-8 lattice.
@@ -174,15 +156,19 @@ def _icosian_lattice() -> GLattice:
             raise ArithmeticError("icosian closure diverged")
     quats = sorted(elements, key=_quat_to_z8)
     vectors = [_quat_to_z8(q) for q in quats]
-    basis, _ = hnf(IntMatrix.from_rows(vectors, 8))
-    basis = IntMatrix.from_rows(basis.row_lists()[:8], 8)
+    basis = hnf_basis(IntMatrix.from_rows(vectors, 8))
+    h_rows = basis.row_lists()
+    pivots = [(r, r) for r in range(8)]  # a full-rank square echelon form
 
     gens = []
     for g in (g1, g2):
         rows = []
         for r in range(8):
             image = _quat_to_z8(_quat_mul(g, _z8_to_quat(basis.row(r))))
-            rows.append(_solve_in_basis(basis, image))
+            coords = solve_echelon(h_rows, pivots, image)
+            if coords is None:
+                raise ArithmeticError("vector outside the lattice")
+            rows.append(coords)
         gens.append(IntMatrix.from_rows(rows).transpose())
     return GLattice(8, gens, "icosian")
 

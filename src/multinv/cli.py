@@ -4,7 +4,9 @@ Commands:
 
 * ``analyze <file|builtin:NAME>``: obstruction report for one action.
 * ``batch <dir>``: reports for every ``*.json`` definition in a directory
-  plus summary counts.
+  plus summary counts.  A file that fails to parse or validate, or whose
+  closure exceeds the cap, gets an ``error`` entry and counts under
+  ``errors``; the other files are still reported.
 * ``copies <file|builtin:NAME> --r K``: verdict for the K-fold direct sum.
 * ``orbit verify <preset> --rank N --bound B``: decomposition certificate.
 * ``witness <file|builtin:NAME>``: isotropy catalog with witness vectors.
@@ -12,7 +14,8 @@ Commands:
 All output is deterministic; ``--seed-free`` is accepted for scripting
 symmetry but changes nothing because no code path uses randomness.
 Exit codes: 0 success, 2 parse/validation problems, 3 closure cap
-exceeded.  Exit code 1 is never used.
+exceeded.  ``batch`` exits 3 if any file exceeded the cap, else 2 if any
+file had an input error, else 0.  Exit code 1 is never used.
 """
 
 from __future__ import annotations
@@ -186,11 +189,13 @@ def _cmd_batch(args, out) -> int:
     reports = []
     lines = []
     counts = {"obstructed": 0, "inconclusive": 0, "trivially_cm": 0, "errors": 0}
+    capped = False
     for path in files:
         try:
             definition = parse_group_definition(path.read_bytes())
             report = check_necessary_conditions(definition.lattice, cap=args.cap)
-        except (ParseError, ValidationError) as exc:
+        except (ParseError, ValidationError, CapExceeded) as exc:
+            capped = capped or isinstance(exc, CapExceeded)
             counts["errors"] += 1
             reports.append({"file": path.name, "error": str(exc)})
             lines.append(f"{path.name}: ERROR {exc}")
@@ -214,6 +219,8 @@ def _cmd_batch(args, out) -> int:
         "trivially-cm {trivially_cm}, errors {errors}".format(**counts)
     )
     _emit(out, args.format, payload, "\n".join(lines) + "\n")
+    if capped:
+        return EXIT_CAP
     return EXIT_INPUT if counts["errors"] else EXIT_OK
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InvalidGenerator
-from .intlinalg import IntMatrix, kernel_lattice, rank, unimodular_inverse
+from .intlinalg import IntMatrix, common_fixed_lattice, unimodular_inverse
 
 DEFAULT_CAP = 10**6
 
@@ -45,7 +45,7 @@ class FiniteMatrixGroup:
     """Fully enumerated finite matrix group.
 
     Immutable after construction; per-element caches (inverses, orders,
-    moved ranks, fixed spaces) fill in lazily but never change values.
+    fixed spaces) fill in lazily but never change values.
     """
 
     def __init__(self, lattice: GLattice, elements: Sequence[IntMatrix]):
@@ -59,7 +59,6 @@ class FiniteMatrixGroup:
         )
         self._inverses: dict[int, int] = {}
         self._orders: dict[int, int] = {}
-        self._moved_ranks: dict[int, int] = {}
         self._fixed_spaces: dict[int, IntMatrix] = {}
 
     def element(self, i: int) -> IntMatrix:
@@ -99,19 +98,14 @@ class FiniteMatrixGroup:
         return o
 
     def moved_rank(self, i: int) -> int:
-        r = self._moved_ranks.get(i)
-        if r is None:
-            g = self.elements[i]
-            r = rank(g - IntMatrix.identity(g.rows))
-            self._moved_ranks[i] = r
-        return r
+        """rank(g - I), the complement of the fixed lattice's rank."""
+        return self.lattice.rank - self.cyclic_fixed_space(i).rows
 
     def cyclic_fixed_space(self, i: int) -> IntMatrix:
         """Saturated Hermite basis of the fixed lattice of element i."""
         b = self._fixed_spaces.get(i)
         if b is None:
-            g = self.elements[i]
-            b = kernel_lattice(g - IntMatrix.identity(g.rows))
+            b = common_fixed_lattice([self.elements[i]], self.lattice.rank)
             self._fixed_spaces[i] = b
         return b
 
@@ -192,17 +186,24 @@ class Subgroup:
     def generating_set(self) -> tuple[int, ...]:
         """A small deterministic generating set (greedy over canonical order)."""
         if self._gens is None:
-            gens: list[int] = []
-            closed = {self.parent.identity_index}
-            for i in self.indices:
-                if i not in closed:
-                    gens.append(i)
-                    closed = _bfs_closure(self.parent, gens)
-            self._gens = tuple(gens)
+            self._gens = tuple(_greedy_generators(self.parent, self.indices)[0])
         return self._gens
 
     def __repr__(self) -> str:
         return f"<Subgroup order {self.order} of order-{self.parent.order} group>"
+
+
+def _greedy_generators(G: FiniteMatrixGroup, seed: Sequence[int]) -> tuple[list[int], set[int]]:
+    """Walk the sorted seed, keeping each element not yet generated; returns
+    the kept generators and the subgroup they generate.  Closure work stays
+    near |result| * #gens."""
+    gens: list[int] = []
+    closed = {G.identity_index}
+    for i in seed:
+        if i not in closed:
+            gens.append(i)
+            closed = _bfs_closure(G, gens)
+    return gens, closed
 
 
 def _bfs_closure(G: FiniteMatrixGroup, gens: Sequence[int]) -> set[int]:
@@ -228,25 +229,13 @@ def trivial_subgroup(G: FiniteMatrixGroup) -> Subgroup:
 
 def subgroup_generated(G: FiniteMatrixGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of G containing the seed indices."""
-    seed = sorted(set(seed))
-    # greedy generator reduction keeps closure work near |result| * #gens
-    gens: list[int] = []
-    closed = {G.identity_index}
-    for i in seed:
-        if i not in closed:
-            gens.append(i)
-            closed = _bfs_closure(G, gens)
-    return Subgroup(G, closed)
+    return Subgroup(G, _greedy_generators(G, sorted(set(seed)))[1])
 
 
 def intersect_subgroups(h1: Subgroup, h2: Subgroup) -> Subgroup:
     if h1.parent is not h2.parent:
         raise ValueError("subgroups of different parents")
     return Subgroup(h1.parent, h1._indexset & h2._indexset)
-
-
-def conjugate_subgroup(G: FiniteMatrixGroup, g: int, h: Subgroup) -> Subgroup:
-    return Subgroup(G, (G.conj(g, i) for i in h.indices))
 
 
 def commutator_subgroup(h: Subgroup) -> Subgroup:
@@ -324,6 +313,12 @@ class _TableGroup:
                     queue.append(y)
         return seen
 
+    def subgroup_table(self, members: Iterable[int]) -> "_TableGroup":
+        """The subgroup on the given members as a table group of its own."""
+        members = sorted(members)
+        pos = {m: i for i, m in enumerate(members)}
+        return _TableGroup([[pos[self.table[a][b]] for b in members] for a in members])
+
     def quotient_by_cyclic(self, x: int) -> "_TableGroup":
         sub = self.subgroup_closure([x])
         coset_of: dict[int, int] = {}
@@ -397,13 +392,8 @@ def are_conjugate_subgroups(G: FiniteMatrixGroup, h1: Subgroup, h2: Subgroup) ->
         raise ValueError("subgroups do not belong to the given group")
     if h1.indices == h2.indices:
         return True
-    if subgroup_invariant_key(h1) != subgroup_invariant_key(h2):
-        return False
-    target = h2._indexset
-    for g in range(G.order):
-        if all(G.conj(g, i) in target for i in h1.indices):
-            return True
-    return False
+    # equal orders: a conjugate inside h2 is all of h2
+    return subgroup_invariant_key(h1) == subgroup_invariant_key(h2) and has_conjugate_inside(G, h1, h2)
 
 
 def has_conjugate_inside(G: FiniteMatrixGroup, h1: Subgroup, h2: Subgroup) -> bool:

@@ -160,20 +160,6 @@ class IntMatrix:
             out.append(s)
         return tuple(out)
 
-    def power(self, k: int) -> "IntMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def trace(self) -> int:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
@@ -492,6 +478,38 @@ def kernel_lattice(a: IntMatrix) -> IntMatrix:
     basis = [list(row) for row in kernel_rows]
     _, piv2 = _echelon(basis, want_u=False)
     return IntMatrix.from_rows(basis[: len(piv2)], a.cols)
+
+
+def common_fixed_lattice(mats: Sequence[IntMatrix], n: int) -> IntMatrix:
+    """Saturated Hermite basis of the vectors fixed by every matrix in
+    ``mats``: the kernel of the stacked ``g - I``.  With no matrices this
+    is the whole of ``Z^n``."""
+    ident = IntMatrix.identity(n)
+    return kernel_lattice(IntMatrix.vstack([g - ident for g in mats], cols=n))
+
+
+def solve_echelon(h_rows: Sequence[Sequence[int]], pivots: Sequence[tuple[int, int]], target: Sequence[int]):
+    """Integer c with ``sum c[r] * h_rows[r] = target`` by back-substitution
+    through the ``(row, col)`` pivots of an echelon form, or None when the
+    target is outside the row lattice."""
+    coeffs = [0] * len(h_rows)
+    t = list(target)
+    for r, c in pivots:
+        val = t[c]
+        if val == 0:
+            continue
+        pivot = h_rows[r][c]
+        if val % pivot:
+            return None
+        q = val // pivot
+        coeffs[r] = q
+        row = h_rows[r]
+        for j in range(len(t)):
+            if row[j]:
+                t[j] -= q * row[j]
+    if any(t):
+        return None
+    return coeffs
 
 
 class QuotientInvariants(NamedTuple):

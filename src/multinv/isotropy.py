@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import NotIsotropy, TheoremViolation
@@ -33,23 +32,14 @@ from .groups import (
     has_conjugate_inside,
     is_perfect,
 )
-from .intlinalg import IntMatrix, induced_on_quotient, kernel_lattice
+from .intlinalg import IntMatrix, common_fixed_lattice, induced_on_quotient, kernel_lattice
 
 
 def fixed_lattice(h: Subgroup) -> IntMatrix:
-    """Saturated Hermite basis of the common fixed lattice of h.
-
-    The kernel of the stacked matrices g - I over a generating set; the
-    full element list is not needed.
-    """
+    """Saturated Hermite basis of the common fixed lattice of h, from a
+    generating set; the full element list is not needed."""
     G = h.parent
-    n = G.lattice.rank
-    gens = h.generating_set()
-    if not gens:
-        return IntMatrix.identity(n)
-    ident = IntMatrix.identity(n)
-    stacked = IntMatrix.vstack([G.element(i) - ident for i in gens], cols=n)
-    return kernel_lattice(stacked)
+    return common_fixed_lattice([G.element(i) for i in h.generating_set()], G.lattice.rank)
 
 
 def isotropy_group_of(G: FiniteMatrixGroup, m) -> Subgroup:
@@ -93,13 +83,6 @@ class IsotropyCatalog:
         if key not in self._witnesses:
             self._witnesses[key] = witness_vector(self.group, h)
         return self._witnesses[key]
-
-    @property
-    def witnesses(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Witness vectors for every class, keyed by subgroup index set."""
-        for cl in self.classes:
-            self.witness(cl.subgroup)
-        return dict(self._witnesses)
 
     def class_for(self, h: Subgroup) -> IsotropyClass:
         mask = 0
@@ -278,7 +261,11 @@ def witness_vector(G: FiniteMatrixGroup, h: Subgroup) -> tuple[int, ...]:
 def minimal_nontrivial_isotropy(G: FiniteMatrixGroup) -> list[Subgroup]:
     """Minimal nontrivial isotropy classes, each verified to act
     fixed-point-freely on the quotient by its fixed lattice."""
-    catalog = enumerate_isotropy_groups(G)
+    return [cl.subgroup for cl in _minimal_classes(enumerate_isotropy_groups(G))]
+
+
+def _minimal_classes(catalog: IsotropyCatalog) -> list[IsotropyClass]:
+    G = catalog.group
     nontrivial = catalog.nontrivial_classes()
     minimal: list[IsotropyClass] = []
     for cl in nontrivial:
@@ -292,7 +279,7 @@ def minimal_nontrivial_isotropy(G: FiniteMatrixGroup) -> list[Subgroup]:
         minimal.append(cl)
     for cl in minimal:
         _verify_quotient_fixed_point_free(G, cl)
-    return [cl.subgroup for cl in minimal]
+    return minimal
 
 
 def _verify_quotient_fixed_point_free(G: FiniteMatrixGroup, cl: IsotropyClass) -> None:
@@ -323,41 +310,15 @@ def is_fixed_point_free(G: FiniteMatrixGroup) -> bool:
     )
 
 
-@lru_cache(maxsize=1)
-def sl2_f5_order_histogram() -> tuple[tuple[int, int], ...]:
-    """Element-order histogram of SL(2, F_5) by direct enumeration."""
-    p = 5
-    elements = [
-        (a, b, c, d)
-        for a in range(p)
-        for b in range(p)
-        for c in range(p)
-        for d in range(p)
-        if (a * d - b * c) % p == 1
-    ]
-
-    def mul(x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
-
-    ident = (1, 0, 0, 1)
-    hist: dict[int, int] = {}
-    for x in elements:
-        o = 1
-        y = x
-        while y != ident:
-            y = mul(y, x)
-            o += 1
-        hist[o] = hist.get(o, 0) + 1
-    return tuple(sorted(hist.items()))
+# element-order histogram of SL(2, F_5)
+SL2_F5_ORDER_HISTOGRAM = {1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24}
 
 
 def recognize_binary_icosahedral(h: Subgroup) -> bool:
     """Order 120, perfect, and the order histogram of SL(2, F_5)."""
     if h.order != 120:
         return False
-    if tuple(sorted(element_order_histogram(h).items())) != sl2_f5_order_histogram():
+    if element_order_histogram(h) != SL2_F5_ORDER_HISTOGRAM:
         return False
     return is_perfect(h)
 
@@ -381,8 +342,6 @@ def check_fpf_constraints(G: FiniteMatrixGroup) -> FpfConstraintReport:
     minimal nontrivial isotropy groups are perfect, every nontrivial
     subgroup in the catalog must move a sublattice of rank at least 8.
     """
-    from .reflections import moved_rank_subgroup
-
     full = Subgroup(G, range(G.order))
     n = G.lattice.rank
 
@@ -397,13 +356,12 @@ def check_fpf_constraints(G: FiniteMatrixGroup) -> FpfConstraintReport:
                 "perfect fixed-point-free action is not binary icosahedral on rank 8k"
             )
 
-    minimal = minimal_nontrivial_isotropy(G)
-    minimal_case = bool(minimal) and all(is_perfect(h) for h in minimal)
+    catalog = enumerate_isotropy_groups(G)
+    minimal = _minimal_classes(catalog)
+    minimal_case = bool(minimal) and all(is_perfect(cl.subgroup) for cl in minimal)
     min_moved = None
     if minimal_case:
-        catalog = enumerate_isotropy_groups(G)
-        moved = [moved_rank_subgroup(cl.subgroup) for cl in catalog.nontrivial_classes()]
-        min_moved = min(moved)
+        min_moved = min(n - cl.fixed_rank for cl in catalog.nontrivial_classes())
         if min_moved < 8:
             raise TheoremViolation(
                 "all minimal isotropy groups perfect, yet some subgroup moves rank < 8"

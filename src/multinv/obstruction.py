@@ -22,7 +22,6 @@ pipeline analyzes the reduced action and records the reduction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import GeneratorMismatch, TheoremViolation
@@ -30,14 +29,13 @@ from .groups import (
     DEFAULT_CAP,
     FiniteMatrixGroup,
     GLattice,
-    Subgroup,
     close,
     commutator_subgroup,
     quotient_table_group,
 )
-from .intlinalg import IntMatrix, induced_on_quotient, kernel_lattice
-from .isotropy import enumerate_isotropy_groups, witness_vector
-from .reflections import bireflection_subgroup, moved_rank_subgroup
+from .intlinalg import IntMatrix, common_fixed_lattice, induced_on_quotient
+from .isotropy import IsotropyClass, enumerate_isotropy_groups, witness_vector
+from .reflections import bireflection_subgroup
 
 
 OBSTRUCTED = "Obstructed"
@@ -102,16 +100,6 @@ class ObstructionReport:
         return _STATEMENTS[self.verdict]
 
 
-def _group_fixed_lattice(lat: GLattice) -> IntMatrix:
-    """Fixed lattice of the whole group, from the generators."""
-    n = lat.rank
-    if not lat.generators:
-        return IntMatrix.identity(n)
-    ident = IntMatrix.identity(n)
-    stacked = IntMatrix.vstack([g - ident for g in lat.generators], cols=n)
-    return kernel_lattice(stacked)
-
-
 def effective_reduction(lat: GLattice) -> GLattice:
     """The induced action on L / L^G; unchanged when already effective.
 
@@ -119,7 +107,7 @@ def effective_reduction(lat: GLattice) -> GLattice:
     change the declared generator pairing); the closed group is the same
     either way because the induced action of the closure is faithful.
     """
-    fixed = _group_fixed_lattice(lat)
+    fixed = common_fixed_lattice(lat.generators, lat.rank)
     if fixed.rows == 0:
         return lat
     induced = induced_on_quotient(fixed, list(lat.generators))
@@ -132,89 +120,70 @@ def direct_sum_copies(lat: GLattice, r: int) -> GLattice:
         raise ValueError("copy count must be at least 1")
     if r == 1:
         return lat
-    n = lat.rank
-    gens = []
-    for g in lat.generators:
-        big = [[0] * (n * r) for _ in range(n * r)]
-        for b in range(r):
-            for i in range(n):
-                for j in range(n):
-                    big[b * n + i][b * n + j] = g.entry(i, j)
-        gens.append(IntMatrix.from_rows(big))
-    return GLattice(n * r, gens, f"{lat.name}^{r}" if lat.name else f"sum^{r}")
+    gens = [_block_diagonal([g] * r) for g in lat.generators]
+    return GLattice(lat.rank * r, gens, f"{lat.name}^{r}" if lat.name else f"sum^{r}")
+
+
+def _block_diagonal(blocks: list[IntMatrix]) -> IntMatrix:
+    """Square blocks placed along the diagonal."""
+    n = sum(b.rows for b in blocks)
+    big = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i in range(b.rows):
+            big[offset + i][offset : offset + b.rows] = b.row(i)
+        offset += b.rows
+    return IntMatrix.from_rows(big, n)
 
 
 def rationally_isomorphic(l1: GLattice, l2: GLattice, cap: int = DEFAULT_CAP) -> bool:
     """Trace equality over the paired closure.
 
     Generator i of the first lattice is matched with generator i of the
-    second; the pair group is closed and traces compared on every pair.
+    second; the group of block-diagonal pairs is closed (raising
+    CapExceeded past the cap) and traces compared on every pair.
     Rational representations of a finite group are determined by their
     characters, so trace equality decides rational isomorphism.
     """
     if len(l1.generators) != len(l2.generators):
         raise GeneratorMismatch("generator lists have different lengths")
-    ident = (IntMatrix.identity(l1.rank), IntMatrix.identity(l2.rank))
-    pairs = {(ident[0].entries, ident[1].entries): ident}
-    queue = deque([ident])
-    gens = list(zip(l1.generators, l2.generators))
-    while queue:
-        a, b = queue.popleft()
-        for ga, gb in gens:
-            y = (a * ga, b * gb)
-            key = (y[0].entries, y[1].entries)
-            if key not in pairs:
-                pairs[key] = y
-                if len(pairs) > cap:
-                    raise GeneratorMismatch("paired closure exceeded the cap")
-                queue.append(y)
-    firsts = {a for a, _ in pairs}
-    seconds = {b for _, b in pairs}
-    if len(firsts) != len(pairs) or len(seconds) != len(pairs):
+    n1, n = l1.rank, l1.rank + l2.rank
+    pairs = close(GLattice(n, [_block_diagonal([a, b]) for a, b in zip(l1.generators, l2.generators)]), cap)
+    # the top n1 rows hold the first block, the other rows the second
+    firsts = {m.entries[: n1 * n] for m in pairs.elements}
+    seconds = {m.entries[n1 * n :] for m in pairs.elements}
+    if len(firsts) != pairs.order or len(seconds) != pairs.order:
         raise GeneratorMismatch(
             "paired generator words close to groups of different orders"
         )
-    return all(a.trace() == b.trace() for a, b in pairs.values())
+    return all(
+        sum(m.entry(i, i) for i in range(n1)) == sum(m.entry(i, i) for i in range(n1, n))
+        for m in pairs.elements
+    )
 
 
-def _condition_row(
-    G: FiniteMatrixGroup, subgroup: Subgroup, need_witness: bool
-) -> IsotropyConditionRow:
+def _condition_row(G: FiniteMatrixGroup, cl: IsotropyClass, need_witness: bool) -> IsotropyConditionRow:
+    subgroup = cl.subgroup
     m = bireflection_subgroup(subgroup)
     k = commutator_subgroup(subgroup)
-    combined = set(m.indices) | set(k.indices)
-    from .groups import subgroup_generated
-
-    perfect_mod = subgroup_generated(G, combined).order == subgroup.order
-    perfect = k.order == subgroup.order
     quotient, coset_of = quotient_table_group(subgroup, k)
-    ab = quotient.invariant_factors()
     image = quotient.subgroup_closure(coset_of[i] for i in m.indices)
-    image_factors = _sub_table_invariants(quotient, image)
+    # H = M K exactly when M maps onto H / K
+    perfect_mod = len(image) == quotient.size
     witness = None
     if need_witness and not perfect_mod:
         witness = witness_vector(G, subgroup)
     return IsotropyConditionRow(
         order=subgroup.order,
-        moved_rank=moved_rank_subgroup(subgroup),
+        moved_rank=G.lattice.rank - cl.fixed_rank,
         bireflection_order=m.order,
-        abelianization=ab,
-        bireflection_image=image_factors,
-        perfect=perfect,
+        abelianization=quotient.invariant_factors(),
+        bireflection_image=quotient.subgroup_table(image).invariant_factors(),
+        perfect=k.order == subgroup.order,
         perfect_mod_bireflections=perfect_mod,
         generated_by_bireflections=m.order == subgroup.order,
         witness=witness,
     )
-
-
-def _sub_table_invariants(table_group, members) -> tuple[int, ...]:
-    """Invariant factors of a subgroup of an abelian table group."""
-    members = sorted(members)
-    pos = {m: i for i, m in enumerate(members)}
-    sub_table = [[pos[table_group.table[a][b]] for b in members] for a in members]
-    from .groups import _TableGroup
-
-    return _TableGroup(sub_table).invariant_factors()
 
 
 def check_necessary_conditions(lat: GLattice, cap: int = DEFAULT_CAP) -> ObstructionReport:
@@ -237,7 +206,7 @@ def check_necessary_conditions(lat: GLattice, cap: int = DEFAULT_CAP) -> Obstruc
     rows = []
     witness_pending = True
     for cl in catalog.classes:
-        row = _condition_row(G, cl.subgroup, need_witness=witness_pending)
+        row = _condition_row(G, cl, need_witness=witness_pending)
         if not row.perfect_mod_bireflections:
             witness_pending = False  # cite only the first failing class
         rows.append(row)

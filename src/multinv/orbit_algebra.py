@@ -23,7 +23,7 @@ from itertools import combinations, product as iter_product
 
 from .errors import NotInvariant, ParityViolation
 from .groups import FiniteMatrixGroup
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _echelon, solve_echelon
 
 
 class LaurentElement:
@@ -181,27 +181,6 @@ def express_in_orbit_basis(G: FiniteMatrixGroup, a: LaurentElement) -> dict[tupl
     return out
 
 
-@dataclass(frozen=True)
-class OrbitBasis:
-    """Orbit sums whose canonical representatives fit a support bound."""
-
-    group: FiniteMatrixGroup
-    bound: int
-    representatives: tuple[tuple, ...]
-    sums: dict
-
-    @staticmethod
-    def build(G: FiniteMatrixGroup, bound: int) -> "OrbitBasis":
-        n = G.lattice.rank
-        reps = set()
-        for v in iter_product(range(-bound, bound + 1), repeat=n):
-            rep = orbit_representative(G, v)
-            if all(abs(x) <= bound for x in rep):
-                reps.add(rep)
-        ordered = tuple(sorted(reps, reverse=True))
-        return OrbitBasis(G, bound, ordered, {r: orbit_sum(G, r) for r in ordered})
-
-
 # -- free decomposition verification ---------------------------------------
 
 
@@ -236,28 +215,6 @@ class DecompositionResult:
     failure: DecompositionFailure | None = None
 
 
-def _solve_against_hermite(h_rows: list[list[int]], pivots: list[tuple[int, int]], target: list[int]):
-    """Integer solution c with c . h = target, or None."""
-    coeffs = [0] * len(h_rows)
-    t = list(target)
-    for r, c in pivots:
-        val = t[c]
-        if val == 0:
-            continue
-        pivot = h_rows[r][c]
-        if val % pivot:
-            return None
-        q = val // pivot
-        coeffs[r] = q
-        row = h_rows[r]
-        for j in range(len(t)):
-            if row[j]:
-                t[j] -= q * row[j]
-    if any(t):
-        return None
-    return coeffs
-
-
 def verify_free_decomposition(
     G: FiniteMatrixGroup,
     algebra_gens: list[LaurentElement],
@@ -269,8 +226,6 @@ def verify_free_decomposition(
     sup-norm window of the given bound.  Exact integer arithmetic
     throughout; see the module docstring for the verification contract.
     """
-    from .intlinalg import _echelon
-
     n = G.lattice.rank
     if not module_gens:
         raise ValueError("at least one module generator is required")
@@ -363,7 +318,7 @@ def verify_free_decomposition(
                 False, failure=DecompositionFailure(kind="unreachable", witness_orbit=rep)
             )
         target[col[rep]] = 1
-        coeffs = _solve_against_hermite(matrix, pivots, target)
+        coeffs = solve_echelon(matrix, pivots, target)
         if coeffs is None:
             return DecompositionResult(
                 False, failure=DecompositionFailure(kind="unreachable", witness_orbit=rep)

@@ -1,4 +1,4 @@
-"""Classification of group elements and subgroups by moved rank.
+"""Moved ranks of group elements and subgroups.
 
 The moved rank of g is the rank of g - I, i.e. the rank of the sublattice
 of differences g(m) - m.  Elements of moved rank 1 are reflections, rank 2
@@ -11,27 +11,9 @@ algebra, so no prime-ideal machinery is needed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .intlinalg import IntMatrix, rank
-from .groups import FiniteMatrixGroup, Subgroup, subgroup_generated, commutator_subgroup
-
-
-@dataclass(frozen=True)
-class ReflectionProfile:
-    element_index: int
-    moved_rank: int
-    classification: str
-
-
-def classify(moved: int) -> str:
-    if moved == 0:
-        return "identity"
-    if moved == 1:
-        return "reflection"
-    if moved == 2:
-        return "bireflection"
-    return f"{moved}-reflection"
+from .groups import Subgroup, subgroup_generated
+from .isotropy import fixed_lattice
 
 
 def moved_rank(g: IntMatrix) -> int:
@@ -41,31 +23,10 @@ def moved_rank(g: IntMatrix) -> int:
     return rank(g - IntMatrix.identity(g.rows))
 
 
-def reflection_profile(G: FiniteMatrixGroup) -> list[ReflectionProfile]:
-    return [
-        ReflectionProfile(i, G.moved_rank(i), classify(G.moved_rank(i))) for i in range(G.order)
-    ]
-
-
 def moved_rank_subgroup(h: Subgroup) -> int:
-    """Rank of the difference lattice of h, from a generating set.
-
-    Stacks the columns of g - I over the generators; the column span of
-    the stack is the full difference lattice of the subgroup.
-    """
-    G = h.parent
-    n = G.lattice.rank
-    gens = h.generating_set()
-    if not gens:
-        return 0
-    ident = IntMatrix.identity(n)
-    stacked = IntMatrix.hstack([G.element(i) - ident for i in gens])
-    return rank(stacked)
-
-
-def in_Xk(h: Subgroup, k: int) -> bool:
-    """Does the subgroup move a sublattice of rank at most k?"""
-    return moved_rank_subgroup(h) <= k
+    """Rank of the difference lattice of h, the complement of its fixed
+    lattice's rank."""
+    return h.parent.lattice.rank - fixed_lattice(h).rows
 
 
 def bireflection_subgroup(h: Subgroup) -> Subgroup:
@@ -76,12 +37,3 @@ def bireflection_subgroup(h: Subgroup) -> Subgroup:
     """
     seeds = [i for i in h.indices if h.parent.moved_rank(i) <= 2]
     return subgroup_generated(h.parent, seeds)
-
-
-def is_perfect_mod_bireflections(h: Subgroup) -> bool:
-    """True when h is generated by its bireflections plus its commutators,
-    i.e. exactly when h modulo its bireflection subgroup is perfect."""
-    m = bireflection_subgroup(h)
-    k = commutator_subgroup(h)
-    combined = subgroup_generated(h.parent, set(m.indices) | set(k.indices))
-    return combined.order == h.order

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used only by tests.
 
 These never call back into the code paths they check: the stabilizer
-census scans lattice vectors directly with numpy integer arithmetic, and
+census scans lattice vectors directly with numpy integer arithmetic, the
+difference-lattice rank is plain integer elimination, and
 the SL(2, F_5) histogram is computed from scratch over the finite field.
 """
 
@@ -41,6 +42,27 @@ def stabilizer_census(group):
     for mask in masks:
         out.add(frozenset(i for i in range(order) if mask >> i & 1))
     return out
+
+
+def difference_rank(mats):
+    """Rank of the horizontal stack of the matrices g - I, i.e. of the
+    lattice spanned by all differences g(m) - m, by fraction-free
+    elimination on the distinct columns."""
+    cols = set()
+    for g in mats:
+        rows = g.row_lists()
+        n = len(rows)
+        for j in range(n):
+            cols.add(tuple(rows[i][j] - (i == j) for i in range(n)))
+    basis = {}  # pivot position -> vector vanishing at every earlier pivot
+    for v in cols:
+        for p, b in basis.items():
+            if v[p]:
+                v = tuple(b[p] * x - v[p] * y for x, y in zip(v, b))
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is not None:
+            basis[p] = v
+    return len(basis)
 
 
 def sl2_f5_histogram_oracle():

@@ -43,7 +43,7 @@ def test_every_builtin_closes_to_documented_order():
 
 def test_rank3_order6_cube_is_negative_identity():
     g = builtin("rank3_order6").generators[0]
-    assert g.power(3) == -IntMatrix.identity(3)
+    assert g * g * g == -IntMatrix.identity(3)
     assert close(builtin("rank3_order6")).order == 6
 
 

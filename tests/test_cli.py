@@ -118,6 +118,34 @@ class TestBatch:
         assert doc["summary"]["errors"] == 1
         assert doc["summary"]["trivially_cm"] == 1
 
+    def test_capped_file_keeps_other_reports(self, tmp_path):
+        (tmp_path / "a.json").write_text(serialize_group_definition(builtin("rank3_order2")))
+        shear = [[1, 1], [0, 1]]  # infinite order
+        (tmp_path / "b.json").write_text(
+            '{"name": "shear", "rank": 2, "generators": [%s]}' % json.dumps(shear)
+        )
+        (tmp_path / "c.json").write_text(serialize_group_definition(builtin("diag_sl2")))
+        code, out = run_cli(["batch", str(tmp_path), "--cap", "50", "--format", "json"])
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["summary"] == {
+            "obstructed": 1,
+            "inconclusive": 0,
+            "trivially_cm": 1,
+            "errors": 1,
+        }
+        assert [r["file"] for r in doc["reports"]] == ["a.json", "b.json", "c.json"]
+        assert "cap of 50" in doc["reports"][1]["error"]
+        assert doc["reports"][0]["verdict"] == "Obstructed"
+
+    def test_cap_outranks_input_errors(self, tmp_path):
+        (tmp_path / "a.json").write_text("{oops")
+        (tmp_path / "b.json").write_text('{"name": "s", "rank": 1, "generators": [[[-1]]]}')
+        code, out = run_cli(["batch", str(tmp_path), "--cap", "1"])
+        assert code == 3
+        assert "a.json: ERROR" in out and "b.json: ERROR" in out
+        assert "errors 2" in out
+
     def test_text_summary_line(self, tmp_path):
         (tmp_path / "neg.json").write_text(serialize_group_definition(builtin("rank3_order2")))
         code, out = run_cli(["batch", str(tmp_path)])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from multinv.errors import GeneratorMismatch
+from multinv.errors import CapExceeded, GeneratorMismatch
 from multinv.groups import GLattice, close
 from multinv.intlinalg import IntMatrix
 from multinv.obstruction import (
@@ -108,6 +108,12 @@ class TestRationalIsomorphism:
         with pytest.raises(GeneratorMismatch):
             rationally_isomorphic(a, b)
 
+    def test_cap_overflow_is_cap_exceeded(self):
+        # infinite unipotent pair: the paired closure must report the cap
+        shear = GLattice(2, [IntMatrix.from_rows([[1, 1], [0, 1]])], "shear")
+        with pytest.raises(CapExceeded):
+            rationally_isomorphic(shear, shear, cap=20)
+
 
 class TestDirectSumCopies:
     def test_single_copy(self):
@@ -157,7 +163,7 @@ class TestVerdicts:
 
     def test_c6_cube_is_neg_identity(self):
         g = C6.generators[0]
-        assert g.power(3) == -IntMatrix.identity(3)
+        assert g * g * g == -IntMatrix.identity(3)
 
     def test_s3_inconclusive(self):
         rep = check_necessary_conditions(sym_u_lattice(3))

@@ -7,7 +7,6 @@ from multinv.groups import GLattice, close
 from multinv.intlinalg import IntMatrix, rank
 from multinv.orbit_algebra import (
     LaurentElement,
-    OrbitBasis,
     act,
     alternating_d,
     elementary_symmetric,
@@ -160,16 +159,6 @@ class TestExpress:
                 elem = elem + c * orbit_sum(g, rep)
             expressed = express_in_orbit_basis(g, elem)
             assert expressed == {r: c for r, c in coeffs.items() if c}
-
-
-class TestOrbitBasis:
-    def test_representatives_canonical(self):
-        g = neg_group(2)
-        basis = OrbitBasis.build(g, 2)
-        for rep in basis.representatives:
-            assert rep == orbit_representative(g, rep)
-            assert max(abs(x) for x in rep) <= 2
-        assert basis.sums[(1, 1)] == orbit_sum(g, (1, 1))
 
 
 class TestFreeDecomposition:

@@ -25,7 +25,7 @@ from multinv.obstruction import (
 from multinv.reflections import moved_rank_subgroup
 
 from helpers import conjugated_lattice, random_unimodular
-from oracles import stabilizer_census
+from oracles import difference_rank, stabilizer_census
 
 
 def random_signed_perm(n, rng):
@@ -109,4 +109,6 @@ def test_rank_sum_on_random_groups():
         group = close(random_signed_perm_lattice(n, rng))
         seed = rng.sample(range(group.order), min(group.order, rng.randint(0, 2)))
         h = subgroup_generated(group, seed)
-        assert moved_rank_subgroup(h) + fixed_lattice(h).rows == n
+        moved = difference_rank(h.matrices())
+        assert fixed_lattice(h).rows == n - moved
+        assert moved_rank_subgroup(h) == moved

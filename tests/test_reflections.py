@@ -1,23 +1,40 @@
 import random
 
-from multinv.groups import GLattice, close, full_subgroup, subgroup_generated, trivial_subgroup
-from multinv.intlinalg import IntMatrix
-from multinv.reflections import (
-    bireflection_subgroup,
-    in_Xk,
-    is_perfect_mod_bireflections,
-    moved_rank,
-    moved_rank_subgroup,
+from multinv.catalog import DEFAULT_BUILTINS, builtin
+from multinv.groups import (
+    GLattice,
+    close,
+    commutator_subgroup,
+    full_subgroup,
+    subgroup_generated,
+    trivial_subgroup,
 )
-from multinv.isotropy import fixed_lattice
+from multinv.intlinalg import IntMatrix
+from multinv.isotropy import enumerate_isotropy_groups, fixed_lattice
+from multinv.obstruction import check_necessary_conditions, effective_reduction
+from multinv.reflections import bireflection_subgroup, moved_rank, moved_rank_subgroup
 
 from helpers import cycle, transposition
+from oracles import difference_rank
 
 C4 = IntMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])
 
 
+def sym_u_lattice(n):
+    return GLattice(n, [transposition(0, 1, n), cycle(list(range(n)), n)], f"s{n}")
+
+
 def sym_u(n):
-    return close(GLattice(n, [transposition(0, 1, n), cycle(list(range(n)), n)], f"s{n}"))
+    return close(sym_u_lattice(n))
+
+
+def rows_by_order(lat):
+    """Condition rows of the report, keyed by isotropy order (distinct in
+    the groups used here)."""
+    rows = check_necessary_conditions(lat).classes
+    by_order = {row.order: row for row in rows}
+    assert len(by_order) == len(rows)
+    return by_order
 
 
 class TestMovedRank:
@@ -51,19 +68,21 @@ class TestMovedRankSubgroup:
 
 
 class TestXk:
+    """Membership in X_k: the subgroup moves a sublattice of rank <= k."""
+
     def test_trivial_in_all(self):
         g = sym_u(3)
         for k in range(4):
-            assert in_Xk(trivial_subgroup(g), k)
+            assert moved_rank_subgroup(trivial_subgroup(g)) <= k
 
     def test_reflection_subgroup(self):
         g = sym_u(3)
         h = subgroup_generated(g, [g.index_of(transposition(0, 1, 3))])
-        assert in_Xk(h, 1)
+        assert moved_rank_subgroup(h) <= 1
 
     def test_neg_identity_not_x2(self):
         g = close(GLattice(3, [-IntMatrix.identity(3)]))
-        assert not in_Xk(full_subgroup(g), 2)
+        assert not moved_rank_subgroup(full_subgroup(g)) <= 2
 
 
 class TestBireflectionSubgroup:
@@ -84,16 +103,28 @@ class TestBireflectionSubgroup:
 
 class TestPerfectModBireflections:
     def test_trivial(self):
-        g = sym_u(3)
-        assert is_perfect_mod_bireflections(trivial_subgroup(g))
+        assert rows_by_order(sym_u_lattice(3))[1].perfect_mod_bireflections
 
     def test_c4_fails(self):
-        g = close(GLattice(3, [C4]))
-        assert not is_perfect_mod_bireflections(full_subgroup(g))
+        assert not rows_by_order(GLattice(3, [C4]))[4].perfect_mod_bireflections
 
     def test_s3_holds(self):
-        g = sym_u(3)
-        assert is_perfect_mod_bireflections(full_subgroup(g))
+        assert rows_by_order(sym_u_lattice(3))[6].perfect_mod_bireflections
+
+    def test_rows_match_bireflections_plus_commutators(self):
+        # H is perfect mod bireflections exactly when the subgroup generated
+        # by its bireflections and its commutators is all of H
+        for name in DEFAULT_BUILTINS:
+            lat = builtin(name)
+            g = close(effective_reduction(lat))
+            classes = enumerate_isotropy_groups(g).classes
+            rows = check_necessary_conditions(lat).classes
+            assert [row.order for row in rows] == [cl.order for cl in classes], name
+            for cl, row in zip(classes, rows):
+                h = cl.subgroup
+                seeds = set(bireflection_subgroup(h).indices) | set(commutator_subgroup(h).indices)
+                expected = subgroup_generated(g, seeds).order == h.order
+                assert row.perfect_mod_bireflections == expected, (name, h.order)
 
 
 def test_moved_rank_conjugation_invariant_random():
@@ -112,7 +143,9 @@ def test_rank_sum_equality_random():
     for _ in range(200):
         seed = rng.sample(range(g.order), rng.randint(0, 2))
         h = subgroup_generated(g, seed)
-        assert moved_rank_subgroup(h) + fixed_lattice(h).rows == n
+        moved = difference_rank(h.matrices())
+        assert fixed_lattice(h).rows == n - moved
+        assert moved_rank_subgroup(h) == moved
 
 
 def test_bireflection_subgroup_normal_and_scan_order_free():
@@ -135,20 +168,7 @@ def test_xk_monotone_and_subgroup_closed():
     g = sym_u(4)
     for _ in range(100):
         h = subgroup_generated(g, rng.sample(range(g.order), 2))
-        ranks = [moved_rank_subgroup(h)]
-        for k in range(5):
-            if in_Xk(h, k):
-                assert in_Xk(h, k + 1)
+        # X_k is closed under subgroups: a subgroup moves no more than h
         k = moved_rank_subgroup(h)
         sub = subgroup_generated(g, rng.sample(h.indices, min(2, h.order)))
         assert moved_rank_subgroup(sub) <= k
-
-
-def test_reflection_profile_labels():
-    from multinv.reflections import reflection_profile
-
-    g = sym_u(3)
-    profiles = {p.classification for p in reflection_profile(g)}
-    assert profiles == {"identity", "reflection", "bireflection"}
-    for p in reflection_profile(g):
-        assert p.moved_rank == g.moved_rank(p.element_index)
