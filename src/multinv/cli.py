@@ -14,8 +14,9 @@ Commands:
 All output is deterministic; ``--seed-free`` is accepted for scripting
 symmetry but changes nothing because no code path uses randomness.
 Exit codes: 0 success, 2 parse/validation problems, 3 closure cap
-exceeded.  ``batch`` exits 3 if any file exceeded the cap, else 2 if any
-file had an input error, else 0.  Exit code 1 is never used.
+exceeded, 70 internal error (a bug; the message names the exception).
+``batch`` exits 3 if any file exceeded the cap, else 2 if any file had an
+input error, else 0.  Exit code 1 is never used.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import DEFAULT_CAP, GLattice, close
-from .isotropy import enumerate_isotropy_groups
+from .isotropy import _witness_scan, enumerate_isotropy_groups
 from .obstruction import ObstructionReport, check_necessary_conditions, copies_verdict
 from .orbit_algebra import (
     LaurentElement,
@@ -232,7 +233,7 @@ def _cmd_witness(args, out) -> int:
     lines = [f"input: {args.input} (rank {lattice.rank})", f"group order: {group.order}"]
     lines.append(f"isotropy classes: {len(catalog.classes)}")
     for cl in catalog.classes:
-        witness = catalog.witness(cl.subgroup)
+        witness = _witness_scan(group, cl.subgroup, cl.fixed_space)
         classes.append(
             {
                 "order": cl.order,

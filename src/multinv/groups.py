@@ -266,107 +266,78 @@ def is_perfect(h: Subgroup) -> bool:
     return commutator_subgroup(h).order == h.order
 
 
-def _coset_decomposition(h: Subgroup, k: Subgroup):
-    """Cosets of k in h: returns (reps, coset_of) with canonical reps."""
-    G = h.parent
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for i in h.indices:
-        if i in coset_of:
-            continue
-        members = sorted(G.mul(i, j) for j in k.indices)
-        cid = len(reps)
-        reps.append(members[0])
-        for m in members:
-            coset_of[m] = cid
-    return reps, coset_of
+def coset_orders(h: Subgroup, k: Subgroup) -> tuple[list[int], dict[int, int]]:
+    """Orders of the cosets of k in h, with the coset map h -> h/k.
 
-
-class _TableGroup:
-    """A tiny finite group given by its Cayley table (used for quotients)."""
-
-    def __init__(self, table: list[list[int]]):
-        self.table = table
-        self.size = len(table)
-        self.identity = next(
-            e for e in range(self.size) if all(table[e][x] == x for x in range(self.size))
-        )
-
-    def order_of(self, x: int) -> int:
-        o = 1
-        y = x
-        while y != self.identity:
-            y = self.table[y][x]
-            o += 1
-        return o
-
-    def subgroup_closure(self, seed: Iterable[int]) -> set[int]:
-        seen = {self.identity}
-        queue = deque(seen)
-        seed = list(set(seed) | seen)
-        while queue:
-            x = queue.popleft()
-            for s in seed:
-                y = self.table[x][s]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
-    def subgroup_table(self, members: Iterable[int]) -> "_TableGroup":
-        """The subgroup on the given members as a table group of its own."""
-        members = sorted(members)
-        pos = {m: i for i, m in enumerate(members)}
-        return _TableGroup([[pos[self.table[a][b]] for b in members] for a in members])
-
-    def quotient_by_cyclic(self, x: int) -> "_TableGroup":
-        sub = self.subgroup_closure([x])
-        coset_of: dict[int, int] = {}
-        reps: list[int] = []
-        for i in range(self.size):
-            if i in coset_of:
-                continue
-            members = sorted(self.table[i][s] for s in sub)
-            cid = len(reps)
-            reps.append(members[0])
-            for m in members:
-                coset_of[m] = cid
-        table = [[coset_of[self.table[a][b]] for b in reps] for a in reps]
-        return _TableGroup(table)
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Invariant factors of an abelian table group, ascending chain.
-
-        Repeatedly splits off a cyclic factor of maximal order; for a
-        finite abelian group such a factor is always a direct summand.
-        """
-        factors: list[int] = []
-        g = self
-        while g.size > 1:
-            x = max(range(g.size), key=lambda i: (g.order_of(i), -i))
-            factors.append(g.order_of(x))
-            g = g.quotient_by_cyclic(x)
-        factors.reverse()
-        return tuple(factors)
-
-
-def quotient_table_group(h: Subgroup, k: Subgroup) -> tuple[_TableGroup, dict[int, int]]:
-    """The quotient h/k as a table group, with the coset map h -> h/k.
-
-    k must be normal in h (not checked beyond the table being well
-    defined for coset representatives).
+    The order of the coset xk is the least t with x^t in k; k must be
+    normal in h (not checked).  Coset ids follow the canonical order of h.
     """
     G = h.parent
-    reps, coset_of = _coset_decomposition(h, k)
-    table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
-    return _TableGroup(table), coset_of
+    coset_of: dict[int, int] = {}
+    orders: list[int] = []
+    for x in h.indices:
+        if x in coset_of:
+            continue
+        for j in k.indices:
+            coset_of[G.mul(x, j)] = len(orders)
+        t, y = 1, x
+        while y not in k:
+            y = G.mul(y, x)
+            t += 1
+        orders.append(t)
+    return orders, coset_of
+
+
+def abelian_invariants(orders: Iterable[int]) -> tuple[int, ...]:
+    """Invariant factors (ascending chain) of the finite abelian group whose
+    elements have the given orders.
+
+    If the p-part is a product of cyclic groups of orders p^e_i, the
+    elements of order dividing p^e number p^(sum of min(e, e_i)).  From
+    e - 1 to e that exponent grows by #{i : e_i >= e}, which fixes every
+    e_i; the j-th largest invariant factor collects the j-th largest e_i
+    of each prime.
+    """
+    orders = list(orders)
+    factors: list[int] = []  # largest first
+    for p in _prime_divisors(len(orders)):
+        at_least = []  # at_least[e - 1] = #{i : e_i >= e}
+        below, q = 1, p
+        while (count := sum(1 for o in orders if q % o == 0)) > below:
+            at_least.append(_log(count // below, p))
+            below, q = count, q * p
+        for j in range(at_least[0]):
+            if j == len(factors):
+                factors.append(1)
+            factors[j] *= p ** sum(1 for c in at_least if c > j)
+    return tuple(reversed(factors))
+
+
+def _prime_divisors(n: int):
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        yield n
+
+
+def _log(x: int, p: int) -> int:
+    """The exponent e with x = p^e."""
+    e = 0
+    while x > 1:
+        x //= p
+        e += 1
+    return e
 
 
 def abelianization(h: Subgroup) -> tuple[int, ...]:
     """Invariant factors of h modulo its commutator subgroup."""
-    k = commutator_subgroup(h)
-    q, _ = quotient_table_group(h, k)
-    return q.invariant_factors()
+    orders, _ = coset_orders(h, commutator_subgroup(h))
+    return abelian_invariants(orders)
 
 
 def element_order_histogram(g: FiniteMatrixGroup | Subgroup) -> dict[int, int]:

@@ -10,11 +10,13 @@ The catalog of isotropy groups is built without scanning lattice vectors:
 3. For each space take the pointwise stabilizer and deduplicate up to
    conjugacy.
 
-Step 2 keeps cost down by multiplying only against "irreducible" initial
-spaces: an initial space already derivable as a meet of previously seen
-ones never needs to act as a multiplier.  Rational spans are identified
-with their saturated integer lattices throughout, so every rank statement
-is a statement about saturated kernels.
+Step 2 adds the cyclic spaces one at a time, largest rank first.  The
+meet closure of a closed family C and one more space b is C together with
+every c ∧ b for c in C, so each space not yet in the closure is met once
+with every space closed so far, and a space already there costs nothing.
+Rational spans are identified with their saturated integer lattices
+throughout, so every rank statement is a statement about saturated
+kernels.
 """
 
 from __future__ import annotations
@@ -75,14 +77,6 @@ class IsotropyCatalog:
     group: FiniteMatrixGroup
     classes: tuple[IsotropyClass, ...]
     _orbit_index: dict[int, int] = field(default_factory=dict)  # member mask -> class
-    _witnesses: dict[tuple[int, ...], tuple[int, ...]] = field(default_factory=dict)
-
-    def witness(self, h: Subgroup) -> tuple[int, ...]:
-        """A lattice vector whose stabilizer is exactly h (cached)."""
-        key = h.indices
-        if key not in self._witnesses:
-            self._witnesses[key] = witness_vector(self.group, h)
-        return self._witnesses[key]
 
     def class_for(self, h: Subgroup) -> IsotropyClass:
         mask = 0
@@ -123,34 +117,19 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
         initial.setdefault(_space_key(b), b)
     bases = sorted(initial.values(), key=lambda b: (-b.rows, b.entries))
 
-    # 2. meet closure; only genuinely new initial spaces become multipliers
+    # 2. meet closure, one cyclic space at a time
     closure: dict[tuple, tuple[IntMatrix, IntMatrix]] = {}  # key -> (basis, complement)
-    multipliers: list[tuple[IntMatrix, IntMatrix]] = []
-    pending: deque = deque()
-
-    def register(basis: IntMatrix):
-        key = _space_key(basis)
-        if key in closure:
-            return None
-        entry = (basis, kernel_lattice(basis))
-        closure[key] = entry
-        for m in multipliers:
-            pending.append((entry, m))
-        return entry
-
-    def drain():
-        while pending:
-            (ba, ca), (bb, cb) = pending.popleft()
-            register(_intersect_spaces(ca, cb, n))
-
     for b in bases:
-        entry = register(b)
-        drain()
-        if entry is not None and b.rows < n:
-            multipliers.append(entry)
-            for other in list(closure.values()):
-                pending.append((other, entry))
-            drain()
+        key = _space_key(b)
+        if key in closure:
+            continue
+        comp_b = kernel_lattice(b)
+        meets = [_intersect_spaces(comp, comp_b, n) for _basis, comp in closure.values()]
+        closure[key] = (b, comp_b)
+        for basis in meets:
+            key = _space_key(basis)
+            if key not in closure:
+                closure[key] = (basis, kernel_lattice(basis))
 
     # 3. pointwise stabilizers via cached per-vector stabilizer bitmasks
     stab_cache: dict[tuple[int, ...], int] = {}
@@ -225,15 +204,19 @@ def _shell(s: int, k: int):
 
 
 def witness_vector(G: FiniteMatrixGroup, h: Subgroup) -> tuple[int, ...]:
-    """Integer vector m with stabilizer exactly h.
+    """Integer vector m with stabilizer exactly h."""
+    return _witness_scan(G, h, fixed_lattice(h))
 
-    Scans integer combinations of the fixed-lattice basis over coefficient
-    boxes [0, s]^k of growing side s, lexicographically inside each shell.
+
+def _witness_scan(G: FiniteMatrixGroup, h: Subgroup, basis: IntMatrix) -> tuple[int, ...]:
+    """Witness for h, given the saturated basis of its fixed lattice.
+
+    Scans integer combinations of the basis over coefficient boxes
+    [0, s]^k of growing side s, lexicographically inside each shell.
     A witness must only avoid at most |G| proper subspaces of the fixed
     space, and a box of side exceeding that count cannot be covered by
     them, so the scan terminates by side |G| at the latest.
     """
-    basis = fixed_lattice(h)
     k = basis.rows
     # candidate rejectors, likeliest fixers first
     others = sorted(

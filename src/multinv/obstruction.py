@@ -29,12 +29,13 @@ from .groups import (
     DEFAULT_CAP,
     FiniteMatrixGroup,
     GLattice,
+    abelian_invariants,
     close,
     commutator_subgroup,
-    quotient_table_group,
+    coset_orders,
 )
 from .intlinalg import IntMatrix, common_fixed_lattice, induced_on_quotient
-from .isotropy import IsotropyClass, enumerate_isotropy_groups, witness_vector
+from .isotropy import IsotropyClass, _witness_scan, enumerate_isotropy_groups
 from .reflections import bireflection_subgroup
 
 
@@ -166,19 +167,19 @@ def _condition_row(G: FiniteMatrixGroup, cl: IsotropyClass, need_witness: bool) 
     subgroup = cl.subgroup
     m = bireflection_subgroup(subgroup)
     k = commutator_subgroup(subgroup)
-    quotient, coset_of = quotient_table_group(subgroup, k)
-    image = quotient.subgroup_closure(coset_of[i] for i in m.indices)
-    # H = M K exactly when M maps onto H / K
-    perfect_mod = len(image) == quotient.size
+    orders, coset_of = coset_orders(subgroup, k)
+    # the image of M in H / K is a subgroup; H = M K exactly when it is all of H / K
+    image = {coset_of[i] for i in m.indices}
+    perfect_mod = len(image) == len(orders)
     witness = None
     if need_witness and not perfect_mod:
-        witness = witness_vector(G, subgroup)
+        witness = _witness_scan(G, subgroup, cl.fixed_space)
     return IsotropyConditionRow(
         order=subgroup.order,
         moved_rank=G.lattice.rank - cl.fixed_rank,
         bireflection_order=m.order,
-        abelianization=quotient.invariant_factors(),
-        bireflection_image=quotient.subgroup_table(image).invariant_factors(),
+        abelianization=abelian_invariants(orders),
+        bireflection_image=abelian_invariants(orders[c] for c in image),
         perfect=k.order == subgroup.order,
         perfect_mod_bireflections=perfect_mod,
         generated_by_bireflections=m.order == subgroup.order,

@@ -2,13 +2,16 @@
 
 These never call back into the code paths they check: the stabilizer
 census scans lattice vectors directly with numpy integer arithmetic, the
-difference-lattice rank is plain integer elimination, and
-the SL(2, F_5) histogram is computed from scratch over the finite field.
+difference-lattice rank is plain integer elimination, the SL(2, F_5)
+histogram is computed from scratch over the finite field, and abelian
+invariants come from sympy's permutation groups.
 """
 
 from collections import Counter
 
 import numpy as np
+from sympy import primefactors
+from sympy.combinatorics import Permutation, PermutationGroup
 
 
 def stabilizer_census(group):
@@ -89,3 +92,29 @@ def sl2_f5_histogram_oracle():
                         o += 1
                     hist[o] += 1
     return dict(sorted(hist.items()))
+
+
+def sympy_abelianization(h):
+    """Invariant factors (ascending chain) of the abelianization of h, by
+    sympy on the permutation action of h on the orbit of the vectors ±e_i.
+
+    The orbit spans the lattice, so the action is faithful.  sympy returns
+    prime powers; the j-th largest invariant factor is the product of the
+    j-th largest power of each prime.
+    """
+    n = h.parent.lattice.rank
+    units = [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    mats = h.matrices()
+    points = sorted({g.apply(v) for g in mats for v in units})
+    pos = {v: i for i, v in enumerate(points)}
+    perms = [Permutation([pos[g.apply(v)] for v in points]) for g in mats]
+    by_prime = {}
+    for q in PermutationGroup(perms).abelian_invariants():
+        by_prime.setdefault(primefactors(q)[0], []).append(q)
+    factors = []
+    for powers in by_prime.values():
+        for j, q in enumerate(sorted(powers, reverse=True)):
+            if j == len(factors):
+                factors.append(1)
+            factors[j] *= q
+    return tuple(reversed(factors))

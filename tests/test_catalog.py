@@ -122,11 +122,11 @@ def test_structured_abelianizations():
 
 
 def test_catalog_contains_full_group_and_trivial_subgroup():
-    from multinv.isotropy import enumerate_isotropy_groups
+    from multinv.isotropy import enumerate_isotropy_groups, witness_vector
 
     for name in DEFAULT_BUILTINS:
         group = close(builtin(name))
         catalog = enumerate_isotropy_groups(group)
         assert catalog.classes[0].order == group.order, name
         assert catalog.classes[-1].order == 1, name
-        assert catalog.witness(catalog.classes[0].subgroup) == (0,) * group.lattice.rank
+        assert witness_vector(group, catalog.classes[0].subgroup) == (0,) * group.lattice.rank

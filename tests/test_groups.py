@@ -1,10 +1,13 @@
+import math
 import random
+from itertools import product
 
 import pytest
 
 from multinv.errors import CapExceeded
 from multinv.groups import (
     GLattice,
+    abelian_invariants,
     abelianization,
     are_conjugate_subgroups,
     close,
@@ -16,10 +19,13 @@ from multinv.groups import (
     subgroup_generated,
     trivial_subgroup,
 )
+from multinv.catalog import builtin
 from multinv.errors import InvalidGenerator
-from multinv.intlinalg import IntMatrix
+from multinv.intlinalg import IntMatrix, snf
+from multinv.isotropy import enumerate_isotropy_groups
 
 from helpers import diag, transposition, cycle
+from oracles import sympy_abelianization
 
 C4 = IntMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])  # order 4, rank 3
 
@@ -115,6 +121,26 @@ class TestAbelianization:
         assert abelianization(trivial_subgroup(g)) == ()
 
 
+def test_abelian_invariants_match_smith_factors():
+    """Element orders of Z/n_1 x ... x Z/n_k against the Smith form of
+    diag(n_1, ..., n_k), for k <= 3 and every n_i <= 8."""
+    assert abelian_invariants([1]) == ()
+    for k in range(1, 4):
+        for ns in product(range(1, 9), repeat=k):
+            orders = [
+                math.lcm(*(n // math.gcd(a, n) for a, n in zip(element, ns)))
+                for element in product(*(range(n) for n in ns))
+            ]
+            smith = tuple(abs(d) for d in snf(diag(*ns)).invariant_factors() if abs(d) > 1)
+            assert abelian_invariants(orders) == smith, ns
+
+
+@pytest.mark.parametrize("name", ["sym5_u5", "alt5_u5", "root_a4", "diag_sl4", "signed_root_s5"])
+def test_abelianization_matches_sympy_on_catalog_classes(name):
+    for cl in enumerate_isotropy_groups(close(builtin(name))).classes:
+        assert abelianization(cl.subgroup) == sympy_abelianization(cl.subgroup), (name, cl.order)
+
+
 class TestHistogram:
     def test_neg_identity(self):
         g = close(GLattice(2, [-IntMatrix.identity(2)]))
@@ -166,8 +192,6 @@ def test_lagrange_and_element_orders_random():
 def test_abelianization_index_formula_random():
     rng = random.Random(99)
     g = close(GLattice(4, [transposition(0, 1, 4), cycle([0, 1, 2, 3], 4)], "s4"))
-    import math
-
     for _ in range(50):
         seed = rng.sample(range(g.order), rng.randint(1, 2))
         h = subgroup_generated(g, seed)

@@ -74,7 +74,7 @@ class TestCatalog:
     def test_neg_identity(self):
         cat = enumerate_isotropy_groups(neg_identity(2))
         assert [cl.order for cl in cat.classes] == [2, 1]
-        assert cat.witness(cat.classes[0].subgroup) == (0, 0)
+        assert witness_vector(cat.group, cat.classes[0].subgroup) == (0, 0)
 
     def test_s3(self):
         g = sym_u(3)
@@ -85,7 +85,7 @@ class TestCatalog:
         g = sym_u(3)
         cat = enumerate_isotropy_groups(g)
         for cl in cat.classes:
-            m = cat.witness(cl.subgroup)
+            m = witness_vector(g, cl.subgroup)
             assert isotropy_group_of(g, m) == cl.subgroup
 
     def test_closed_under_intersection_up_to_conjugacy(self):

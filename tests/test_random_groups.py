@@ -15,7 +15,7 @@ from multinv.groups import (
     subgroup_generated,
 )
 from multinv.intlinalg import IntMatrix
-from multinv.isotropy import enumerate_isotropy_groups, fixed_lattice, isotropy_group_of
+from multinv.isotropy import enumerate_isotropy_groups, fixed_lattice, isotropy_group_of, witness_vector
 from multinv.obstruction import (
     INCONCLUSIVE,
     OBSTRUCTED,
@@ -78,7 +78,7 @@ def test_catalog_complete_on_conjugated_random_groups():
             assert catalog.class_for(h).order == h.order
         # every witness realizes its class exactly
         for cl in catalog.classes:
-            w = catalog.witness(cl.subgroup)
+            w = witness_vector(group, cl.subgroup)
             assert isotropy_group_of(group, w) == cl.subgroup
 
 
