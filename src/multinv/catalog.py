@@ -126,6 +126,10 @@ def _z8_to_quat(v):
     )
 
 
+def _sparse(v) -> dict[int, int]:
+    return {j: x for j, x in enumerate(v) if x}
+
+
 def _icosian_lattice() -> GLattice:
     """Left multiplication of the binary icosahedral group on the integer
     span of its 120 elements, a rank-8 lattice.
@@ -157,18 +161,18 @@ def _icosian_lattice() -> GLattice:
     quats = sorted(elements, key=_quat_to_z8)
     vectors = [_quat_to_z8(q) for q in quats]
     basis = hnf_basis(IntMatrix.from_rows(vectors, 8))
-    h_rows = basis.row_lists()
-    pivots = [(r, r) for r in range(8)]  # a full-rank square echelon form
+    # a full-rank square echelon form: row r leads at column r
+    pivots = {r: (_sparse(basis.row(r)), {r: 1}) for r in range(8)}
 
     gens = []
     for g in (g1, g2):
         rows = []
         for r in range(8):
             image = _quat_to_z8(_quat_mul(g, _z8_to_quat(basis.row(r))))
-            coords = solve_echelon(h_rows, pivots, image)
+            coords = solve_echelon(pivots, _sparse(image))
             if coords is None:
                 raise ArithmeticError("vector outside the lattice")
-            rows.append(coords)
+            rows.append([coords.get(k, 0) for k in range(8)])
         gens.append(IntMatrix.from_rows(rows).transpose())
     return GLattice(8, gens, "icosian")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InvalidGenerator
@@ -102,11 +103,22 @@ class FiniteMatrixGroup:
         return self.lattice.rank - self.cyclic_fixed_space(i).rows
 
     def cyclic_fixed_space(self, i: int) -> IntMatrix:
-        """Saturated Hermite basis of the fixed lattice of element i."""
+        """Saturated Hermite basis of the fixed lattice of element i.
+
+        Every generator g^k (gcd(k, ord g) = 1) of the cyclic group of g
+        fixes the same lattice, so one kernel is cached for all of them.
+        """
         b = self._fixed_spaces.get(i)
         if b is None:
             b = common_fixed_lattice([self.elements[i]], self.lattice.rank)
-            self._fixed_spaces[i] = b
+            powers = [i]
+            while powers[-1] != self.identity_index:
+                powers.append(self.mul(powers[-1], i))
+            o = len(powers)
+            for k, j in enumerate(powers, 1):
+                if gcd(k, o) == 1:
+                    self._fixed_spaces[j] = b
+                    self._orders[j] = o
         return b
 
     def __len__(self) -> int:

@@ -488,28 +488,89 @@ def common_fixed_lattice(mats: Sequence[IntMatrix], n: int) -> IntMatrix:
     return kernel_lattice(IntMatrix.vstack([g - ident for g in mats], cols=n))
 
 
-def solve_echelon(h_rows: Sequence[Sequence[int]], pivots: Sequence[tuple[int, int]], target: Sequence[int]):
-    """Integer c with ``sum c[r] * h_rows[r] = target`` by back-substitution
-    through the ``(row, col)`` pivots of an echelon form, or None when the
+def _add_multiple(dst: dict, q: int, src: dict) -> None:
+    """``dst += q * src`` on sparse vectors, dropping entries that cancel."""
+    if not q:
+        return
+    for k, v in src.items():
+        s = dst.get(k, 0) + q * v
+        if s:
+            dst[k] = s
+        else:
+            del dst[k]
+
+
+def sparse_echelon(rows: dict) -> tuple[dict, dict | None]:
+    """Row echelon form of sparse integer rows, with its certificate.
+
+    ``rows`` maps a label to a row ``{col: coeff}``.  Rows are inserted in
+    the mapping's order, and each is reduced at its leading (smallest)
+    column against the pivot there: by subtraction when the pivot divides
+    the entry, otherwise by the extended-gcd two-row transform, which
+    replaces the pivot by the gcd.  Returns ``(pivots, relation)``:
+    ``pivots`` maps each pivot column to ``(row, combination)``, a row with
+    a positive leading entry and its combination ``{label: coeff}`` of the
+    input rows.  Every step is unimodular, so a row that reduces to zero
+    leaves a nonzero ``relation`` among the input rows; insertion stops
+    there.  Otherwise ``relation`` is None and the pivot rows are a basis
+    of the row lattice.
+    """
+    pivots: dict[int, tuple[dict, dict]] = {}
+    for label, row in rows.items():
+        row = dict(row)
+        combo = {label: 1}
+        while row:
+            c = min(row)
+            b = row[c]
+            hit = pivots.get(c)
+            if hit is None:
+                if b < 0:
+                    row = {k: -v for k, v in row.items()}
+                    combo = {k: -v for k, v in combo.items()}
+                pivots[c] = (row, combo)
+                break
+            prow, pcombo = hit
+            a = prow[c]
+            if b % a == 0:
+                _add_multiple(row, -(b // a), prow)
+                _add_multiple(combo, -(b // a), pcombo)
+            else:
+                # (pivot, row) <- (x pivot + y row, (a/g) row - (b/g) pivot)
+                g, x, y = _xgcd(a, b)
+                pairs = []
+                for p, r in ((prow, row), (pcombo, combo)):
+                    top: dict = {}
+                    _add_multiple(top, x, p)
+                    _add_multiple(top, y, r)
+                    bottom = {k: v * (a // g) for k, v in r.items()}
+                    _add_multiple(bottom, -(b // g), p)
+                    pairs.append((top, bottom))
+                (prow, row), (pcombo, combo) = pairs
+                pivots[c] = (prow, pcombo)
+        else:
+            return pivots, combo
+    return pivots, None
+
+
+def solve_echelon(pivots: dict, target: dict) -> dict | None:
+    """Combination ``{label: coeff}`` of the input rows behind ``pivots``
+    (as returned by ``sparse_echelon``) that equals the sparse ``target``,
+    by back-substitution at the target's leading column; None when the
     target is outside the row lattice."""
-    coeffs = [0] * len(h_rows)
-    t = list(target)
-    for r, c in pivots:
-        val = t[c]
-        if val == 0:
-            continue
-        pivot = h_rows[r][c]
-        if val % pivot:
+    t = dict(target)
+    out: dict = {}
+    while t:
+        c = min(t)
+        hit = pivots.get(c)
+        if hit is None:
             return None
-        q = val // pivot
-        coeffs[r] = q
-        row = h_rows[r]
-        for j in range(len(t)):
-            if row[j]:
-                t[j] -= q * row[j]
-    if any(t):
-        return None
-    return coeffs
+        prow, pcombo = hit
+        q, rem = divmod(t[c], prow[c])
+        if rem:
+            return None
+        _add_multiple(t, -q, prow)
+        _add_multiple(out, q, pcombo)
+    return out
 
 
 class QuotientInvariants(NamedTuple):

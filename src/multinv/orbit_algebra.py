@@ -6,13 +6,17 @@ subalgebra has the orbit sums as a basis, with the lexicographically
 greatest orbit member as the canonical representative.
 
 ``verify_free_decomposition`` checks a claimed module decomposition of
-the invariant ring inside a finite support window: products of the
+the invariant ring inside a finite support window.  Products of the
 algebra generators against the module generators are enumerated while
-their supports stay inside the window, independence and saturation of
-their span are certified over the integers, and every orbit sum whose
+their Newton boxes stay inside the window.  Their coordinates in the
+orbit basis form sparse integer rows, brought to echelon form with each
+pivot row carrying its combination of the products: a row that reduces
+to zero is a relation among the products, and a pivot other than 1
+witnesses torsion, so the span is not saturated.  Every orbit sum whose
 representative lies in an interior window (shrunk by the generator
 support widths, so window-edge artifacts cannot produce false negatives)
-must be an exact integer combination of the products.
+must then be an exact integer combination of the products, read off by
+back-substitution; the products are independent, so it is unique.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product as iter_product
+from operator import add
 
 from .errors import NotInvariant, ParityViolation
 from .groups import FiniteMatrixGroup
-from .intlinalg import IntMatrix, _echelon, solve_echelon
+from .intlinalg import IntMatrix, solve_echelon, sparse_echelon
 
 
 class LaurentElement:
@@ -80,20 +85,33 @@ class LaurentElement:
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
+        small, large = sorted((self.terms, other.terms), key=len)
         out: dict[tuple, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentElement(self.rank, out)
+        get = out.get
+        for e1, c1 in small.items():
+            for e2, c2 in large.items():
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + c1 * c2
+        prod = LaurentElement(self.rank)
+        prod.terms = {e: c for e, c in out.items() if c}
+        return prod
 
     __rmul__ = __mul__
 
+    def newton_box(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Least and greatest exponent of each coordinate over the support,
+        as ``(lo, hi)``; None for zero.  Z[x^{+-1}] is a domain, so the
+        extreme faces of a product are the products of the factors' extreme
+        faces, and the box of a product is the sum of the factors' boxes."""
+        if not self.terms:
+            return None
+        coords = list(zip(*self.terms))
+        return tuple(map(min, coords)), tuple(map(max, coords))
+
     def support_width(self) -> int:
         """Largest sup-norm over the support; 0 for constants and zero."""
-        if not self.terms:
-            return 0
-        return max(max(abs(x) for x in exp) if exp else 0 for exp in self.terms)
+        box = self.newton_box()
+        return max(map(abs, box[0] + box[1]), default=0) if box else 0
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """Terms sorted by exponent vector, greatest first."""
@@ -126,7 +144,7 @@ class LaurentElement:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.rank, tuple(sorted(self.terms.items()))))
+            h = hash((self.rank, frozenset(self.terms.items())))
             self._hash = h
         return h
 
@@ -162,17 +180,30 @@ def is_invariant(G: FiniteMatrixGroup, a: LaurentElement) -> bool:
     return all(act(g, a) == a for g in gens)
 
 
-def express_in_orbit_basis(G: FiniteMatrixGroup, a: LaurentElement) -> dict[tuple, int]:
+def _memo_orbit(G: FiniteMatrixGroup, m: tuple, orbits: dict) -> list[tuple]:
+    """``orbit_of(G, m)``, memoized in ``orbits`` for every orbit member."""
+    orbit = orbits.get(m)
+    if orbit is None:
+        orbit = orbit_of(G, m)
+        orbits.update(dict.fromkeys(orbit, orbit))
+    return orbit
+
+
+def express_in_orbit_basis(
+    G: FiniteMatrixGroup, a: LaurentElement, orbits: dict | None = None
+) -> dict[tuple, int]:
     """Unique coefficients c with a = sum of c[m] * orbit_sum(m).
 
     Groups the terms of a by orbit; invariance forces one coefficient per
     orbit, which is checked and reported via NotInvariant otherwise.
+    ``orbits`` may carry orbits already computed for G across calls.
     """
+    orbits = {} if orbits is None else orbits
     out: dict[tuple, int] = {}
     remaining = dict(a.terms)
     while remaining:
         exp = next(iter(remaining))
-        orbit = orbit_of(G, exp)
+        orbit = _memo_orbit(G, exp, orbits)
         coeff = remaining.get(orbit[0], 0)
         for member in orbit:
             if remaining.pop(member, None) != coeff or coeff == 0:
@@ -243,96 +274,80 @@ def verify_free_decomposition(
 
     # enumerate distinct products h_j * prod(a_i^alpha) staying inside the
     # window; breadth-first with value dedup handles relations among the
-    # algebra generators (e.g. a pair of mutually inverse monomials)
+    # algebra generators (e.g. a pair of mutually inverse monomials).  A
+    # product's Newton box is the sum of its factors' boxes, so products
+    # that leave the window are skipped before they are multiplied out, and
+    # a word reached again along another path is skipped outright.
+    gen_boxes = [a.newton_box() for a in algebra_gens]
     products: list[tuple[ProductTerm, LaurentElement]] = []
-    seen: dict[LaurentElement, ProductTerm] = {}
+    seen: set[LaurentElement] = set()
+    visited: set[tuple[int, tuple[int, ...]]] = set()
     queue = deque()
     for j, h in enumerate(module_gens):
+        term = ProductTerm(j, (0,) * len(algebra_gens))
+        if h.is_zero():
+            return _relation_failure(((1, term),))
         if h.support_width() <= bound and h not in seen:
-            term = ProductTerm(j, (0,) * len(algebra_gens))
-            seen[h] = term
+            seen.add(h)
             products.append((term, h))
-            queue.append((term, h))
+            queue.append((term, h, h.newton_box()))
     while queue:
-        term, value = queue.popleft()
-        for i, gen in enumerate(algebra_gens):
-            new = value * gen
-            if new.support_width() > bound:
+        term, value, (lo, hi) = queue.popleft()
+        for i, (gen, (gen_lo, gen_hi)) in enumerate(zip(algebra_gens, gen_boxes)):
+            key = (term.module_index, _bump(term.exponents, i))
+            if key in visited:
                 continue
-            if new.is_zero():
-                word = ProductTerm(term.module_index, _bump(term.exponents, i))
-                return DecompositionResult(
-                    False,
-                    failure=DecompositionFailure(kind="relation", relation=(((1, word),))),
-                )
+            visited.add(key)
+            new_lo = tuple(map(add, lo, gen_lo))
+            new_hi = tuple(map(add, hi, gen_hi))
+            if min(new_lo) < -bound or max(new_hi) > bound:
+                continue
+            new = value * gen
             if new in seen:
                 continue
-            word = ProductTerm(term.module_index, _bump(term.exponents, i))
-            seen[new] = word
+            seen.add(new)
+            word = ProductTerm(*key)
             products.append((word, new))
-            queue.append((word, new))
+            queue.append((word, new, (new_lo, new_hi)))
 
-    # coefficient matrix over the touched orbit representatives
-    expansions = [express_in_orbit_basis(G, p) for _, p in products]
+    # sparse coefficient rows over the touched orbit representatives,
+    # greatest representative first; rows enter the elimination by leading
+    # representative, so most land on a fresh pivot column
+    orbits: dict[tuple, list[tuple]] = {}
+    expansions = [express_in_orbit_basis(G, p, orbits) for _, p in products]
     reps = sorted({r for e in expansions for r in e}, reverse=True)
     col = {r: j for j, r in enumerate(reps)}
-    # leading-representative row order keeps the matrix near triangular,
-    # which keeps Hermite reduction cheap and pivots small
-    row_order = sorted(range(len(products)), key=lambda i: max(expansions[i]), reverse=True)
-    matrix = [[0] * len(reps) for _ in products]
-    for pos, i in enumerate(row_order):
-        for r, c in expansions[i].items():
-            matrix[pos][col[r]] = c
+    rows = [{col[r]: c for r, c in e.items()} for e in expansions]
+    order = sorted(range(len(rows)), key=lambda i: min(rows[i]))
+    pivots, relation = sparse_echelon({i: rows[i] for i in order})
 
-    u_rows, pivots = _echelon(matrix, want_u=True)
-
-    # (i) independence and saturation of the span
-    if len(pivots) < len(products):
-        zero_row = len(pivots)
-        relation = tuple(
-            (u_rows[zero_row][pos], products[row_order[pos]][0])
-            for pos in range(len(products))
-            if u_rows[zero_row][pos]
-        )
-        return DecompositionResult(
-            False, failure=DecompositionFailure(kind="relation", relation=relation)
-        )
-    bad = next(((r, c) for r, c in pivots if matrix[r][c] != 1), None)
+    # (i) independence and saturation of the span: the pivot values of any
+    # echelon basis are lattice invariants
+    if relation is not None:
+        return _relation_failure(tuple((c, products[i][0]) for i, c in sorted(relation.items())))
+    bad = next((c for c in sorted(pivots) if pivots[c][0][c] != 1), None)
     if bad is not None:
         return DecompositionResult(
             False,
-            failure=DecompositionFailure(kind="torsion", witness_orbit=reps[bad[1]]),
+            failure=DecompositionFailure(kind="torsion", witness_orbit=reps[bad]),
         )
 
     # (ii) completeness inside the interior window, scanned smallest
-    # support first so a failure witness is as small as possible
+    # support first so a failure witness is as small as possible; the
+    # products are independent, so each expression is unique
     covered = []
     expressions = {}
     for v in _by_shells(interior, n):
-        rep = orbit_representative(G, v)
-        if rep != v or rep in expressions:
+        rep = _memo_orbit(G, v, orbits)[0]
+        if rep != v:
             continue
-        target = [0] * len(reps)
-        if rep not in col:
+        combo = solve_echelon(pivots, {col[rep]: 1}) if rep in col else None
+        if combo is None:
             return DecompositionResult(
                 False, failure=DecompositionFailure(kind="unreachable", witness_orbit=rep)
             )
-        target[col[rep]] = 1
-        coeffs = solve_echelon(matrix, pivots, target)
-        if coeffs is None:
-            return DecompositionResult(
-                False, failure=DecompositionFailure(kind="unreachable", witness_orbit=rep)
-            )
-        # map back through the transform to the original product rows
-        combo: dict[int, int] = {}
-        for r, c in enumerate(coeffs):
-            if c:
-                for pos in range(len(products)):
-                    if u_rows[r][pos]:
-                        key = row_order[pos]
-                        combo[key] = combo.get(key, 0) + c * u_rows[r][pos]
         covered.append(rep)
-        expressions[rep] = tuple(sorted((k, v) for k, v in combo.items() if v))
+        expressions[rep] = tuple(sorted(combo.items()))
 
     certificate = DecompositionCertificate(
         bound=bound,
@@ -342,6 +357,10 @@ def verify_free_decomposition(
         expressions=expressions,
     )
     return DecompositionResult(True, certificate=certificate)
+
+
+def _relation_failure(relation: tuple) -> DecompositionResult:
+    return DecompositionResult(False, failure=DecompositionFailure(kind="relation", relation=relation))
 
 
 def _bump(exponents: tuple[int, ...], i: int) -> tuple[int, ...]:

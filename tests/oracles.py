@@ -3,15 +3,19 @@
 These never call back into the code paths they check: the stabilizer
 census scans lattice vectors directly with numpy integer arithmetic, the
 difference-lattice rank is plain integer elimination, the SL(2, F_5)
-histogram is computed from scratch over the finite field, and abelian
-invariants come from sympy's permutation groups.
+histogram is computed from scratch over the finite field, abelian
+invariants come from sympy's permutation groups, and orbit-verify
+certificates are re-multiplied with plain Laurent arithmetic.
 """
 
 from collections import Counter
+from itertools import product as iter_product
 
 import numpy as np
 from sympy import primefactors
 from sympy.combinatorics import Permutation, PermutationGroup
+
+from multinv.orbit_algebra import LaurentElement
 
 
 def stabilizer_census(group):
@@ -118,3 +122,37 @@ def sympy_abelianization(h):
                 factors.append(1)
             factors[j] *= q
     return tuple(reversed(factors))
+
+
+def product_value(algebra_gens, module_gens, term):
+    """The product a word names: module_gens[j] * prod(algebra_gens[i] ** e_i),
+    multiplied out factor by factor."""
+    value = module_gens[term.module_index]
+    for gen, e in zip(algebra_gens, term.exponents):
+        for _ in range(e):
+            value = value * gen
+    return value
+
+
+def check_certificate(G, algebra_gens, module_gens, cert):
+    """Re-check an orbit-verify certificate without the elimination.
+
+    Every product is rebuilt from its word and must lie in the window;
+    the covered representatives must be exactly the lexicographically
+    greatest orbit members of the interior window; and each expression,
+    summed over the rebuilt products, must equal the orbit sum of its
+    representative, taken over the group's matrices directly.
+    """
+    n = G.lattice.rank
+    values = [product_value(algebra_gens, module_gens, t) for t in cert.products]
+    for t, v in zip(cert.products, values):
+        assert all(abs(x) <= cert.bound for exp in v.terms for x in exp), t
+    interior = range(-cert.interior_bound, cert.interior_bound + 1)
+    reps = {v for v in iter_product(interior, repeat=n) if v == max(g.apply(v) for g in G.elements)}
+    assert set(cert.covered) == reps
+    assert set(cert.expressions) == reps
+    for rep, combo in cert.expressions.items():
+        total = LaurentElement.zero(n)
+        for pos, c in combo:
+            total = total + values[pos] * c
+        assert total == LaurentElement(n, {g.apply(rep): 1 for g in G.elements}), rep

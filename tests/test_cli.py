@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import multinv
 from multinv.catalog import builtin, serialize_group_definition
 from multinv.cli import run
 
@@ -90,6 +95,29 @@ class TestExitCodes:
     def test_bad_arguments(self):
         code, _ = run_cli(["copies", "builtin:sym3_u3"])  # missing --r
         assert code == 2
+
+
+class TestModuleEntry:
+    """``python -m multinv.cli`` runs the same CLI as ``run``."""
+
+    def run_module(self, argv):
+        src = str(Path(multinv.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "multinv.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_output_and_exit_code(self):
+        argv = ["analyze", "builtin:rank3_order4", "--format", "json"]
+        proc = self.run_module(argv)
+        assert proc.returncode == 0
+        assert proc.stdout == run_cli(argv)[1]
+
+    def test_error_exit_code(self):
+        proc = self.run_module(["analyze", "builtin:missing"])
+        assert proc.returncode == 2
+        assert proc.stdout.startswith("error:")
 
 
 class TestBatch:

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multinv.intlinalg import (
     IntMatrix,
@@ -11,6 +12,8 @@ from multinv.intlinalg import (
     lattice_quotient_invariants,
     rank,
     snf,
+    solve_echelon,
+    sparse_echelon,
     unimodular_inverse,
     induced_on_quotient,
 )
@@ -290,3 +293,58 @@ def test_det_matches_invariant_factor_product():
         factors = snf(a).invariant_factors()
         expect = math.prod(factors) if len(factors) == n else 0
         assert abs(a.det()) == expect
+
+
+# -- sparse echelon form with certificates ------------------------------------------
+
+WIDTH = 5
+entries = st.one_of(st.just(0), st.integers(-6, 6))
+vectors = st.lists(entries, min_size=WIDTH, max_size=WIDTH)
+
+
+def sparse(v):
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def combine(rows, combo):
+    """Dense sum of coeff * rows[label] over the combination."""
+    out = [0] * WIDTH
+    for label, c in combo.items():
+        for j, x in rows[label].items():
+            out[j] += c * x
+    return out
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(dense=st.lists(vectors, max_size=6), target=vectors)
+def test_sparse_echelon_certifies_rows_and_solutions(dense, target):
+    rows = {f"r{i}": sparse(v) for i, v in enumerate(dense)}
+    pivots, relation = sparse_echelon(rows)
+    if relation is not None:
+        assert relation and combine(rows, relation) == [0] * WIDTH
+        assert rank(IntMatrix.from_rows(dense, WIDTH)) < len(dense)
+        return
+    assert len(pivots) == len(dense)
+    basis = []
+    for c, (row, combo) in pivots.items():
+        assert min(row) == c and row[c] > 0
+        dense_row = [row.get(j, 0) for j in range(WIDTH)]
+        assert combine(rows, combo) == dense_row
+        basis.append(dense_row)
+    span = hnf_basis(IntMatrix.from_rows(dense, WIDTH))
+    assert hnf_basis(IntMatrix.from_rows(basis, WIDTH)) == span
+    coeffs = solve_echelon(pivots, sparse(target))
+    inside = hnf_basis(IntMatrix.from_rows(dense + [target], WIDTH)) == span
+    assert (coeffs is not None) == inside
+    if coeffs is not None:
+        assert combine(rows, coeffs) == target
+
+
+def test_sparse_echelon_gcd_step_keeps_the_lattice():
+    # neither leading entry divides the other: the pivot becomes gcd(2, 3)
+    rows = {"a": {0: 2, 1: 1}, "b": {0: 3}}
+    pivots, relation = sparse_echelon(rows)
+    assert relation is None
+    assert sorted((c, row[c]) for c, (row, _) in pivots.items()) == [(0, 1), (1, 3)]
+    assert solve_echelon(pivots, {1: 1}) is None
+    assert combine(rows, solve_echelon(pivots, {0: 1, 1: 2})) == [1, 2, 0, 0, 0]

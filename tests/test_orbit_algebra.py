@@ -1,7 +1,11 @@
 import random
+from dataclasses import replace
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from multinv.cli import _orbit_preset
 from multinv.errors import NotInvariant
 from multinv.groups import GLattice, close
 from multinv.intlinalg import IntMatrix, rank
@@ -18,6 +22,7 @@ from multinv.orbit_algebra import (
 )
 
 from helpers import cycle, diag, transposition
+from oracles import check_certificate, product_value
 
 
 def neg_group(n):
@@ -161,6 +166,16 @@ class TestExpress:
             assert expressed == {r: c for r, c in coeffs.items() if c}
 
 
+def assert_relation_vanishes(relation, algebra, module):
+    """A relation is a nonzero combination of products that sums to zero."""
+    assert relation and all(c for c, _ in relation)
+    n = module[0].rank
+    total = LaurentElement.zero(n)
+    for c, term in relation:
+        total = total + product_value(algebra, module, term) * c
+    assert total.is_zero()
+
+
 class TestFreeDecomposition:
     def test_sign_lattice_rank2(self):
         g = diag_sl(2)
@@ -206,7 +221,17 @@ class TestFreeDecomposition:
         result = verify_free_decomposition(g, [a], [LaurentElement.one(1), two], 3)
         assert not result.ok
         assert result.failure.kind == "relation"
-        assert result.failure.relation
+        assert_relation_vanishes(result.failure.relation, [a], [LaurentElement.one(1), two])
+
+    @pytest.mark.parametrize("with_algebra", [True, False])
+    def test_zero_module_generator_is_a_relation(self, with_algebra):
+        g = neg_group(1)
+        algebra = [xi(g, 0)] if with_algebra else []
+        module = [LaurentElement.one(1), LaurentElement.zero(1)]
+        result = verify_free_decomposition(g, algebra, module, 3)
+        assert not result.ok
+        assert result.failure.kind == "relation"
+        assert_relation_vanishes(result.failure.relation, algebra, module)
 
     def test_rejects_non_invariant_generator(self):
         g = diag_sl(2)
@@ -309,6 +334,7 @@ def test_torsion_in_product_span_detected():
     result = verify_free_decomposition(g, [x_sq], [LaurentElement.one(1), two_x], 4)
     assert not result.ok
     assert result.failure.kind == "torsion"
+    assert result.failure.witness_orbit == (3,)
 
 
 def test_sign_lattice_decomposition_robust_to_bound():
@@ -336,3 +362,64 @@ def test_alternating_laurent_decomposition():
     missing = verify_free_decomposition(g, s + [s3_inv], [LaurentElement.one(3)], 4)
     assert not missing.ok
     assert missing.failure.kind == "unreachable"
+
+
+# the text-golden presets, and both presets at rank 4, bound 4
+ORBIT_PRESETS = [
+    ("diag_sl", 2, 4), ("diag_sl", 3, 3), ("alt_laurent", 3, 3), ("diag_sl", 4, 4), ("alt_laurent", 4, 4),
+]
+
+
+@pytest.mark.parametrize("preset,rank_,bound", ORBIT_PRESETS)
+def test_certificate_rechecks_by_laurent_arithmetic(preset, rank_, bound):
+    g, algebra, module = _orbit_preset(preset, rank_)
+    result = verify_free_decomposition(g, algebra, module, bound)
+    assert result.ok
+    check_certificate(g, algebra, module, result.certificate)
+
+
+def test_certificate_check_rejects_a_wrong_expression():
+    g, algebra, module = _orbit_preset("diag_sl", 2)
+    cert = verify_free_decomposition(g, algebra, module, 4).certificate
+    rep, combo = max(cert.expressions.items(), key=lambda item: len(item[1]))
+    (pos, c), *rest = combo
+    bad = replace(cert, expressions={**cert.expressions, rep: ((pos, c + 1), *rest)})
+    with pytest.raises(AssertionError):
+        check_certificate(g, algebra, module, bad)
+
+
+# -- Newton boxes ------------------------------------------------------------------
+
+
+def laurent_elements(rank_):
+    exps = st.tuples(*[st.integers(-3, 3)] * rank_)
+    coeffs = st.integers(-4, 4).filter(bool)
+    return st.dictionaries(exps, coeffs, min_size=1, max_size=6).map(lambda t: LaurentElement(rank_, t))
+
+
+def box_sum(a, b):
+    (alo, ahi), (blo, bhi) = a.newton_box(), b.newton_box()
+    return tuple(map(add, alo, blo)), tuple(map(add, ahi, bhi))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(laurent_elements(n), laurent_elements(n))))
+def test_box_of_product_is_sum_of_boxes(pair):
+    a, b = pair
+    assert (a * b).newton_box() == box_sum(a, b)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@settings(max_examples=50, deadline=None, database=None)
+@given(data=st.data())
+def test_box_of_alternating_d_products(n, data):
+    d = alternating_d(n)
+    other = data.draw(st.one_of(laurent_elements(n), st.just(d)))
+    assert (d * other).newton_box() == box_sum(d, other)
+
+
+def test_box_of_zero_and_width():
+    assert LaurentElement.zero(2).newton_box() is None
+    e = LaurentElement(2, {(3, -1): 2, (-2, 0): -1})
+    assert e.newton_box() == ((-2, -1), (3, 0))
+    assert e.support_width() == 3
