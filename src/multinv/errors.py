@@ -52,4 +52,6 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """Group definition file parsed but failed semantic validation."""
+    """Input parsed but failed semantic validation: a group definition file,
+    or an argument such as an orbit-verification bound below the
+    generators' support width."""

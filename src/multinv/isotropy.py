@@ -45,7 +45,12 @@ def fixed_lattice(h: Subgroup) -> IntMatrix:
 
 
 def isotropy_group_of(G: FiniteMatrixGroup, m) -> Subgroup:
-    """Exact pointwise stabilizer of the lattice vector m."""
+    """Exact pointwise stabilizer of the lattice vector m.
+
+    Applies every element's matrix on purpose: this is the brute-force
+    reference for ``FiniteMatrixGroup.stabilizer_mask``, the orbit scan the
+    catalog uses, and shares no code with it.
+    """
     m = tuple(m)
     return Subgroup(G, (i for i in range(G.order) if G.element(i).apply(m) == m))
 
@@ -137,11 +142,7 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
     def stab_mask(vec: tuple[int, ...]) -> int:
         m = stab_cache.get(vec)
         if m is None:
-            m = 0
-            for i in range(G.order):
-                if G.element(i).apply(vec) == vec:
-                    m |= 1 << i
-            stab_cache[vec] = m
+            m = stab_cache[vec] = G.stabilizer_mask(vec)
         return m
 
     subgroups: dict[int, IntMatrix] = {}

@@ -33,6 +33,7 @@ from .groups import (
     close,
     commutator_subgroup,
     coset_orders,
+    induced_group,
 )
 from .intlinalg import IntMatrix, common_fixed_lattice, induced_on_quotient
 from .isotropy import IsotropyClass, _witness_scan, enumerate_isotropy_groups
@@ -202,7 +203,7 @@ def check_necessary_conditions(lat: GLattice, cap: int = DEFAULT_CAP) -> Obstruc
     fixed_rank = lat.rank - reduced.rank
     rank_le2 = lat.rank <= 2
 
-    G = original_group if reduced is lat else close(reduced, cap)
+    G = original_group if reduced is lat else induced_group(original_group, reduced)
     catalog = enumerate_isotropy_groups(G)
     rows = []
     witness_pending = True

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 from operator import add
 
-from .errors import NotInvariant, ParityViolation
+from .errors import NotInvariant, ParityViolation, ValidationError
 from .groups import FiniteMatrixGroup
 from .intlinalg import IntMatrix, solve_echelon, sparse_echelon
 
@@ -270,7 +270,7 @@ def verify_free_decomposition(
     width = max(g.support_width() for g in algebra_gens + module_gens)
     interior = bound - width
     if interior < 0:
-        raise ValueError("bound is smaller than the generator support width")
+        raise ValidationError("bound is smaller than the generator support width")
 
     # enumerate distinct products h_j * prod(a_i^alpha) staying inside the
     # window; breadth-first with value dedup handles relations among the

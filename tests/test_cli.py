@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import multinv
 from multinv.catalog import builtin, serialize_group_definition
 from multinv.cli import run
@@ -217,6 +219,12 @@ class TestOrbitVerify:
     def test_unknown_preset(self):
         code, out = run_cli(["orbit", "verify", "mystery"])
         assert code == 2
+
+    @pytest.mark.parametrize("preset, rank, bound", [("diag_sl", 2, 0), ("alt_laurent", 5, 3)])
+    def test_bound_below_support_width_is_input_error(self, preset, rank, bound):
+        code, out = run_cli(["orbit", "verify", preset, "--rank", str(rank), "--bound", str(bound)])
+        assert code == 2
+        assert out == "error: bound is smaller than the generator support width\n"
 
 
 class TestWitness:

@@ -3,6 +3,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multinv.errors import CapExceeded
 from multinv.groups import (
@@ -14,17 +15,19 @@ from multinv.groups import (
     commutator_subgroup,
     element_order_histogram,
     full_subgroup,
+    induced_group,
     intersect_subgroups,
     is_perfect,
     subgroup_generated,
     trivial_subgroup,
 )
 from multinv.catalog import builtin
-from multinv.errors import InvalidGenerator
-from multinv.intlinalg import IntMatrix, snf
-from multinv.isotropy import enumerate_isotropy_groups
+from multinv.errors import InvalidGenerator, TheoremViolation
+from multinv.intlinalg import IntMatrix, snf, unimodular_inverse
+from multinv.isotropy import enumerate_isotropy_groups, isotropy_group_of, witness_vector
+from multinv.obstruction import direct_sum_copies, effective_reduction
 
-from helpers import diag, transposition, cycle
+from helpers import conjugated_lattice, diag, random_unimodular, transposition, cycle
 from oracles import sympy_abelianization
 
 C4 = IntMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])  # order 4, rank 3
@@ -205,3 +208,173 @@ def test_cap_boundary_is_inclusive():
     assert close(neg, cap=2).order == 2
     with pytest.raises(CapExceeded):
         close(neg, cap=1)
+
+
+# -- the Cayley-table kernel against matrix arithmetic -------------------------
+
+
+def _kernel_lattice(name):
+    if name == "root_a3~conj":
+        # base change with entries up to 10, so the elements are no
+        # signed permutation matrices
+        return conjugated_lattice(builtin("root_a3"), random_unimodular(3, random.Random(3)))
+    if name == "icosian^2":
+        return direct_sum_copies(builtin("icosian"), 2)
+    return builtin(name)
+
+
+@pytest.fixture(scope="module", params=["sym4_u4", "root_a3~conj", "icosian", "icosian^2"])
+def kernel_group(request):
+    return close(_kernel_lattice(request.param))
+
+
+def _sample_pairs(G, rng):
+    if G.order**2 <= 5000:
+        return list(product(range(G.order), repeat=2))
+    return [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(1000)]
+
+
+def _mask(h):
+    return sum(1 << i for i in h.indices)
+
+
+def check_products(G, pairs):
+    mats = G.elements
+    inverses = {}
+    for i, j in pairs:
+        product_ = mats[i] * mats[j]
+        assert G.mul(i, j) == G.index_of(product_), (i, j)
+        if i not in inverses:
+            inverses[i] = unimodular_inverse(mats[i])
+        assert G.conj(i, j) == G.index_of(product_ * inverses[i]), (i, j)
+
+
+def check_inverses_and_orders(G):
+    ident = IntMatrix.identity(G.lattice.rank)
+    for i, m in enumerate(G.elements):
+        assert G.inv(i) == G.index_of(unimodular_inverse(m)), i
+        power, order = m, 1
+        while power != ident:
+            power, order = power * m, order + 1
+        assert G.element_order(i) == order, i
+
+
+def check_table(G):
+    gens = list(dict.fromkeys(G.lattice.generators))
+    assert len(G.left) == len(gens)
+    for row, g in zip(G.left, gens):
+        assert list(row) == [G.index_of(g * m) for m in G.elements]
+
+
+def check_stabilizer_masks(G, vectors):
+    for v in vectors:
+        assert G.stabilizer_mask(v) == _mask(isotropy_group_of(G, v)), v
+
+
+def test_kernel_products_match_matrix_products(kernel_group):
+    G = kernel_group
+    check_products(G, _sample_pairs(G, random.Random(7)))
+
+
+def test_kernel_inverses_and_orders_match_matrices(kernel_group):
+    G = kernel_group
+    check_inverses_and_orders(G)
+
+
+def test_table_entries_are_left_products(kernel_group):
+    G = kernel_group
+    check_table(G)
+    assert G.generator_indices == tuple(sorted({G.index_of(g) for g in G.lattice.generators}))
+
+
+def test_conjugated_case_has_large_entries(kernel_group):
+    G = kernel_group
+    if G.lattice.name.endswith("~conj"):
+        assert max(abs(e) for m in G.elements for e in m.entries) > 1
+
+
+def test_stabilizer_mask_on_zero_vector_and_witnesses(kernel_group):
+    G = kernel_group
+    assert G.stabilizer_mask((0,) * G.lattice.rank) == (1 << G.order) - 1
+    classes = enumerate_isotropy_groups(G).classes
+    check_stabilizer_masks(G, [witness_vector(G, cl.subgroup) for cl in classes])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_stabilizer_mask_on_drawn_vectors(kernel_group, data):
+    """Raw small vectors (mostly free orbits) and integer combinations of the
+    fixed-space basis of a drawn element (nontrivial stabilizers)."""
+    G = kernel_group
+    n = G.lattice.rank
+    if data.draw(st.booleans()):
+        v = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    else:
+        basis = G.cyclic_fixed_space(data.draw(st.integers(0, G.order - 1)))
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=basis.rows, max_size=basis.rows))
+        v = [sum(c * basis.entry(r, j) for r, c in enumerate(coeffs)) for j in range(n)]
+    check_stabilizer_masks(G, [tuple(v)])
+
+
+class TestKernelEdgeCases:
+    def check_all(self, G):
+        check_products(G, list(product(range(G.order), repeat=2)))
+        check_inverses_and_orders(G)
+        check_table(G)
+        check_stabilizer_masks(G, list(product(range(-1, 2), repeat=G.lattice.rank)))
+
+    def test_no_generators(self):
+        G = close(GLattice(3, []))
+        assert G.order == 1 and G.left == () and G.generator_indices == ()
+        self.check_all(G)
+
+    def test_duplicate_generators_share_a_row(self):
+        G = close(GLattice(3, [C4, C4, C4 * C4 * C4, C4]))
+        assert G.order == 4 and len(G.left) == 2
+        self.check_all(G)
+
+    def test_identity_generator(self):
+        ident = IntMatrix.identity(3)
+        G = close(GLattice(3, [ident, transposition(0, 1, 3), cycle([0, 1, 2], 3), ident]))
+        assert G.order == 6 and len(G.left) == 3
+        assert list(G.left[0]) == list(range(G.order))
+        assert G.identity_index in G.generator_indices
+        self.check_all(G)
+
+    def test_cap_exceeded_at_cap_plus_one_elements(self):
+        lat = GLattice(3, [transposition(0, 1, 3), cycle([0, 1, 2], 3)])
+        assert close(lat, cap=6).order == 6
+        with pytest.raises(CapExceeded) as exc:
+            close(lat, cap=5)
+        assert exc.value.cap == 5
+        shear = IntMatrix.from_rows([[1, 1], [0, 1]])
+        with pytest.raises(CapExceeded):
+            close(GLattice(2, [shear, IntMatrix.identity(2)]), cap=0)
+
+
+@pytest.mark.parametrize("name", ["sym5_u5", "alt5_u5", "sym4_u4", "root_a3~conj+fixed"])
+def test_induced_group_matches_a_second_closure(name):
+    """The reduced group built along the original closure's BFS tree is the
+    group a fresh closure of the reduced lattice enumerates, table included."""
+    if name == "root_a3~conj+fixed":
+        # a fixed coordinate added, then mixed in by a base change
+        base = _kernel_lattice("root_a3~conj")
+        padded = GLattice(4, [IntMatrix.from_rows([list(g.row(i)) + [0] for i in range(3)] + [[0, 0, 0, 1]])
+                              for g in base.generators])
+        lat = conjugated_lattice(padded, random_unimodular(4, random.Random(11)))
+    else:
+        lat = builtin(name)
+    reduced = effective_reduction(lat)
+    assert reduced is not lat
+    G = induced_group(close(lat), reduced)
+    H = close(reduced)
+    assert G.elements == H.elements
+    assert G.left == H.left
+    assert G.identity_index == H.identity_index and G.generator_indices == H.generator_indices
+    check_products(G, _sample_pairs(G, random.Random(1)))
+
+
+def test_induced_group_rejects_an_unfaithful_image():
+    G = close(GLattice(3, [C4]))
+    with pytest.raises(TheoremViolation):
+        induced_group(G, GLattice(1, [IntMatrix.from_rows([[-1]])]))
