@@ -29,6 +29,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InvalidGenerator, TheoremViolation
@@ -112,7 +113,7 @@ class FiniteMatrixGroup:
         return self.elements[i]
 
     def index_of(self, m: IntMatrix) -> int:
-        i = bisect_left(self.elements, m.entries, key=_entries)
+        i = bisect_left(self.elements, m.entries, key=attrgetter("entries"))
         if i == self.order or self.elements[i] != m:
             raise KeyError("matrix is not a group element")
         return i
@@ -206,10 +207,6 @@ class FiniteMatrixGroup:
     def __repr__(self) -> str:
         name = self.lattice.name or "group"
         return f"<FiniteMatrixGroup {name}: order {self.order}, rank {self.lattice.rank}>"
-
-
-def _entries(m: IntMatrix) -> tuple[int, ...]:
-    return m.entries
 
 
 def _table_rows(generators: Sequence[IntMatrix]) -> list[int]:

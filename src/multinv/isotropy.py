@@ -7,7 +7,9 @@ The catalog of isotropy groups is built without scanning lattice vectors:
    isotropy group is such an intersection, and conversely the pointwise
    stabilizer of any space in the closure is an isotropy group, so the
    closure is exactly the family of isotropy fixed spaces.
-3. For each space take the pointwise stabilizer and deduplicate up to
+3. For each space take the pointwise stabilizer, the meet of its basis
+   vectors' stabilizers (each read off the vector's orbit by
+   ``FiniteMatrixGroup.stabilizer_mask``), and deduplicate up to
    conjugacy.
 
 Step 2 adds the cyclic spaces one at a time, largest rank first.  The

@@ -208,6 +208,13 @@ def test_cap_boundary_is_inclusive():
     assert close(neg, cap=2).order == 2
     with pytest.raises(CapExceeded):
         close(neg, cap=1)
+    s3 = GLattice(3, [transposition(0, 1, 3), cycle([0, 1, 2], 3), IntMatrix.identity(3)])
+    assert close(s3, cap=6).order == 6
+    with pytest.raises(CapExceeded) as exc:
+        close(s3, cap=5)
+    assert exc.value.cap == 5
+    with pytest.raises(CapExceeded):
+        close(s3, cap=0)
 
 
 # -- the Cayley-table kernel against matrix arithmetic -------------------------
@@ -215,9 +222,10 @@ def test_cap_boundary_is_inclusive():
 
 def _kernel_lattice(name):
     if name == "root_a3~conj":
-        # base change with entries up to 10, so the elements are no
-        # signed permutation matrices
-        return conjugated_lattice(builtin("root_a3"), random_unimodular(3, random.Random(3)))
+        # a base change that takes the elements off signed permutation matrices
+        lat = conjugated_lattice(builtin("root_a3"), random_unimodular(3, random.Random(3)))
+        assert max(abs(e) for g in lat.generators for e in g.entries) > 1
+        return lat
     if name == "icosian^2":
         return direct_sum_copies(builtin("icosian"), 2)
     return builtin(name)
@@ -287,12 +295,6 @@ def test_table_entries_are_left_products(kernel_group):
     assert G.generator_indices == tuple(sorted({G.index_of(g) for g in G.lattice.generators}))
 
 
-def test_conjugated_case_has_large_entries(kernel_group):
-    G = kernel_group
-    if G.lattice.name.endswith("~conj"):
-        assert max(abs(e) for m in G.elements for e in m.entries) > 1
-
-
 def test_stabilizer_mask_on_zero_vector_and_witnesses(kernel_group):
     G = kernel_group
     assert G.stabilizer_mask((0,) * G.lattice.rank) == (1 << G.order) - 1
@@ -340,16 +342,6 @@ class TestKernelEdgeCases:
         assert list(G.left[0]) == list(range(G.order))
         assert G.identity_index in G.generator_indices
         self.check_all(G)
-
-    def test_cap_exceeded_at_cap_plus_one_elements(self):
-        lat = GLattice(3, [transposition(0, 1, 3), cycle([0, 1, 2], 3)])
-        assert close(lat, cap=6).order == 6
-        with pytest.raises(CapExceeded) as exc:
-            close(lat, cap=5)
-        assert exc.value.cap == 5
-        shear = IntMatrix.from_rows([[1, 1], [0, 1]])
-        with pytest.raises(CapExceeded):
-            close(GLattice(2, [shear, IntMatrix.identity(2)]), cap=0)
 
 
 @pytest.mark.parametrize("name", ["sym5_u5", "alt5_u5", "sym4_u4", "root_a3~conj+fixed"])
