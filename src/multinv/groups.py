@@ -228,26 +228,30 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
     appear, which converts an infinite (or unreasonably large) input into
     a clean error instead of a hang.
     """
+    n = lattice.rank
     gens = [lattice.generators[p] for p in _table_rows(lattice.generators)]
-    ident = IntMatrix.identity(lattice.rank)
-    elements = [ident]
-    index = {ident.entries: 0}
+    # elements are held as entry tuples, the dictionary's own keys, until
+    # the group is known to be finite
+    found = [IntMatrix.identity(n).entries]
+    index = {found[0]: 0}
     left = [array("i") for _ in gens]
     parents, letters = array("i", [0]), array("H", [0])
-    # elements grows while it is walked, so this visits them in BFS order
-    for x, m in enumerate(elements):
+    # found grows while it is walked, so this visits it in BFS order
+    for x, entries in enumerate(found):
+        m = IntMatrix(n, n, entries)
         for k, g in enumerate(gens):
-            y = g * m
-            j = index.get(y.entries)
+            y = (g * m).entries
+            j = index.get(y)
             if j is None:
-                j = len(elements)
+                j = len(found)
                 if j >= cap:
                     raise CapExceeded(cap)
-                index[y.entries] = j
-                elements.append(y)
+                index[y] = j
+                found.append(y)
                 parents.append(x)
                 letters.append(k)
             left[k].append(j)
+    elements = [IntMatrix(n, n, entries) for entries in found]
     return FiniteMatrixGroup(lattice, elements, left, parents, letters, range(len(elements)))
 
 

@@ -23,6 +23,7 @@ kernels.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product as iter_product
@@ -167,6 +168,8 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
         ((mask.bit_count(), mask, basis) for mask, basis in subgroups.items()),
         key=lambda t: (-t[0], t[2].entries),
     )
+    # conjugation by each generator, tabulated once as a permutation
+    conj_by = [array("i", [G.conj(g, i) for i in range(G.order)]) for g in G.generator_indices]
     classes: list[IsotropyClass] = []
     orbit_index: dict[int, int] = {}
     for order_, mask, basis in items:
@@ -180,8 +183,8 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
         queue = deque([indices])
         while queue:
             cur = queue.popleft()
-            for g in G.generator_indices:
-                conj_indices = tuple(sorted(G.conj(g, i) for i in cur))
+            for perm in conj_by:
+                conj_indices = tuple(sorted(perm[i] for i in cur))
                 m = 0
                 for i in conj_indices:
                     m |= 1 << i

@@ -198,12 +198,12 @@ def check_necessary_conditions(lat: GLattice, cap: int = DEFAULT_CAP) -> Obstruc
     trivial_action = all(g.is_identity() for g in lat.generators)
     # close the input before reducing: an infinite group must surface as
     # CapExceeded, and reduction can quotient away infinite unipotent parts
-    original_group = close(lat, cap)
+    G = close(lat, cap)
     reduced = effective_reduction(lat)
     fixed_rank = lat.rank - reduced.rank
     rank_le2 = lat.rank <= 2
-
-    G = original_group if reduced is lat else induced_group(original_group, reduced)
+    if reduced is not lat:
+        G = induced_group(G, reduced)  # rebinding frees the original group before the catalog
     catalog = enumerate_isotropy_groups(G)
     rows = []
     witness_pending = True
