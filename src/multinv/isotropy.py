@@ -189,6 +189,10 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
                 for i in conj_indices:
                     m |= 1 << i
                 if m not in orbit_index:
+                    # the closure is conjugation-invariant, and so is the
+                    # family of its stabilizers
+                    if m not in subgroups:
+                        raise TheoremViolation("a conjugate of an isotropy group is not one")
                     orbit_index[m] = ci
                     queue.append(conj_indices)
 
