@@ -3,13 +3,18 @@
 Each case runs the CLI in-process and compares stdout and the exit code
 with the file under ``tests/golden/``.  Outputs too large to keep as text
 are stored as the SHA-256 digest of the same rendering, in a ``.sha256``
-file.  To re-record after an intended output change:
+file.  The ``conj_*.json`` definitions there are builtins conjugated by
+the unimodular matrix named in their metadata, so the catalog also runs
+outside plain coordinates; every case runs from that directory, so the
+recorded ``input`` field is a bare file name.  To re-record after an
+intended output change:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
 
 import hashlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +29,9 @@ CASES = {}
 for _name in DEFAULT_BUILTINS:
     CASES[f"analyze_{_name}"] = ["analyze", f"builtin:{_name}"]
     CASES[f"witness_{_name}"] = ["witness", f"builtin:{_name}"]
+for _name in ("root_a3", "sym4_u4", "signed_root_s5"):
+    CASES[f"analyze_conj_{_name}"] = ["analyze", f"conj_{_name}.json"]
+    CASES[f"witness_conj_{_name}"] = ["witness", f"conj_{_name}.json"]
 for _name in ("rank3_order6", "sym3_u3", "root_a2", "signed_root_s5"):
     CASES[f"copies3_{_name}"] = ["copies", f"builtin:{_name}", "--r", "3"]
 for _preset, _rank, _bound in (("diag_sl", 2, 4), ("diag_sl", 3, 3), ("alt_laurent", 3, 3)):
@@ -41,7 +49,12 @@ DIGEST_CASES = {
 def render(argv):
     """Exit code line followed by the JSON stdout."""
     buf = io.StringIO()
-    code = run([*argv, "--format", "json"], buf)
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        code = run([*argv, "--format", "json"], buf)
+    finally:
+        os.chdir(cwd)
     return f"exit {code}\n" + buf.getvalue()
 
 
