@@ -65,14 +65,13 @@ def _fmt_factors(factors) -> str:
     return "[" + ", ".join(str(x) for x in factors) + "]"
 
 
-def _load_lattice(source: str) -> tuple[GLattice, dict]:
+def _load_lattice(source: str) -> GLattice:
     if source.startswith("builtin:"):
-        return builtin(source[len("builtin:") :]), {}
+        return builtin(source[len("builtin:") :])
     path = Path(source)
     if not path.is_file():
         raise ValidationError(f"{source}: no such file")
-    definition = parse_group_definition(path.read_bytes())
-    return definition.lattice, definition.metadata
+    return parse_group_definition(path.read_bytes()).lattice
 
 
 # -- obstruction report rendering -------------------------------------------
@@ -163,7 +162,7 @@ def _emit(out, fmt: str, payload: dict, text: str) -> None:
 
 
 def _cmd_analyze(args, out) -> int:
-    lattice, _meta = _load_lattice(args.input)
+    lattice = _load_lattice(args.input)
     report = check_necessary_conditions(lattice, cap=args.cap)
     payload = _report_dict(report, args.input)
     payload["command"] = "analyze"
@@ -172,7 +171,7 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_copies(args, out) -> int:
-    lattice, _meta = _load_lattice(args.input)
+    lattice = _load_lattice(args.input)
     report = copies_verdict(lattice, args.r, cap=args.cap)
     payload = _report_dict(report, args.input)
     payload["command"] = "copies"
@@ -226,7 +225,7 @@ def _cmd_batch(args, out) -> int:
 
 
 def _cmd_witness(args, out) -> int:
-    lattice, _meta = _load_lattice(args.input)
+    lattice = _load_lattice(args.input)
     group = close(lattice, cap=args.cap)
     catalog = enumerate_isotropy_groups(group)
     classes = []
@@ -352,6 +351,18 @@ def _cmd_orbit_verify(args, out) -> int:
     return EXIT_OK
 
 
+def _at_least(least: int):
+    """argparse type: an integer no smaller than ``least``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multinv",
@@ -362,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+        p.add_argument("--cap", type=_at_least(0), default=DEFAULT_CAP)
         p.add_argument(
             "--seed-free",
             action="store_true",
@@ -381,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("copies", help="verdict for a direct sum of copies")
     p.add_argument("input", help="definition file or builtin:NAME")
-    p.add_argument("--r", type=int, required=True, help="number of copies")
+    p.add_argument("--r", type=_at_least(1), required=True, help="number of copies")
     common(p)
     p.set_defaults(func=_cmd_copies)
 

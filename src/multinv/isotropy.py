@@ -7,37 +7,40 @@ The catalog of isotropy groups is built without scanning lattice vectors:
    isotropy group is such an intersection, and conversely the pointwise
    stabilizer of any space in the closure is an isotropy group, so the
    closure is exactly the family of isotropy fixed spaces.
-3. For each space take the pointwise stabilizer, the meet of its basis
-   vectors' stabilizers (each read off the vector's orbit by
-   ``FiniteMatrixGroup.stabilizer_mask``), and deduplicate up to
-   conjugacy.
+3. Sweep the closure by conjugation orbits.  G permutes the closure, and
+   the stabilizer of gW is g G_W g^-1, so each orbit costs one pointwise
+   stabilizer (the meet of its basis vectors' stabilizers, each read off
+   the vector's orbit by ``FiniteMatrixGroup.stabilizer_mask``); the
+   other members' stabilizers follow through conjugation by generators.
+   The orbits are the conjugacy classes of isotropy groups.
 
 Step 2 adds the cyclic spaces one at a time, largest rank first.  The
-meet closure of a closed family C and one more space b is C together with
-every c ∧ b for c in C, so each space not yet in the closure is met once
-with every space closed so far, and a space already there costs nothing.
-Rational spans are identified with their saturated integer lattices
-throughout, so every rank statement is a statement about saturated
-kernels.
+meet closure of a closed family C and one more space b = Fix(g) is C
+together with every c ∧ b for c in C, so each space not yet in the
+closure is met once with every space closed so far, and a space already
+there costs nothing.  With B the basis of c, c ∧ b is spanned by K B for
+K the kernel of (g - I) B^T; that span is saturated, because K is a
+kernel and B spans a direct summand.  Rational spans are identified with
+their saturated integer lattices throughout, so every rank statement is
+a statement about saturated kernels.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import product as iter_product
+from operator import attrgetter
 
 from .errors import NotIsotropy, TheoremViolation
 from .groups import (
     FiniteMatrixGroup,
     Subgroup,
-    are_conjugate_subgroups,
     element_order_histogram,
     has_conjugate_inside,
     is_perfect,
 )
-from .intlinalg import IntMatrix, common_fixed_lattice, induced_on_quotient, kernel_lattice
+from .intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, induced_on_quotient, kernel_lattice
 
 
 def fixed_lattice(h: Subgroup) -> IntMatrix:
@@ -84,118 +87,83 @@ class IsotropyCatalog:
 
     group: FiniteMatrixGroup
     classes: tuple[IsotropyClass, ...]
-    _orbit_index: dict[int, int] = field(default_factory=dict)  # member mask -> class
+    _orbit_index: dict[int, IsotropyClass] = field(default_factory=dict)  # member mask -> class
 
     def class_for(self, h: Subgroup) -> IsotropyClass:
+        """The class of h, a subgroup of this catalog's group; raises
+        KeyError when h is not an isotropy group."""
+        if h.parent is not self.group:
+            raise ValueError("subgroup of a different group")
         mask = 0
         for i in h.indices:
             mask |= 1 << i
-        if mask in self._orbit_index:
-            return self.classes[self._orbit_index[mask]]
-        for cl in self.classes:
-            if cl.order == h.order and are_conjugate_subgroups(self.group, h, cl.subgroup):
-                return cl
-        raise KeyError("subgroup is not conjugate to any catalog class")
+        cl = self._orbit_index.get(mask)
+        if cl is None:
+            raise KeyError("subgroup is not conjugate to any catalog class")
+        return cl
 
     def nontrivial_classes(self) -> list[IsotropyClass]:
         return [cl for cl in self.classes if cl.order > 1]
 
 
-def _space_key(basis: IntMatrix) -> tuple:
-    return (basis.rows, basis.entries)
-
-
-def _intersect_spaces(comp_a: IntMatrix, comp_b: IntMatrix, n: int) -> IntMatrix:
-    """Intersection of two saturated spaces given by complement bases.
-
-    A saturated space W equals the kernel of its complement basis, so the
-    meet is the kernel of the stacked complements.
-    """
-    return kernel_lattice(IntMatrix.vstack([comp_a, comp_b], cols=n))
-
-
 def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
-    n = G.lattice.rank
-    full_mask = (1 << G.order) - 1
+    ident = IntMatrix.identity(G.lattice.rank)
 
-    # 1. distinct cyclic fixed spaces
-    initial: dict[tuple, IntMatrix] = {}
+    # 1. distinct cyclic fixed spaces, each with an element that fixes it
+    cyclic: dict[IntMatrix, int] = {}
     for i in range(G.order):
-        b = G.cyclic_fixed_space(i)
-        initial.setdefault(_space_key(b), b)
-    bases = sorted(initial.values(), key=lambda b: (-b.rows, b.entries))
+        cyclic.setdefault(G.cyclic_fixed_space(i), i)
 
     # 2. meet closure, one cyclic space at a time
-    closure: dict[tuple, tuple[IntMatrix, IntMatrix]] = {}  # key -> (basis, complement)
-    for b in bases:
-        key = _space_key(b)
-        if key in closure:
+    closure: set[IntMatrix] = set()
+    for b, i in sorted(cyclic.items(), key=lambda t: (-t[0].rows, t[0].entries)):
+        if b in closure:
             continue
-        comp_b = kernel_lattice(b)
-        meets = [_intersect_spaces(comp, comp_b, n) for _basis, comp in closure.values()]
-        closure[key] = (b, comp_b)
-        for basis in meets:
-            key = _space_key(basis)
-            if key not in closure:
-                closure[key] = (basis, kernel_lattice(basis))
+        moved = G.element(i) - ident
+        meets = [hnf_basis(kernel_lattice(moved * c.transpose()) * c) for c in closure]
+        closure.add(b)
+        closure.update(meets)
 
-    # 3. pointwise stabilizers via cached per-vector stabilizer bitmasks
-    stab_cache: dict[tuple[int, ...], int] = {}
-
-    def stab_mask(vec: tuple[int, ...]) -> int:
-        m = stab_cache.get(vec)
-        if m is None:
-            m = stab_cache[vec] = G.stabilizer_mask(vec)
-        return m
-
-    subgroups: dict[int, IntMatrix] = {}
-    for basis, _comp in closure.values():
-        mask = full_mask
-        for r in range(basis.rows):
-            mask &= stab_mask(basis.row(r))
-            if mask == 1 << G.identity_index:
-                break
-        if mask in subgroups:
-            # two closure spaces cannot stabilize to the same group: the
-            # fixed space of the stabilizer recovers the space
-            raise TheoremViolation("meet-closure produced a duplicate stabilizer")
-        subgroups[mask] = basis
-
-    # 4. conjugacy classes: when a new class appears, sweep out its whole
-    # conjugation orbit by generator BFS on bitmasks; later subgroups
-    # dedupe by a single dictionary lookup
-    items = sorted(
-        ((mask.bit_count(), mask, basis) for mask, basis in subgroups.items()),
-        key=lambda t: (-t[0], t[2].entries),
-    )
-    # conjugation by each generator, tabulated once as a permutation
-    conj_by = [array("i", [G.conj(g, i) for i in range(G.order)]) for g in G.generator_indices]
+    # 3. one stabilizer per conjugation orbit; a space's image under a
+    # generator g is stabilized by the conjugate of its stabilizer by g
+    gens = [
+        (G.element(g).transpose(), array("i", [G.conj(g, i) for i in range(G.order)]))
+        for g in G.generator_indices
+    ]
+    trivial = 1 << G.identity_index
     classes: list[IsotropyClass] = []
-    orbit_index: dict[int, int] = {}
-    for order_, mask, basis in items:
-        if mask in orbit_index:
+    orbit_index: dict[int, IsotropyClass] = {}
+    seen: set[IntMatrix] = set()
+    for basis in sorted(closure, key=attrgetter("entries")):
+        if basis in seen:
             continue
-        indices = tuple(i for i in range(G.order) if mask >> i & 1)
-        h = Subgroup(G, indices)
-        ci = len(classes)
-        classes.append(IsotropyClass(h, basis))
-        orbit_index[mask] = ci
-        queue = deque([indices])
-        while queue:
-            cur = queue.popleft()
-            for perm in conj_by:
-                conj_indices = tuple(sorted(perm[i] for i in cur))
-                m = 0
-                for i in conj_indices:
-                    m |= 1 << i
-                if m not in orbit_index:
-                    # the closure is conjugation-invariant, and so is the
-                    # family of its stabilizers
-                    if m not in subgroups:
-                        raise TheoremViolation("a conjugate of an isotropy group is not one")
-                    orbit_index[m] = ci
-                    queue.append(conj_indices)
-
+        mask = (1 << G.order) - 1
+        for r in range(basis.rows):
+            mask &= G.stabilizer_mask(basis.row(r))
+            if mask == trivial:
+                break
+        cl = IsotropyClass(Subgroup(G, (i for i in range(G.order) if mask >> i & 1)), basis)
+        classes.append(cl)
+        seen.add(basis)
+        orbit = [(basis, cl.subgroup.indices)]
+        for space, indices in orbit:
+            mask = 0
+            for i in indices:
+                mask |= 1 << i
+            if mask in orbit_index:
+                # two closure spaces cannot stabilize to the same group: the
+                # fixed space of the stabilizer recovers the space
+                raise TheoremViolation("meet-closure produced a duplicate stabilizer")
+            orbit_index[mask] = cl
+            for gt, conj in gens:
+                image = hnf_basis(space * gt)
+                if image not in seen:
+                    if image not in closure:
+                        raise TheoremViolation("a generator moves a closure space out of the closure")
+                    seen.add(image)
+                    orbit.append((image, [conj[i] for i in indices]))
+    # the first space seen of each orbit is its least, as the sweep is sorted
+    classes.sort(key=lambda cl: (-cl.order, cl.fixed_space.entries))
     return IsotropyCatalog(G, tuple(classes), orbit_index)
 
 

@@ -98,6 +98,19 @@ class TestExitCodes:
         code, _ = run_cli(["copies", "builtin:sym3_u3"])  # missing --r
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["copies", "builtin:sym3_u3", "--r", "0"],
+            ["copies", "builtin:sym3_u3", "--r", "-2"],
+            ["analyze", "builtin:sym3_u3", "--cap", "-1"],
+        ],
+    )
+    def test_out_of_range_number_is_input_error(self, argv):
+        code, out = run_cli(argv)
+        assert code == 2
+        assert out == ""  # argparse reports on stderr
+
 
 class TestModuleEntry:
     """``python -m multinv.cli`` runs the same CLI as ``run``."""

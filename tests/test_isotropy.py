@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from multinv.catalog import builtin, parse_group_definition
 from multinv.errors import NotIsotropy
 from multinv.groups import (
     GLattice,
@@ -217,8 +219,6 @@ def test_catalog_matches_census_small_groups():
 
 class TestFpfConstraintsIcosian:
     def test_icosian_both_assertions_pass(self):
-        from multinv.catalog import builtin
-
         group = close(builtin("icosian"))
         rep = check_fpf_constraints(group)
         assert rep.perfect_fpf_applicable
@@ -231,7 +231,7 @@ class TestFpfConstraintsIcosian:
 def test_catalog_complete_for_random_stabilizers():
     """Completeness contract: the stabilizer of any lattice vector is
     conjugate to a catalog class."""
-    from multinv.catalog import DEFAULT_BUILTINS, builtin
+    from multinv.catalog import DEFAULT_BUILTINS
 
     rng = random.Random(77)
     for name in DEFAULT_BUILTINS:
@@ -251,3 +251,26 @@ def test_class_for_rejects_non_isotropy_subgroup():
     rot = subgroup_generated(g, [g.index_of(cycle([0, 1, 2], 3))])
     with pytest.raises(KeyError):
         cat.class_for(rot)
+
+
+def test_class_for_rejects_subgroup_of_another_group():
+    cat = enumerate_isotropy_groups(close(builtin("sym3_u3")))
+    with pytest.raises(ValueError):
+        cat.class_for(full_subgroup(close(builtin("root_a2"))))
+
+
+@pytest.mark.parametrize("name", ["root_a3", "sym4_u4", "signed_root_s5"])
+def test_every_conjugate_of_every_class_conjugated_basis(name):
+    """Outside plain coordinates, every conjugate g h g^-1 of a class is
+    found under that class, and is the stabilizer of its own witness."""
+    golden = Path(__file__).resolve().parent / "golden"
+    g = close(parse_group_definition((golden / f"conj_{name}.json").read_bytes()).lattice)
+    cat = enumerate_isotropy_groups(g)
+    for cl in cat.classes:
+        conjugates = {
+            tuple(sorted(g.conj(x, i) for i in cl.subgroup.indices)) for x in range(g.order)
+        }
+        for indices in conjugates:
+            h = Subgroup(g, indices)
+            assert cat.class_for(h) is cl
+            assert isotropy_group_of(g, witness_vector(g, h)) == h
