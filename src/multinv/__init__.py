@@ -16,6 +16,7 @@ from .catalog import (
 from .errors import (
     CapExceeded,
     GeneratorMismatch,
+    InfiniteGroup,
     InvalidGenerator,
     NotInvariant,
     NotIsotropy,

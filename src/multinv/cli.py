@@ -14,7 +14,9 @@ Commands:
 All output is deterministic; ``--seed-free`` is accepted for scripting
 symmetry but changes nothing because no code path uses randomness.
 Exit codes: 0 success, 2 parse/validation problems, 3 closure cap
-exceeded, 70 internal error (a bug; the message names the exception).
+exceeded or group proved infinite (two distinct elements agree mod 3,
+found long before the cap), 70 internal error (a bug; the message names
+the exception).
 ``batch`` exits 3 if any file exceeded the cap, else 2 if any file had an
 input error, else 0.  Exit code 1 is never used.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from .catalog import (
@@ -256,12 +259,25 @@ def _cmd_witness(args, out) -> int:
     return EXIT_OK
 
 
-def _orbit_preset(name: str, rank: int):
+def _refuse_above_cap(factors, cap: int) -> None:
+    """Raise CapExceeded if the product of ``factors``, a preset group's
+    order, is above the cap; stops multiplying as soon as it is."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > cap:
+            raise CapExceeded(cap)
+
+
+def _orbit_preset(name: str, rank: int, cap: int = DEFAULT_CAP):
+    # the preset group's order is checked before its builtin is built,
+    # because building one costs rank^2 per generator whatever the cap
     if name == "diag_sl":
         if rank < 2:
             raise ValidationError("diag_sl preset needs rank at least 2")
+        _refuse_above_cap(repeat(2, rank - 1), cap)
         lattice = builtin(f"diag_sl{rank}")
-        group = close(lattice)
+        group = close(lattice, cap)
         algebra = [
             orbit_sum(group, tuple(1 if j == i else 0 for j in range(rank)))
             for i in range(rank)
@@ -273,7 +289,8 @@ def _orbit_preset(name: str, rank: int):
         # with the top one inverted, split by the half-discriminant
         if rank < 3:
             raise ValidationError("alt_laurent preset needs rank at least 3")
-        group = close(builtin(f"alt{rank}_u{rank}"))
+        _refuse_above_cap(range(3, rank + 1), cap)
+        group = close(builtin(f"alt{rank}_u{rank}"), cap)
         algebra = [elementary_symmetric(rank, k) for k in range(1, rank + 1)]
         algebra.append(LaurentElement.monomial((-1,) * rank))
         module = [LaurentElement.one(rank), alternating_d(rank)]
@@ -282,7 +299,7 @@ def _orbit_preset(name: str, rank: int):
 
 
 def _cmd_orbit_verify(args, out) -> int:
-    group, algebra, module = _orbit_preset(args.preset, args.rank)
+    group, algebra, module = _orbit_preset(args.preset, args.rank, args.cap)
     result = verify_free_decomposition(group, algebra, module, args.bound)
     if result.ok:
         cert = result.certificate

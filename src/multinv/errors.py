@@ -2,11 +2,31 @@
 
 
 class CapExceeded(RuntimeError):
-    """Group closure passed the element cap (group too large, or not finite)."""
+    """Group closure passed the element cap, or proved the group infinite
+    first (:class:`InfiniteGroup`); either way it will not close under the
+    cap."""
 
-    def __init__(self, cap):
-        super().__init__(f"group closure exceeded the cap of {cap} elements")
+    def __init__(self, cap, message=None):
+        super().__init__(message or f"group closure exceeded the cap of {cap} elements")
         self.cap = cap
+
+
+class InfiniteGroup(CapExceeded):
+    """Group closure met two distinct elements that agree mod 3.
+
+    A finite subgroup of GL_n(Z) injects into GL_n(Z/3) (Minkowski), so
+    the pair ``first``, ``second`` proves the group infinite; anyone can
+    re-check it from the two matrices alone.
+    """
+
+    def __init__(self, cap, first, second):
+        super().__init__(
+            cap,
+            f"group is infinite (two distinct elements agree mod 3), "
+            f"so its closure would exceed the cap of {cap} elements",
+        )
+        self.first = first
+        self.second = second
 
 
 class TheoremViolation(AssertionError):

@@ -29,10 +29,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, InvalidGenerator, TheoremViolation
+from .errors import CapExceeded, InfiniteGroup, InvalidGenerator, TheoremViolation
 from .intlinalg import IntMatrix, common_fixed_lattice
 
 DEFAULT_CAP = 10**6
@@ -224,26 +224,37 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
     Breadth-first closure under left multiplication by the distinct
     generators; every product g_k x becomes the table entry left[k][x],
     and the first product to reach an element fixes its BFS parent and
-    letter.  Raises :class:`CapExceeded` once more than ``cap`` elements
-    appear, which converts an infinite (or unreasonably large) input into
-    a clean error instead of a hang.
+    letter.
+
+    Stops at the first proof that the group is infinite.  By Minkowski,
+    the kernel of GL_n(Z) -> GL_n(Z/3) is torsion-free, so a finite group
+    injects into its reduction mod 3; every new element is keyed by its
+    entries mod 3, and two distinct elements with one key raise
+    :class:`InfiniteGroup`, which carries them.  Otherwise raises
+    :class:`CapExceeded` once more than ``cap`` elements appear, which
+    converts an unreasonably large input into a clean error instead of a
+    hang.  ``InfiniteGroup`` is a ``CapExceeded``, so callers need only
+    catch the latter.
     """
     n = lattice.rank
-    gens = [lattice.generators[p] for p in _table_rows(lattice.generators)]
+    gens = [_sparse_rows(lattice.generators[p]) for p in _table_rows(lattice.generators)]
     # elements are held as entry tuples, the dictionary's own keys, until
     # the group is known to be finite
     found = [IntMatrix.identity(n).entries]
     index = {found[0]: 0}
+    residues = {_mod3(found[0]): 0}
     left = [array("i") for _ in gens]
     parents, letters = array("i", [0]), array("H", [0])
     # found grows while it is walked, so this visits it in BFS order
     for x, entries in enumerate(found):
-        m = IntMatrix(n, n, entries)
-        for k, g in enumerate(gens):
-            y = (g * m).entries
+        for k, rows in enumerate(gens):
+            y = _left_product(rows, entries, n)
             j = index.get(y)
             if j is None:
                 j = len(found)
+                twin = residues.setdefault(_mod3(y), j)
+                if twin != j:
+                    raise InfiniteGroup(cap, IntMatrix(n, n, found[twin]), IntMatrix(n, n, y))
                 if j >= cap:
                     raise CapExceeded(cap)
                 index[y] = j
@@ -253,6 +264,36 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
             left[k].append(j)
     elements = [IntMatrix(n, n, entries) for entries in found]
     return FiniteMatrixGroup(lattice, elements, left, parents, letters, range(len(elements)))
+
+
+def _mod3(entries: tuple[int, ...]) -> bytes:
+    """Entries reduced mod 3 (to 0, 1, 2, negative ones too), one to a byte."""
+    return bytes(map((3).__rmod__, entries))
+
+
+def _sparse_rows(g: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """g's rows as the (offset, coefficient) pairs of their nonzero entries;
+    the offset of column t is where row t of an n-column right factor
+    starts in its entries."""
+    n = g.cols
+    return tuple(tuple((t * n, a) for t, a in enumerate(g.row(i)) if a) for i in range(g.rows))
+
+
+def _left_product(rows, x: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Entries of g x, from g's sparse rows and the entries of x (n columns).
+
+    Row i of g x is the combination of x's rows that row i of g names,
+    summed through lazy ``map`` chains: a signed-permutation generator
+    costs one slice per row, and no product makes an ``IntMatrix``.
+    """
+    out: list[int] = []
+    for row in rows:
+        acc = None
+        for o, a in row:
+            seg = x[o : o + n] if a == 1 else map(a.__mul__, x[o : o + n])
+            acc = seg if acc is None else map(add, acc, seg)
+        out += acc
+    return tuple(out)
 
 
 def induced_group(G: FiniteMatrixGroup, lattice: GLattice) -> FiniteMatrixGroup:
@@ -267,13 +308,15 @@ def induced_group(G: FiniteMatrixGroup, lattice: GLattice) -> FiniteMatrixGroup:
     """
     if len(lattice.generators) != len(G.lattice.generators):
         raise ValueError("generator lists have different lengths")
-    gens = [lattice.generators[p] for p in _table_rows(G.lattice.generators)]
-    images: list[IntMatrix] = [IntMatrix.identity(lattice.rank)] * G.order
+    n = lattice.rank
+    gens = [_sparse_rows(lattice.generators[p]) for p in _table_rows(G.lattice.generators)]
+    images = [IntMatrix.identity(n).entries] * G.order
     for x in islice(G._bfs, 1, None):
-        images[x] = gens[G._letter[x]] * images[G._parent[x]]
-    if len({m.entries for m in images}) != G.order:
+        images[x] = _left_product(gens[G._letter[x]], images[G._parent[x]], n)
+    if len(set(images)) != G.order:
         raise TheoremViolation("the representation is not faithful")
-    return FiniteMatrixGroup(lattice, images, G.left, G._parent, G._letter, G._bfs)
+    elements = [IntMatrix(n, n, entries) for entries in images]
+    return FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter, G._bfs)
 
 
 class Subgroup:

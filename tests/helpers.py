@@ -29,6 +29,14 @@ def cycle(indices, n):
     return perm_matrix(image)
 
 
+def unipotent(n):
+    """An infinite group: a shear plus the n-cycle permuting coordinates."""
+    from multinv.groups import GLattice
+
+    shear = IntMatrix(n, n, (1 if i == j or (i, j) == (0, 1) else 0 for i in range(n) for j in range(n)))
+    return GLattice(n, [shear, cycle(list(range(n)), n)], f"unipotent{n}")
+
+
 def diag(*values):
     n = len(values)
     return IntMatrix(n, n, (values[i] if i == j else 0 for i in range(n) for j in range(n)))

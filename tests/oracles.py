@@ -5,7 +5,8 @@ census scans lattice vectors directly with numpy integer arithmetic, the
 difference-lattice rank is plain integer elimination, the SL(2, F_5)
 histogram is computed from scratch over the finite field, abelian
 invariants come from sympy's permutation groups, and orbit-verify
-certificates are re-multiplied with plain Laurent arithmetic.
+certificates are re-multiplied with plain Laurent arithmetic, and group
+closures are redone breadth-first with plain ``IntMatrix`` products.
 """
 
 from collections import Counter
@@ -15,6 +16,8 @@ import numpy as np
 from sympy import primefactors
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from multinv.groups import GLattice, induced_group
+from multinv.intlinalg import IntMatrix, unimodular_inverse
 from multinv.orbit_algebra import LaurentElement
 
 
@@ -156,3 +159,45 @@ def check_certificate(G, algebra_gens, module_gens, cert):
         for pos, c in combo:
             total = total + values[pos] * c
         assert total == LaurentElement(n, {g.apply(rep): 1 for g in G.elements}), rep
+
+
+def naive_closure(lattice):
+    """Breadth-first closure with ``IntMatrix.__mul__``: the identity, then
+    g x for every element x in the order found and every distinct
+    generator g in the lattice's order."""
+    gens = list(dict.fromkeys(lattice.generators))
+    found = [IntMatrix.identity(lattice.rank)]
+    seen = set(found)
+    for x in found:
+        for g in gens:
+            y = g * x
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return gens, found
+
+
+def check_closure(G, conjugator):
+    """G, as ``close`` enumerated it, against :func:`naive_closure`: the
+    same elements in the same BFS order, sorted the same, with every table
+    entry a matrix product; and ``induced_group`` through the lattice
+    conjugated by ``conjugator`` gives the conjugated elements in that BFS
+    order."""
+    gens, found = naive_closure(G.lattice)
+    assert [G.elements[i] for i in G._bfs] == found
+    assert G.elements == tuple(sorted(found, key=lambda m: m.entries))
+    for k, g in enumerate(gens):
+        assert all(G.elements[G.left[k][x]] == g * G.elements[x] for x in range(G.order)), k
+    u, u_inv = conjugator, unimodular_inverse(conjugator)
+    image = GLattice(G.lattice.rank, [u * g * u_inv for g in G.lattice.generators])
+    H = induced_group(G, image)
+    assert [H.elements[i] for i in H._bfs] == [u * x * u_inv for x in found]
+
+
+def check_infinite_pair(exc):
+    """Re-check an ``InfiniteGroup`` proof from its two matrices alone:
+    distinct over Z, equal mod 3 (a finite group injects into GL_n(Z/3))."""
+    a, b = exc.first, exc.second
+    assert (a.rows, a.cols) == (b.rows, b.cols)
+    assert a != b
+    assert all((x - y) % 3 == 0 for x, y in zip(a.entries, b.entries))

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import multinv
+from multinv import cli
 from multinv.catalog import builtin, serialize_group_definition
 from multinv.cli import run
+
+from helpers import unipotent
 
 
 def run_cli(argv):
@@ -93,6 +96,16 @@ class TestExitCodes:
         path.write_text('{"name": "shear", "rank": 2, "generators": [[[1, 1], [0, 1]]]}')
         code, out = run_cli(["analyze", str(path), "--cap", "50"])
         assert code == 3
+
+    def test_infinite_group_refused_before_the_default_cap(self, tmp_path):
+        path = tmp_path / "unipotent8.json"
+        path.write_text(serialize_group_definition(unipotent(8)))
+        code, out = run_cli(["analyze", str(path)])
+        assert code == 3
+        assert out == (
+            "error: group is infinite (two distinct elements agree mod 3), "
+            "so its closure would exceed the cap of 1000000 elements\n"
+        )
 
     def test_bad_arguments(self):
         code, _ = run_cli(["copies", "builtin:sym3_u3"])  # missing --r
@@ -238,6 +251,24 @@ class TestOrbitVerify:
         code, out = run_cli(["orbit", "verify", preset, "--rank", str(rank), "--bound", str(bound)])
         assert code == 2
         assert out == "error: bound is smaller than the generator support width\n"
+
+
+    @pytest.mark.parametrize("cap, code", [(2, 3), (3, 3), (4, 0)])
+    def test_cap_bounds_the_preset_group(self, cap, code):
+        # diag_sl3 has order 4
+        argv = ["orbit", "verify", "diag_sl", "--rank", "3", "--bound", "3", "--cap", str(cap)]
+        assert run_cli(argv)[0] == code
+
+    @pytest.mark.parametrize("preset", ["diag_sl", "alt_laurent"])
+    def test_rank_above_the_cap_is_refused_before_building(self, preset, monkeypatch):
+        # orders 2^(n-1) and n!/2 pass the default cap long before n = 100000
+        def build(name):
+            raise AssertionError(f"built {name}")
+
+        monkeypatch.setattr(cli, "builtin", build)
+        code, out = run_cli(["orbit", "verify", preset, "--rank", "100000", "--bound", "3"])
+        assert code == 3
+        assert out == "error: group closure exceeded the cap of 1000000 elements\n"
 
 
 class TestWitness:

@@ -1,12 +1,14 @@
 import math
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multinv.errors import CapExceeded
+from multinv.errors import CapExceeded, InfiniteGroup
 from multinv.groups import (
+    DEFAULT_CAP,
     GLattice,
     abelian_invariants,
     abelianization,
@@ -21,14 +23,14 @@ from multinv.groups import (
     subgroup_generated,
     trivial_subgroup,
 )
-from multinv.catalog import builtin
+from multinv.catalog import DEFAULT_BUILTINS, builtin, parse_group_definition
 from multinv.errors import InvalidGenerator, TheoremViolation
 from multinv.intlinalg import IntMatrix, snf, unimodular_inverse
 from multinv.isotropy import enumerate_isotropy_groups, isotropy_group_of, witness_vector
 from multinv.obstruction import direct_sum_copies, effective_reduction
 
-from helpers import conjugated_lattice, diag, random_unimodular, transposition, cycle
-from oracles import sympy_abelianization
+from helpers import conjugated_lattice, diag, random_unimodular, transposition, cycle, unipotent
+from oracles import check_closure, check_infinite_pair, sympy_abelianization
 
 C4 = IntMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])  # order 4, rank 3
 
@@ -213,8 +215,57 @@ def test_cap_boundary_is_inclusive():
     with pytest.raises(CapExceeded) as exc:
         close(s3, cap=5)
     assert exc.value.cap == 5
+    assert type(exc.value) is CapExceeded  # a finite group is never called infinite
     with pytest.raises(CapExceeded):
         close(s3, cap=0)
+
+
+# -- infinite groups are refused at the first mod-3 collision -------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SHEAR = GLattice(2, [IntMatrix.from_rows([[1, 1], [0, 1]])], "shear")
+
+
+def _mixed_unipotent(n):
+    return conjugated_lattice(unipotent(n), random_unimodular(n, random.Random(n)))
+
+
+@pytest.mark.parametrize("n", [2, 8, 24, "shear"])
+def test_infinite_group_refused_within_nine_elements(n):
+    lat = SHEAR if n == "shear" else _mixed_unipotent(n)
+    # a plain CapExceeded here would mean a tenth element was reached first
+    with pytest.raises(InfiniteGroup) as exc:
+        close(lat, cap=9)
+    check_infinite_pair(exc.value)
+    assert exc.value.cap == 9
+    assert "infinite" in str(exc.value) and "cap of 9 elements" in str(exc.value)
+
+
+def test_infinite_group_refused_at_the_default_cap():
+    with pytest.raises(InfiniteGroup) as exc:
+        close(_mixed_unipotent(8))
+    check_infinite_pair(exc.value)
+    assert exc.value.cap == DEFAULT_CAP
+    assert isinstance(exc.value, CapExceeded)
+
+
+def _finite_lattice(name):
+    if name == "icosian^3":
+        return direct_sum_copies(builtin("icosian"), 3)
+    if name.startswith("conj_"):
+        return parse_group_definition((GOLDEN / f"{name}.json").read_bytes()).lattice
+    return builtin(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    DEFAULT_BUILTINS
+    + ("sym7_u7", "sym6_u6", "alt6_u6", "root_a5", "diag_sl6")
+    + ("conj_root_a3", "conj_sym4_u4", "conj_signed_root_s5", "icosian^3"),
+)
+def test_close_matches_naive_closure(name):
+    lat = _finite_lattice(name)
+    check_closure(close(lat), random_unimodular(lat.rank, random.Random(lat.rank)))
 
 
 # -- the Cayley-table kernel against matrix arithmetic -------------------------

@@ -3,6 +3,8 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form
 
 from multinv.intlinalg import (
     IntMatrix,
@@ -17,6 +19,8 @@ from multinv.intlinalg import (
     unimodular_inverse,
     induced_on_quotient,
 )
+
+from helpers import random_unimodular
 
 
 def M(rows):
@@ -267,6 +271,29 @@ def test_snf_contract_large_entries():
         diag = dec.diagonal()
         for x, y in zip(diag, diag[1:]):
             assert (y == 0) or (x != 0 and y % x == 0)
+
+
+def test_snf_matches_sympy_smith_normal_form():
+    # an independent Smith form: sympy's, over ZZ; the mixed cases are
+    # P D Q with a planted divisibility chain D and large-entry mixing
+    rng = random.Random(0x5A17)
+    for trial in range(240):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 3 == 0:
+            a = IntMatrix(r, c, [rng.randint(-5, 5) for _ in range(r * c)])
+        elif trial % 3 == 1:
+            a = IntMatrix(r, c, [rng.randint(-10**12, 10**12) for _ in range(r * c)])
+        else:
+            d, chain = IntMatrix.zeros(r, c).row_lists(), 1
+            for i in range(rng.randint(0, min(r, c))):
+                chain *= rng.choice([1, 1, 2, 3, 6, 10**9 + 7])
+                d[i][i] = chain
+            p = random_unimodular(r, rng, ops=4 * r)
+            q = random_unimodular(c, rng, ops=4 * c)
+            a = p * IntMatrix.from_rows(d, c) * q
+        expected = smith_normal_form(Matrix(a.row_lists()), domain=ZZ)
+        s = snf(a).s
+        assert s.row_lists() == [[abs(x) for x in row] for row in expected.tolist()], a.row_lists()
 
 
 def test_rectangular_extremes():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from multinv.errors import CapExceeded, GeneratorMismatch
+from multinv.errors import CapExceeded, GeneratorMismatch, InfiniteGroup
 from multinv.groups import GLattice, close
 from multinv.intlinalg import IntMatrix
 from multinv.obstruction import (
@@ -18,6 +18,7 @@ from multinv.obstruction import (
 from multinv.reflections import moved_rank
 
 from helpers import conjugated_lattice, cycle, random_unimodular, transposition
+from oracles import check_infinite_pair
 
 NEG3 = GLattice(3, [-IntMatrix.identity(3)], "neg3")
 C4 = GLattice(3, [IntMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])], "c4")
@@ -113,6 +114,15 @@ class TestRationalIsomorphism:
         shear = GLattice(2, [IntMatrix.from_rows([[1, 1], [0, 1]])], "shear")
         with pytest.raises(CapExceeded):
             rationally_isomorphic(shear, shear, cap=20)
+
+    def test_infinite_pairing_is_refused_before_the_cap(self):
+        shear = GLattice(2, [IntMatrix.from_rows([[1, 1], [0, 1]])], "shear")
+        neg = GLattice(2, [-IntMatrix.identity(2)], "neg")
+        for l1, l2 in ((shear, shear), (neg, shear), (shear, neg)):
+            with pytest.raises(InfiniteGroup) as exc:
+                rationally_isomorphic(l1, l2)
+            check_infinite_pair(exc.value)
+            assert exc.value.first.rows == 4
 
 
 class TestDirectSumCopies:

@@ -14,7 +14,7 @@ from multinv.groups import (
     close,
     subgroup_generated,
 )
-from multinv.intlinalg import IntMatrix
+from multinv.intlinalg import IntMatrix, unimodular_inverse
 from multinv.isotropy import enumerate_isotropy_groups, fixed_lattice, isotropy_group_of, witness_vector
 from multinv.obstruction import (
     INCONCLUSIVE,
@@ -25,7 +25,7 @@ from multinv.obstruction import (
 from multinv.reflections import moved_rank_subgroup
 
 from helpers import conjugated_lattice, random_unimodular
-from oracles import difference_rank, stabilizer_census
+from oracles import check_closure, difference_rank, stabilizer_census
 
 
 def random_signed_perm(n, rng):
@@ -51,6 +51,7 @@ def test_census_equality_on_random_signed_groups():
         if group.order > 24:
             continue
         done += 1
+        check_closure(group, IntMatrix.identity(3))
         catalog = enumerate_isotropy_groups(group)
         reps = []
         for stab in stabilizer_census(group):
@@ -70,6 +71,7 @@ def test_catalog_complete_on_conjugated_random_groups():
         t = random_unimodular(n, rng)
         skewed = conjugated_lattice(lat, t)
         group = close(skewed)
+        check_closure(group, unimodular_inverse(t))
         catalog = enumerate_isotropy_groups(group)
         # every stabilizer of a random vector appears in the catalog
         for _ in range(30):
@@ -97,6 +99,7 @@ def test_verdict_logic_on_random_groups():
             assert rep.verdict == INCONCLUSIVE
         # conjugation cannot change the verdict or the class data
         t = random_unimodular(n, rng)
+        check_closure(close(lat), t)
         rep2 = check_necessary_conditions(conjugated_lattice(lat, t))
         assert rep2.verdict == rep.verdict
         assert [c.order for c in rep2.classes] == [c.order for c in rep.classes]
@@ -107,6 +110,7 @@ def test_rank_sum_on_random_groups():
     for _ in range(40):
         n = rng.choice([2, 3, 4])
         group = close(random_signed_perm_lattice(n, rng))
+        check_closure(group, IntMatrix.identity(n))
         seed = rng.sample(range(group.order), min(group.order, rng.randint(0, 2)))
         h = subgroup_generated(group, seed)
         moved = difference_rank(h.matrices())
