@@ -44,6 +44,13 @@ DIGEST_CASES = {
     f"orbit_{_preset}_r4_b4": ["orbit", "verify", _preset, "--rank", "4", "--bound", "4"]
     for _preset in ("diag_sl", "alt_laurent")
 }
+# the large builtins of the benchmark; alt6_u6 is the one whose meet closure
+# adds spaces beyond the cyclic ones (97 cyclic, 188 in all)
+for _name in ("sym7_u7", "sym6_u6", "alt6_u6", "root_a5", "diag_sl6"):
+    DIGEST_CASES[f"analyze_{_name}"] = ["analyze", f"builtin:{_name}"]
+for _name in ("alt6_u6", "sym6_u6", "root_a5"):
+    DIGEST_CASES[f"witness_{_name}"] = ["witness", f"builtin:{_name}"]
+DIGEST_CASES["analyze_conj_alt6_u6"] = ["analyze", "conj_alt6_u6.json"]
 
 
 def render(argv):
