@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ParseError, UnknownBuiltin, ValidationError, InvalidGenerator
 from .groups import GLattice
@@ -79,51 +78,42 @@ def _root_action(perm: IntMatrix) -> IntMatrix:
 
 
 # -- icosian construction ----------------------------------------------------
+#
+# A quaternion over Q(sqrt 5) is held as the eight integers 4 * (p_0, q_0,
+# p_1, q_1, p_2, q_2, p_3, q_3) for the components p_t + q_t sqrt5 on
+# 1, i, j, k: the coordinates over (1/4) * {1, sqrt5} x {1, i, j, k}.
 
 
-def _qext(p, q=0):
-    return (Fraction(p), Fraction(q))
+def _z5_mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a + b sqrt5)(c + d sqrt5)."""
+    return a * c + 5 * b * d, a * d + b * c
 
 
-def _qext_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+# component t of a product x y is the sum of sign * x_s y_u over the
+# (s, u, sign) listed at t, from e_s e_u = sign * e_t
+_QUAT_TERMS = (
+    ((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
+    ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
+    ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
+    ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)),
+)
 
 
-def _qext_mul(a, b):
-    return (a[0] * b[0] + 5 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _qext_neg(a):
-    return (-a[0], -a[1])
-
-
-def _quat_mul(x, y):
-    a, b, c, d = x
-    e, f, g, h = y
-    add, mul, neg = _qext_add, _qext_mul, _qext_neg
-    return (
-        add(add(mul(a, e), neg(mul(b, f))), add(neg(mul(c, g)), neg(mul(d, h)))),
-        add(add(mul(a, f), mul(b, e)), add(mul(c, h), neg(mul(d, g)))),
-        add(add(mul(a, g), neg(mul(b, h))), add(mul(c, e), mul(d, f))),
-        add(add(mul(a, h), mul(b, g)), add(neg(mul(c, f)), mul(d, e))),
-    )
-
-
-def _quat_to_z8(x) -> tuple[int, ...]:
-    """Coordinates over (1/4) * {1, sqrt5} x {1,i,j,k}; integrality is checked."""
+def _quat_mul(x, y) -> tuple[int, ...]:
+    """Product of two quaternions in the scaled coordinates: the factors'
+    scales make 16, so the sums are divided by 4, exactly."""
     out = []
-    for p, q in x:
-        for val in (4 * p, 4 * q):
-            if val.denominator != 1:
+    for terms in _QUAT_TERMS:
+        p = q = 0
+        for s, u, sign in terms:
+            a, b = _z5_mul(x[2 * s], x[2 * s + 1], y[2 * u], y[2 * u + 1])
+            p += sign * a
+            q += sign * b
+        for val in (p, q):
+            if val % 4:
                 raise ArithmeticError("icosian coordinate outside the 1/4 lattice")
-            out.append(val.numerator)
+            out.append(val // 4)
     return tuple(out)
-
-
-def _z8_to_quat(v):
-    return tuple(
-        (Fraction(v[2 * i], 4), Fraction(v[2 * i + 1], 4)) for i in range(4)
-    )
 
 
 def _sparse(v) -> dict[int, int]:
@@ -138,15 +128,11 @@ def _icosian_lattice() -> GLattice:
     (a + i + j a')/2 and (a + j + k a')/2 with a = (1 + sqrt5)/2 and
     a' = (1 - sqrt5)/2.
     """
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    a_half = (quarter, quarter)  # a/2
-    astar_half = (quarter, -quarter)  # a'/2
-    zero = _qext(0)
-    g1 = (a_half, (half, Fraction(0)), astar_half, zero)
-    g2 = (a_half, zero, (half, Fraction(0)), astar_half)
+    # a/2 = (1 + sqrt5)/4, a'/2 = (1 - sqrt5)/4 and 1/2, scaled by 4
+    g1 = (1, 1, 2, 0, 1, -1, 0, 0)
+    g2 = (1, 1, 0, 0, 2, 0, 1, -1)
 
-    ident = (_qext(1), zero, zero, zero)
+    ident = (4, 0, 0, 0, 0, 0, 0, 0)
     elements = {ident: None}
     queue = [ident]
     while queue:
@@ -158,9 +144,7 @@ def _icosian_lattice() -> GLattice:
                 queue.append(y)
         if len(elements) > 200:
             raise ArithmeticError("icosian closure diverged")
-    quats = sorted(elements, key=_quat_to_z8)
-    vectors = [_quat_to_z8(q) for q in quats]
-    basis = hnf_basis(IntMatrix.from_rows(vectors, 8))
+    basis = hnf_basis(IntMatrix.from_rows(sorted(elements), 8))
     # a full-rank square echelon form: row r leads at column r
     pivots = {r: (_sparse(basis.row(r)), {r: 1}) for r in range(8)}
 
@@ -168,8 +152,7 @@ def _icosian_lattice() -> GLattice:
     for g in (g1, g2):
         rows = []
         for r in range(8):
-            image = _quat_to_z8(_quat_mul(g, _z8_to_quat(basis.row(r))))
-            coords = solve_echelon(pivots, _sparse(image))
+            coords = solve_echelon(pivots, _sparse(_quat_mul(g, basis.row(r))))
             if coords is None:
                 raise ArithmeticError("vector outside the lattice")
             rows.append([coords.get(k, 0) for k in range(8)])

@@ -33,7 +33,7 @@ from operator import add, attrgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InfiniteGroup, InvalidGenerator, TheoremViolation
-from .intlinalg import IntMatrix, common_fixed_lattice
+from .intlinalg import IntMatrix, rref_mod
 
 DEFAULT_CAP = 10**6
 
@@ -75,8 +75,15 @@ class FiniteMatrixGroup:
     icosian and its direct sums, and at most 6 on every other builtin.
     Memory is 4 bytes per table entry plus one small array per word.
 
+    ``prime`` is the least prime p that does not divide the order, so by
+    Maschke every subgroup's fixed lattice reduces mod p to its fixed space
+    over F_p, of the same dimension.  ``fixed_key(i)`` is that space's
+    annihilator for one element, in canonical form: it keys the isotropy
+    catalog's fixed spaces and gives ``moved_rank`` without an integer
+    kernel.
+
     Immutable after construction; per-element caches (inverses, orders,
-    fixed spaces) fill in lazily but never change values.
+    fixed keys) fill in lazily but never change values.
     """
 
     def __init__(self, lattice: GLattice, elements: Sequence[IntMatrix], left: Sequence[Sequence[int]],
@@ -107,7 +114,8 @@ class FiniteMatrixGroup:
         self.generator_indices = tuple(sorted({row[self.identity_index] for row in self.left}))
         self._inverses = array("i", [-1]) * n
         self._orders = array("i", bytes(4 * n))
-        self._fixed_spaces: dict[int, IntMatrix] = {}
+        self.prime = _least_prime_not_dividing(n)
+        self._fixed_keys: dict[int, tuple] = {}
 
     def element(self, i: int) -> IntMatrix:
         return self.elements[i]
@@ -155,22 +163,27 @@ class FiniteMatrixGroup:
 
     def moved_rank(self, i: int) -> int:
         """rank(g - I), the complement of the fixed lattice's rank."""
-        return self.lattice.rank - self.cyclic_fixed_space(i).rows
+        return len(self.fixed_key(i))
 
-    def cyclic_fixed_space(self, i: int) -> IntMatrix:
-        """Saturated Hermite basis of the fixed lattice of element i.
+    def fixed_key(self, i: int) -> tuple[bytes, ...]:
+        """Reduced echelon form of g - I over F_p, p = ``prime``: the
+        annihilator of the fixed space of g mod p, whose dimension is the
+        fixed lattice's rank because p does not divide the order of g.
 
         Every generator g^k (gcd(k, ord g) = 1) of the cyclic group of g
-        fixes the same lattice, so one kernel is cached for all of them.
+        fixes the same space, so one form is cached for all of them.
         """
-        b = self._fixed_spaces.get(i)
-        if b is None:
-            b = common_fixed_lattice([self.elements[i]], self.lattice.rank)
+        key = self._fixed_keys.get(i)
+        if key is None:
+            g = self.elements[i]
+            key = rref_mod(
+                ([a - (j == r) for j, a in enumerate(g.row(r))] for r in range(g.rows)), self.prime
+            )
             powers = self._powers(i)
             for k, j in enumerate(powers, 1):
                 if gcd(k, len(powers)) == 1:
-                    self._fixed_spaces[j] = b
-        return b
+                    self._fixed_keys[j] = key
+        return key
 
     def stabilizer_mask(self, vec: Sequence[int]) -> int:
         """Bitmask of the elements that fix the vector, from its orbit.
@@ -207,6 +220,13 @@ class FiniteMatrixGroup:
     def __repr__(self) -> str:
         name = self.lattice.name or "group"
         return f"<FiniteMatrixGroup {name}: order {self.order}, rank {self.lattice.rank}>"
+
+
+def _least_prime_not_dividing(n: int) -> int:
+    p = 2
+    while n % p == 0 or any(p % q == 0 for q in range(2, p)):
+        p += 1
+    return p
 
 
 def _table_rows(generators: Sequence[IntMatrix]) -> list[int]:

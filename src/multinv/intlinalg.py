@@ -12,11 +12,13 @@ Normal forms follow the usual conventions:
   diagonal and the divisibility chain ``d_i | d_{i+1}``.
 
 Returned lattice bases are always in Hermite form, so equal sublattices
-compare equal entry-by-entry.
+compare equal entry-by-entry.  ``rref_mod`` is the one computation over a
+finite field: the canonical reduced echelon form of a row space over F_p.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -486,6 +488,42 @@ def common_fixed_lattice(mats: Sequence[IntMatrix], n: int) -> IntMatrix:
     is the whole of ``Z^n``."""
     ident = IntMatrix.identity(n)
     return kernel_lattice(IntMatrix.vstack([g - ident for g in mats], cols=n))
+
+
+def rref_mod(rows: Iterable[Sequence[int]], p: int, base: tuple[bytes, ...] = ()) -> tuple[bytes, ...]:
+    """Reduced row echelon form over F_p of ``base`` together with ``rows``.
+
+    ``base`` must be such a form already, as this function returns it:
+    nonzero rows with leading entry 1, ordered by pivot column, each pivot
+    column zero in every other row.  The form is the canonical basis of
+    the row space over F_p, so two spans are equal exactly when their
+    forms are.  When ``rows`` add nothing to the span, ``base`` itself is
+    returned, so callers can test for that by identity.  Rows are ``bytes``
+    of residues in [0, p), compact and hashed once, so p must be below 256.
+    """
+    out = list(base)
+    pivots = [r.index(1) for r in out]  # the leading entry is the first 1
+    for row in rows:
+        v = [x % p for x in row]
+        for r, c in zip(out, pivots):
+            f = v[c]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, r)]
+        for c, x in enumerate(v):
+            if x:
+                break
+        else:
+            continue
+        inv = pow(x, -1, p)
+        v = bytes(a * inv % p for a in v)
+        for k, r in enumerate(out):
+            f = r[c]
+            if f:
+                out[k] = bytes((a - f * b) % p for a, b in zip(r, v))
+        at = bisect_left(pivots, c)
+        out.insert(at, v)
+        pivots.insert(at, c)
+    return base if len(out) == len(base) else tuple(out)
 
 
 def _add_multiple(dst: dict, q: int, src: dict) -> None:

@@ -2,7 +2,7 @@
 
 The catalog of isotropy groups is built without scanning lattice vectors:
 
-1. Collect the fixed space of every single element (a saturated kernel).
+1. Collect the fixed space of every single element.
 2. Close that family under intersection.  Every fixed lattice of every
    isotropy group is such an intersection, and conversely the pointwise
    stabilizer of any space in the closure is an isotropy group, so the
@@ -14,15 +14,31 @@ The catalog of isotropy groups is built without scanning lattice vectors:
    other members' stabilizers follow through conjugation by generators.
    The orbits are the conjugacy classes of isotropy groups.
 
+Steps 1 and 2 work over F_p, for p = ``G.prime`` the least prime not
+dividing |G|.  For a subgroup H, the averaging idempotent e = (1/|H|) sum h
+has p-integral entries, so Z_(p)^n splits as im e + ker e, with im e the
+fixed vectors; reducing mod p gives Maschke's splitting over F_p.  Hence
+the saturated fixed lattice Fix_Z(H) reduces to Fix_p(H), and its rank is
+dim Fix_p(H).  That reduction tells fixed lattices apart: if Fix_p(H1) =
+Fix_p(H2), then H = <H1, H2> has Fix_p(H) = Fix_p(H1) as well, so
+Fix_Z(H) is a saturated sublattice of Fix_Z(H1) of the same rank, hence
+equal to it, and likewise to Fix_Z(H2).  A fixed space is therefore keyed
+by the canonical echelon form over F_p of its annihilator: the row space
+of g - I for one element (``FiniteMatrixGroup.fixed_key``), and for a
+meet the sum of the two annihilators (``intlinalg.rref_mod``).
+
 Step 2 adds the cyclic spaces one at a time, largest rank first.  The
 meet closure of a closed family C and one more space b = Fix(g) is C
-together with every c ∧ b for c in C, so each space not yet in the
-closure is met once with every space closed so far, and a space already
-there costs nothing.  With B the basis of c, c ∧ b is spanned by K B for
-K the kernel of (g - I) B^T; that span is saturated, because K is a
-kernel and B spans a direct summand.  Rational spans are identified with
-their saturated integer lattices throughout, so every rank statement is
-a statement about saturated kernels.
+together with every c ∧ b for c in C, so each key not yet in the closure
+is met once with every key closed so far.  A meet whose key is c's own,
+or one already known, costs nothing more.  Only a new key pays for its
+integer basis, the one the output needs: with B the basis of c, c ∧ b is
+spanned by K B for K the kernel of (g - I) B^T; that span is saturated,
+because K is a kernel and B spans a direct summand.  A cyclic space costs
+one kernel per distinct key.  Each integer basis is checked against its
+key's dimension under a ``TheoremViolation`` guard.  Step 3 moves the
+integer bases themselves, so every rank statement there is a statement
+about saturated kernels.
 """
 
 from __future__ import annotations
@@ -40,7 +56,14 @@ from .groups import (
     has_conjugate_inside,
     is_perfect,
 )
-from .intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, induced_on_quotient, kernel_lattice
+from .intlinalg import (
+    IntMatrix,
+    common_fixed_lattice,
+    hnf_basis,
+    induced_on_quotient,
+    kernel_lattice,
+    rref_mod,
+)
 
 
 def fixed_lattice(h: Subgroup) -> IntMatrix:
@@ -107,22 +130,29 @@ class IsotropyCatalog:
 
 
 def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
-    ident = IntMatrix.identity(G.lattice.rank)
+    n = G.lattice.rank
+    p = G.prime
+    ident = IntMatrix.identity(n)
 
-    # 1. distinct cyclic fixed spaces, each with an element that fixes it
-    cyclic: dict[IntMatrix, int] = {}
+    # 1. distinct cyclic fixed spaces by key, each with an element that fixes it
+    cyclic: dict[tuple, int] = {}
     for i in range(G.order):
-        cyclic.setdefault(G.cyclic_fixed_space(i), i)
+        cyclic.setdefault(G.fixed_key(i), i)
 
-    # 2. meet closure, one cyclic space at a time
-    closure: set[IntMatrix] = set()
-    for b, i in sorted(cyclic.items(), key=lambda t: (-t[0].rows, t[0].entries)):
-        if b in closure:
+    # 2. meet closure, one cyclic space at a time; key -> saturated basis
+    closure: dict[tuple, IntMatrix] = {}
+    for bkey, i in sorted(cyclic.items(), key=lambda t: (len(t[0]), t[0])):
+        if bkey in closure:
             continue
-        moved = G.element(i) - ident
-        meets = [hnf_basis(kernel_lattice(moved * c.transpose()) * c) for c in closure]
-        closure.add(b)
-        closure.update(meets)
+        g = G.element(i)
+        new = {bkey: _checked_basis(common_fixed_lattice([g], n), bkey, n)}
+        moved = g - ident
+        for ckey, c in closure.items():
+            key = rref_mod(bkey, p, ckey)
+            if key is ckey or key in closure or key in new:
+                continue
+            new[key] = _checked_basis(hnf_basis(kernel_lattice(moved * c.transpose()) * c), key, n)
+        closure.update(new)
 
     # 3. one stabilizer per conjugation orbit; a space's image under a
     # generator g is stabilized by the conjugate of its stabilizer by g
@@ -133,8 +163,9 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
     trivial = 1 << G.identity_index
     classes: list[IsotropyClass] = []
     orbit_index: dict[int, IsotropyClass] = {}
+    bases = set(closure.values())
     seen: set[IntMatrix] = set()
-    for basis in sorted(closure, key=attrgetter("entries")):
+    for basis in sorted(bases, key=attrgetter("entries")):
         if basis in seen:
             continue
         mask = (1 << G.order) - 1
@@ -158,13 +189,21 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
             for gt, conj in gens:
                 image = hnf_basis(space * gt)
                 if image not in seen:
-                    if image not in closure:
+                    if image not in bases:
                         raise TheoremViolation("a generator moves a closure space out of the closure")
                     seen.add(image)
                     orbit.append((image, [conj[i] for i in indices]))
     # the first space seen of each orbit is its least, as the sweep is sorted
     classes.sort(key=lambda cl: (-cl.order, cl.fixed_space.entries))
     return IsotropyCatalog(G, tuple(classes), orbit_index)
+
+
+def _checked_basis(basis: IntMatrix, key: tuple, n: int) -> IntMatrix:
+    """The saturated basis of a fixed lattice, once its rank is seen to be
+    the dimension of the fixed space over F_p that ``key`` annihilates."""
+    if basis.rows != n - len(key):
+        raise TheoremViolation("a fixed lattice's rank differs from its dimension mod p")
+    return basis
 
 
 # -- witnesses ------------------------------------------------------------

@@ -6,7 +6,9 @@ difference-lattice rank is plain integer elimination, the SL(2, F_5)
 histogram is computed from scratch over the finite field, abelian
 invariants come from sympy's permutation groups, and orbit-verify
 certificates are re-multiplied with plain Laurent arithmetic, and group
-closures are redone breadth-first with plain ``IntMatrix`` products.
+closures are redone breadth-first with plain ``IntMatrix`` products, and
+the isotropy catalog's meet closure is redone with one integer kernel per
+pair of spaces.
 """
 
 from collections import Counter
@@ -17,7 +19,7 @@ from sympy import primefactors
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from multinv.groups import GLattice, induced_group
-from multinv.intlinalg import IntMatrix, unimodular_inverse
+from multinv.intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, kernel_lattice, unimodular_inverse
 from multinv.orbit_algebra import LaurentElement
 
 
@@ -201,3 +203,25 @@ def check_infinite_pair(exc):
     assert (a.rows, a.cols) == (b.rows, b.cols)
     assert a != b
     assert all((x - y) % 3 == 0 for x, y in zip(a.entries, b.entries))
+
+
+def integer_meet_closure(G):
+    """The fixed lattices of all isotropy groups of G, as saturated Hermite
+    bases, in integer arithmetic alone: each element's fixed lattice, then
+    closure under intersection, one kernel per pair of a new cyclic space
+    b = Fix(g) and a space c closed so far (c ∧ b is spanned by K B_c, for
+    K the kernel of (g - I) B_c^T)."""
+    n = G.lattice.rank
+    ident = IntMatrix.identity(n)
+    cyclic = {}
+    for i in range(G.order):
+        cyclic.setdefault(common_fixed_lattice([G.element(i)], n), i)
+    closure = set()
+    for b, i in sorted(cyclic.items(), key=lambda t: (-t[0].rows, t[0].entries)):
+        if b in closure:
+            continue
+        moved = G.element(i) - ident
+        meets = [hnf_basis(kernel_lattice(moved * c.transpose()) * c) for c in closure]
+        closure.add(b)
+        closure.update(meets)
+    return closure

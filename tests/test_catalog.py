@@ -65,6 +65,21 @@ def test_icosian_fixed_point_free_rank8():
     assert is_fixed_point_free(group)
 
 
+# the generator matrices as built in exact rational quaternion arithmetic
+ICOSIAN_GENERATORS = (
+    [[4, 6, 3, 1, 2, 5, 0, 0], [-2, -3, -2, -1, -1, -3, 0, 0], [-3, -1, -1, -1, 0, 0, -2, -5],
+     [2, 1, 1, 1, 0, 0, 1, 3], [2, 2, 3, 1, 2, 4, 0, 1], [0, -1, -1, 0, -1, -2, 1, 2],
+     [0, -1, 1, 3, 0, -1, 1, 1], [-2, -3, -2, -2, -1, -2, 0, 0]],
+    [[5, 3, 2, 3, -1, 0, 2, 5], [-3, -2, -2, -2, 0, -1, -1, -3], [3, 4, 5, 4, 2, 5, 1, 0],
+     [-1, -2, -2, -1, -1, -3, 0, 1], [2, 2, 1, -1, 1, 2, 0, 1], [-3, -3, -3, -2, -1, -3, -1, -1],
+     [1, 0, 2, 2, 1, 2, 1, 1], [-4, -2, -3, -4, 0, -1, -2, -4]],
+)
+
+
+def test_icosian_generators_unchanged():
+    assert tuple(g.row_lists() for g in builtin("icosian").generators) == ICOSIAN_GENERATORS
+
+
 def test_icosian_histogram_matches_field_oracle():
     from multinv.groups import element_order_histogram
 

@@ -25,7 +25,7 @@ from multinv.groups import (
 )
 from multinv.catalog import DEFAULT_BUILTINS, builtin, parse_group_definition
 from multinv.errors import InvalidGenerator, TheoremViolation
-from multinv.intlinalg import IntMatrix, snf, unimodular_inverse
+from multinv.intlinalg import IntMatrix, common_fixed_lattice, snf, unimodular_inverse
 from multinv.isotropy import enumerate_isotropy_groups, isotropy_group_of, witness_vector
 from multinv.obstruction import direct_sum_copies, effective_reduction
 
@@ -363,7 +363,7 @@ def test_stabilizer_mask_on_drawn_vectors(kernel_group, data):
     if data.draw(st.booleans()):
         v = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     else:
-        basis = G.cyclic_fixed_space(data.draw(st.integers(0, G.order - 1)))
+        basis = common_fixed_lattice([G.element(data.draw(st.integers(0, G.order - 1)))], n)
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=basis.rows, max_size=basis.rows))
         v = [sum(c * basis.entry(r, j) for r, c in enumerate(coeffs)) for j in range(n)]
     check_stabilizer_masks(G, [tuple(v)])

@@ -3,7 +3,8 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import ZZ, Matrix
+from sympy import GF, ZZ, Matrix
+from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from multinv.intlinalg import (
@@ -13,6 +14,7 @@ from multinv.intlinalg import (
     kernel_lattice,
     lattice_quotient_invariants,
     rank,
+    rref_mod,
     snf,
     solve_echelon,
     sparse_echelon,
@@ -375,3 +377,40 @@ def test_sparse_echelon_gcd_step_keeps_the_lattice():
     assert sorted((c, row[c]) for c, (row, _) in pivots.items()) == [(0, 1), (1, 3)]
     assert solve_echelon(pivots, {1: 1}) is None
     assert combine(rows, solve_echelon(pivots, {0: 1, 1: 2})) == [1, 2, 0, 0, 0]
+
+
+def sympy_rref_mod(rows, p):
+    if not rows:
+        return ()
+    form, pivots = DomainMatrix.from_list(rows, GF(p)).rref()
+    return tuple(tuple(int(x) % p for x in row) for row in form.to_list()[: len(pivots)])
+
+
+@st.composite
+def rows_mod_p(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.integers(1, 6))
+    vec = st.lists(st.integers(-30, 30), min_size=n, max_size=n)
+    return p, draw(st.lists(vec, max_size=6)), draw(st.lists(vec, max_size=4))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=rows_mod_p(), data=st.data())
+def test_rref_mod_is_the_canonical_form_over_f_p(case, data):
+    p, rows, more = case
+    form = rref_mod(rows, p)
+    assert tuple(map(tuple, form)) == sympy_rref_mod(rows, p)
+    # row order, unit scalings (shifted by p) and added combinations leave
+    # the span alone
+    same = []
+    for r in data.draw(st.permutations(rows)):
+        c = data.draw(st.integers(1, p - 1)) + p * data.draw(st.integers(-1, 1))
+        same.append([c * x for x in r])
+    for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        same.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(rows[0]))])
+    assert rref_mod(same, p) == form
+    # a base extended by more rows is the form of the stacked rows
+    extended = rref_mod(more, p, form)
+    assert extended == rref_mod(rows + more, p)
+    assert (extended is form) == (len(extended) == len(form))

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from multinv.catalog import builtin, parse_group_definition
-from multinv.errors import NotIsotropy
+from multinv import intlinalg, isotropy
+from multinv.errors import NotIsotropy, TheoremViolation
 from multinv.groups import (
     GLattice,
     Subgroup,
@@ -15,7 +16,7 @@ from multinv.groups import (
     subgroup_generated,
     trivial_subgroup,
 )
-from multinv.intlinalg import IntMatrix
+from multinv.intlinalg import IntMatrix, hnf_basis
 from multinv.isotropy import (
     check_fpf_constraints,
     enumerate_isotropy_groups,
@@ -28,7 +29,7 @@ from multinv.isotropy import (
 )
 
 from helpers import cycle, diag, transposition
-from oracles import stabilizer_census
+from oracles import integer_meet_closure, stabilizer_census
 
 C4 = IntMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])
 
@@ -274,3 +275,59 @@ def test_every_conjugate_of_every_class_conjugated_basis(name):
             h = Subgroup(g, indices)
             assert cat.class_for(h) is cl
             assert isotropy_group_of(g, witness_vector(g, h)) == h
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _group(name):
+    if name.endswith(".json"):
+        return close(parse_group_definition((GOLDEN / name).read_text()).lattice)
+    return close(builtin(name))
+
+
+@pytest.mark.parametrize(
+    "name", ["rank3_order2", "sym4_u4", "diag_sl4", "signed_root_s5", "alt6_u6", "conj_root_a3.json",
+             "conj_alt6_u6.json"],
+)
+def test_closure_matches_integer_meet_closure(name):
+    """The spaces the catalog keys mod p are the integer meet closure: the
+    conjugates of the class representatives' fixed spaces, one per orbit
+    member of the sweep."""
+    G = _group(name)
+    catalog = enumerate_isotropy_groups(G)
+    conjugates = {
+        hnf_basis(cl.fixed_space * G.element(g).transpose()) for cl in catalog.classes for g in range(G.order)
+    }
+    expected = integer_meet_closure(G)
+    assert conjugates == expected
+    assert len(catalog._orbit_index) == len(expected)
+
+
+@pytest.mark.parametrize("name, spaces", [("alt6_u6", 188), ("conj_alt6_u6.json", 188), ("sym6_u6", 203)])
+def test_one_integer_kernel_per_closure_space(name, spaces, monkeypatch):
+    """Meets and dedupe run on the keys mod p; only a space not seen
+    before pays an integer kernel."""
+    G = _group(name)
+    calls = []
+    kernel = intlinalg.kernel_lattice
+
+    def counted(a):
+        calls.append(a)
+        return kernel(a)
+
+    monkeypatch.setattr(intlinalg, "kernel_lattice", counted)
+    monkeypatch.setattr(isotropy, "kernel_lattice", counted)
+    catalog = enumerate_isotropy_groups(G)
+    assert len(catalog._orbit_index) == spaces
+    assert len(calls) == spaces
+
+
+def test_a_prime_dividing_the_order_is_caught():
+    """Over F_2, -I - I vanishes, so -I's key claims the whole lattice as
+    fixed; its integer fixed lattice is 0, and the rank guard fires."""
+    G = close(builtin("rank3_order2"))
+    assert G.prime == 3
+    G.prime = 2
+    with pytest.raises(TheoremViolation):
+        enumerate_isotropy_groups(G)

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+from sympy import isprime, primerange
+
 from multinv.catalog import DEFAULT_BUILTINS, builtin
 from multinv.groups import (
     GLattice,
@@ -9,7 +12,7 @@ from multinv.groups import (
     subgroup_generated,
     trivial_subgroup,
 )
-from multinv.intlinalg import IntMatrix
+from multinv.intlinalg import IntMatrix, common_fixed_lattice
 from multinv.isotropy import enumerate_isotropy_groups, fixed_lattice
 from multinv.obstruction import check_necessary_conditions, effective_reduction
 from multinv.reflections import bireflection_subgroup, moved_rank, moved_rank_subgroup
@@ -125,6 +128,22 @@ class TestPerfectModBireflections:
                 seeds = set(bireflection_subgroup(h).indices) | set(commutator_subgroup(h).indices)
                 expected = subgroup_generated(g, seeds).order == h.order
                 assert row.perfect_mod_bireflections == expected, (name, h.order)
+
+
+@pytest.mark.parametrize("name", [*DEFAULT_BUILTINS, "alt6_u6", "root_a5", "sym7_u7"])
+def test_moved_rank_mod_p_is_the_integer_moved_rank(name):
+    """moved_rank reads the rank of g - I over F_p; by Maschke it is the
+    rank over Z for every element, at p = 2 (alt3_u3, odd order) as at
+    p = 11 (sym7_u7, order 5040)."""
+    g = close(builtin(name))
+    n = g.lattice.rank
+    assert isprime(g.prime) and g.order % g.prime and all(g.order % q == 0 for q in primerange(g.prime))
+    for i in range(g.order):
+        assert g.moved_rank(i) == n - common_fixed_lattice([g.element(i)], n).rows, (name, i)
+
+
+def test_prime_of_named_groups():
+    assert [close(builtin(name)).prime for name in ("alt3_u3", "sym3_u3", "icosian", "sym7_u7")] == [2, 5, 7, 11]
 
 
 def test_moved_rank_conjugation_invariant_random():
