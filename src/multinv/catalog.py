@@ -163,13 +163,8 @@ def _icosian_lattice() -> GLattice:
 # -- builtins ----------------------------------------------------------------
 
 
-def _rank3(kind: str) -> GLattice:
-    mats = {
-        "rank3_order2": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
-        "rank3_order4": [[0, 1, 0], [-1, 0, 0], [0, 0, -1]],
-        "rank3_order6": [[0, 0, -1], [-1, 0, 0], [0, -1, 0]],
-    }
-    return GLattice(3, [IntMatrix.from_rows(mats[kind])], kind)
+def _rank3(name: str, rows) -> GLattice:
+    return GLattice(3, [IntMatrix.from_rows(rows)], name)
 
 
 def _sym_u(n: int) -> GLattice:
@@ -208,11 +203,22 @@ def _signed_root_s5() -> GLattice:
     return GLattice(4, gens, "signed_root_s5")
 
 
+# name -> constructor and the factors of its group's order
+_FIXED = {
+    "rank3_order2": (lambda: _rank3("rank3_order2", [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]), (2,)),
+    "rank3_order4": (lambda: _rank3("rank3_order4", [[0, 1, 0], [-1, 0, 0], [0, 0, -1]]), (4,)),
+    "rank3_order6": (lambda: _rank3("rank3_order6", [[0, 0, -1], [-1, 0, 0], [0, -1, 0]]), (6,)),
+    "signed_root_s5": (_signed_root_s5, (240,)),
+    "icosian": (_icosian_lattice, (120,)),
+}
+
+# name pattern, constructor, and factors of the group order as functions
+# of the degree: n!, n!/2, (k+1)! and 2^(n-1)
 _PARAMETRIC = [
-    (re.compile(r"^sym(\d+)(?:_u(\d+))?$"), lambda n: _sym_u(n)),
-    (re.compile(r"^alt(\d+)(?:_u(\d+))?$"), lambda n: _alt_u(n)),
-    (re.compile(r"^root_a(\d+)$"), lambda k: _root_a(k)),
-    (re.compile(r"^diag_sl(\d+)$"), lambda n: _diag_sl(n)),
+    (re.compile(r"^sym(\d+)(?:_u(\d+))?$"), _sym_u, lambda n: range(2, n + 1)),
+    (re.compile(r"^alt(\d+)(?:_u(\d+))?$"), _alt_u, lambda n: range(3, n + 1)),
+    (re.compile(r"^root_a(\d+)$"), _root_a, lambda k: range(2, k + 2)),
+    (re.compile(r"^diag_sl(\d+)$"), _diag_sl, lambda n: (2 for _ in range(n - 1))),
 ]
 
 DEFAULT_BUILTINS = (
@@ -235,15 +241,20 @@ DEFAULT_BUILTINS = (
 
 def builtin(name: str) -> GLattice:
     """Constructor lookup; parametric names like sym5_u5 are accepted."""
-    if name.startswith("rank3_order"):
-        if name in ("rank3_order2", "rank3_order4", "rank3_order6"):
-            return _rank3(name)
-        raise UnknownBuiltin(name)
-    if name == "signed_root_s5":
-        return _signed_root_s5()
-    if name == "icosian":
-        return _icosian_lattice()
-    for pattern, make in _PARAMETRIC:
+    return _lookup(name)[0]()
+
+
+def builtin_order_factors(name: str):
+    """Factors of the order of the builtin's group, lazily, from its closed
+    form: an oversized builtin can be refused before it is built."""
+    return _lookup(name)[1]
+
+
+def _lookup(name: str) -> tuple:
+    """A builtin's constructor and order factors; raises UnknownBuiltin."""
+    if name in _FIXED:
+        return _FIXED[name]
+    for pattern, make, factors in _PARAMETRIC:
         m = pattern.match(name)
         if m:
             n = int(m.group(1))
@@ -251,7 +262,7 @@ def builtin(name: str) -> GLattice:
                 raise UnknownBuiltin(f"{name}: lattice rank must match the group degree")
             if n < 2:
                 raise UnknownBuiltin(f"{name}: degree too small")
-            return make(n)
+            return (lambda: make(n)), factors(n)
     raise UnknownBuiltin(name)
 
 

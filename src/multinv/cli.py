@@ -4,9 +4,9 @@ Commands:
 
 * ``analyze <file|builtin:NAME>``: obstruction report for one action.
 * ``batch <dir>``: reports for every ``*.json`` definition in a directory
-  plus summary counts.  A file that fails to parse or validate, or whose
-  closure exceeds the cap, gets an ``error`` entry and counts under
-  ``errors``; the other files are still reported.
+  plus summary counts.  A file that cannot be read, fails to parse or
+  validate, or whose closure exceeds the cap, gets an ``error`` entry and
+  counts under ``errors``; the other files are still reported.
 * ``copies <file|builtin:NAME> --r K``: verdict for the K-fold direct sum.
 * ``orbit verify <preset> --rank N --bound B``: decomposition certificate.
 * ``witness <file|builtin:NAME>``: isotropy catalog with witness vectors.
@@ -26,12 +26,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import repeat
 from pathlib import Path
 
 from .catalog import (
     SCHEMA_VERSION,
     builtin,
+    builtin_order_factors,
     parse_group_definition,
 )
 from .errors import (
@@ -68,9 +68,11 @@ def _fmt_factors(factors) -> str:
     return "[" + ", ".join(str(x) for x in factors) + "]"
 
 
-def _load_lattice(source: str) -> GLattice:
+def _load_lattice(source: str, cap: int) -> GLattice:
     if source.startswith("builtin:"):
-        return builtin(source[len("builtin:") :])
+        name = source[len("builtin:") :]
+        _refuse_above_cap(builtin_order_factors(name), cap)  # before any matrix is built
+        return builtin(name)
     path = Path(source)
     if not path.is_file():
         raise ValidationError(f"{source}: no such file")
@@ -165,7 +167,7 @@ def _emit(out, fmt: str, payload: dict, text: str) -> None:
 
 
 def _cmd_analyze(args, out) -> int:
-    lattice = _load_lattice(args.input)
+    lattice = _load_lattice(args.input, args.cap)
     report = check_necessary_conditions(lattice, cap=args.cap)
     payload = _report_dict(report, args.input)
     payload["command"] = "analyze"
@@ -174,7 +176,7 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_copies(args, out) -> int:
-    lattice = _load_lattice(args.input)
+    lattice = _load_lattice(args.input, args.cap)
     report = copies_verdict(lattice, args.r, cap=args.cap)
     payload = _report_dict(report, args.input)
     payload["command"] = "copies"
@@ -197,11 +199,12 @@ def _cmd_batch(args, out) -> int:
         try:
             definition = parse_group_definition(path.read_bytes())
             report = check_necessary_conditions(definition.lattice, cap=args.cap)
-        except (ParseError, ValidationError, CapExceeded) as exc:
+        except (OSError, ParseError, ValidationError, CapExceeded) as exc:
             capped = capped or isinstance(exc, CapExceeded)
+            error = f"cannot read: {exc.strerror}" if isinstance(exc, OSError) else str(exc)
             counts["errors"] += 1
-            reports.append({"file": path.name, "error": str(exc)})
-            lines.append(f"{path.name}: ERROR {exc}")
+            reports.append({"file": path.name, "error": error})
+            lines.append(f"{path.name}: ERROR {error}")
             continue
         key = {"Obstructed": "obstructed", "Inconclusive": "inconclusive", "TriviallyCM": "trivially_cm"}[
             report.verdict
@@ -228,7 +231,7 @@ def _cmd_batch(args, out) -> int:
 
 
 def _cmd_witness(args, out) -> int:
-    lattice = _load_lattice(args.input)
+    lattice = _load_lattice(args.input, args.cap)
     group = close(lattice, cap=args.cap)
     catalog = enumerate_isotropy_groups(group)
     classes = []
@@ -260,8 +263,8 @@ def _cmd_witness(args, out) -> int:
 
 
 def _refuse_above_cap(factors, cap: int) -> None:
-    """Raise CapExceeded if the product of ``factors``, a preset group's
-    order, is above the cap; stops multiplying as soon as it is."""
+    """Raise CapExceeded if the product of ``factors``, a group's order, is
+    above the cap; stops multiplying as soon as it is."""
     order = 1
     for f in factors:
         order *= f
@@ -270,14 +273,10 @@ def _refuse_above_cap(factors, cap: int) -> None:
 
 
 def _orbit_preset(name: str, rank: int, cap: int = DEFAULT_CAP):
-    # the preset group's order is checked before its builtin is built,
-    # because building one costs rank^2 per generator whatever the cap
     if name == "diag_sl":
         if rank < 2:
             raise ValidationError("diag_sl preset needs rank at least 2")
-        _refuse_above_cap(repeat(2, rank - 1), cap)
-        lattice = builtin(f"diag_sl{rank}")
-        group = close(lattice, cap)
+        group = close(_load_lattice(f"builtin:diag_sl{rank}", cap), cap)
         algebra = [
             orbit_sum(group, tuple(1 if j == i else 0 for j in range(rank)))
             for i in range(rank)
@@ -289,8 +288,7 @@ def _orbit_preset(name: str, rank: int, cap: int = DEFAULT_CAP):
         # with the top one inverted, split by the half-discriminant
         if rank < 3:
             raise ValidationError("alt_laurent preset needs rank at least 3")
-        _refuse_above_cap(range(3, rank + 1), cap)
-        group = close(builtin(f"alt{rank}_u{rank}"), cap)
+        group = close(_load_lattice(f"builtin:alt{rank}_u{rank}", cap), cap)
         algebra = [elementary_symmetric(rank, k) for k in range(1, rank + 1)]
         algebra.append(LaurentElement.monomial((-1,) * rank))
         module = [LaurentElement.one(rank), alternating_d(rank)]

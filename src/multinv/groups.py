@@ -1,10 +1,11 @@
 """Finite subgroups of GL_n(Z): closure, subgroups, commutators, abelianization.
 
-A :class:`FiniteMatrixGroup` is a fully enumerated element list in a fixed
-canonical order (lexicographic on matrix entries), so elements are referred
-to by index everywhere.  Subgroups are index sets into their parent, never
-independent groups; that keeps intersection and conjugation cheap and gives
-one source of truth for element identity.
+A :class:`FiniteMatrixGroup` is a fully enumerated element list in the BFS
+order of its closure, so elements are referred to by index everywhere; the
+indices depend on the generator list, and no output does.  Subgroups are
+index sets into their parent, never independent groups; that keeps
+intersection and conjugation cheap and gives one source of truth for
+element identity.
 
 Element arithmetic on indices multiplies no matrices.  :func:`close`
 enumerates the group breadth-first from the identity under left
@@ -24,12 +25,10 @@ is the orbit and Schreier-vector bookkeeping of Holt, Eick and O'Brien,
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import islice
 from math import gcd
-from operator import add, attrgetter
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InfiniteGroup, InvalidGenerator, TheoremViolation
@@ -63,16 +62,17 @@ class GLattice:
 class FiniteMatrixGroup:
     """Fully enumerated finite matrix group with its left Cayley table.
 
-    ``elements`` is sorted by matrix entries.  ``left[k][x]`` is the index
-    of g_k x, where g_k is the k-th distinct generator in the lattice's
-    order (duplicates share a row; an identity generator has the identity
-    row).  The BFS tree of the closure gives each element x other than the
-    identity a parent p and a letter k with x = g_k p, so x's word
-    k_1, ..., k_d reads x = g_{k_d} ... g_{k_1}.  ``mul(i, j)`` starts at j
-    and follows i's word through the table: one lookup per letter.  The
-    longest words on the benchmark groups have 25 letters on sym7_u7 (16.7
-    on average), 18 on sym6_u6 and root_a5, 12 on signed_root_s5, 10 on
-    icosian and its direct sums, and at most 6 on every other builtin.
+    ``elements`` is in BFS order: the identity at index 0, every element
+    after its BFS parent.  ``left[k][x]`` is the index of g_k x, where g_k
+    is the k-th distinct generator in the lattice's order (duplicates share
+    a row; an identity generator has the identity row).  The BFS tree of
+    the closure gives each element x other than the identity a parent p and
+    a letter k with x = g_k p, so x's word k_1, ..., k_d reads
+    x = g_{k_d} ... g_{k_1}.  ``mul(i, j)`` starts at j and follows i's
+    word through the table: one lookup per letter.  The longest words on
+    the benchmark groups have 25 letters on sym7_u7 (16.7 on average), 18
+    on sym6_u6 and root_a5, 12 on signed_root_s5, 10 on icosian and its
+    direct sums, and at most 6 on every other builtin.
     Memory is 4 bytes per table entry plus one small array per word.
 
     ``prime`` is the least prime p that does not divide the order, so by
@@ -87,31 +87,21 @@ class FiniteMatrixGroup:
     """
 
     def __init__(self, lattice: GLattice, elements: Sequence[IntMatrix], left: Sequence[Sequence[int]],
-                 parents: Sequence[int], letters: Sequence[int], bfs: Iterable[int]):
-        """Canonical form of an enumerated group.
-
-        ``left``, ``parents`` and ``letters`` index the elements as given;
-        ``bfs`` lists those indices with every parent before its children,
-        the identity first.
-        """
+                 parents: Sequence[int], letters: Sequence[int]):
+        """Keeps :func:`close`'s arrays as they are."""
         n = len(elements)
-        order = sorted(range(n), key=lambda s: elements[s].entries)
-        new = array("i", bytes(4 * n))
-        for c, s in enumerate(order):
-            new[s] = c
         self.lattice = lattice
-        self.elements = tuple(elements[s] for s in order)
+        self.elements = tuple(elements)
         self.order = n
-        self.left = tuple(array("i", [new[row[s]] for s in order]) for row in left)
-        self._parent = array("i", [new[parents[s]] for s in order])
-        self._letter = array("H", [letters[s] for s in order])
-        self._bfs = array("i", [new[s] for s in bfs])
-        self.identity_index = self._bfs[0]
+        self.left = tuple(left)
+        self._parent = parents
+        self._letter = letters
+        self.identity_index = 0
         words = [array("H")] * n
-        for x in islice(self._bfs, 1, None):
-            words[x] = words[self._parent[x]] + self._letter[x : x + 1]
+        for x in range(1, n):
+            words[x] = words[parents[x]] + letters[x : x + 1]
         self._words = tuple(words)
-        self.generator_indices = tuple(sorted({row[self.identity_index] for row in self.left}))
+        self.generator_indices = tuple(sorted({row[0] for row in self.left}))
         self._inverses = array("i", [-1]) * n
         self._orders = array("i", bytes(4 * n))
         self.prime = _least_prime_not_dividing(n)
@@ -121,10 +111,9 @@ class FiniteMatrixGroup:
         return self.elements[i]
 
     def index_of(self, m: IntMatrix) -> int:
-        i = bisect_left(self.elements, m.entries, key=attrgetter("entries"))
-        if i == self.order or self.elements[i] != m:
+        if m not in self.elements:
             raise KeyError("matrix is not a group element")
-        return i
+        return self.elements.index(m)
 
     def mul(self, i: int, j: int) -> int:
         """Index of x_i x_j: follow i's word through the table from j."""
@@ -201,7 +190,7 @@ class FiniteMatrixGroup:
         image = array("i", bytes(4 * self.order))  # everything starts at vec
         parent, letter = self._parent, self._letter
         mask = 1 << self.identity_index
-        for x in islice(self._bfs, 1, None):
+        for x in range(1, self.order):
             p, k = image[parent[x]], letter[x]
             q = step.get(p * width + k)
             if q is None:
@@ -283,7 +272,7 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
                 letters.append(k)
             left[k].append(j)
     elements = [IntMatrix(n, n, entries) for entries in found]
-    return FiniteMatrixGroup(lattice, elements, left, parents, letters, range(len(elements)))
+    return FiniteMatrixGroup(lattice, elements, left, parents, letters)
 
 
 def _mod3(entries: tuple[int, ...]) -> bytes:
@@ -331,12 +320,12 @@ def induced_group(G: FiniteMatrixGroup, lattice: GLattice) -> FiniteMatrixGroup:
     n = lattice.rank
     gens = [_sparse_rows(lattice.generators[p]) for p in _table_rows(G.lattice.generators)]
     images = [IntMatrix.identity(n).entries] * G.order
-    for x in islice(G._bfs, 1, None):
+    for x in range(1, G.order):
         images[x] = _left_product(gens[G._letter[x]], images[G._parent[x]], n)
     if len(set(images)) != G.order:
         raise TheoremViolation("the representation is not faithful")
     elements = [IntMatrix(n, n, entries) for entries in images]
-    return FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter, G._bfs)
+    return FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter)
 
 
 class Subgroup:
@@ -377,7 +366,7 @@ class Subgroup:
         return [self.parent.element(i) for i in self.indices]
 
     def generating_set(self) -> tuple[int, ...]:
-        """A small deterministic generating set (greedy over canonical order)."""
+        """A small generating set, greedy over index order (internal: it varies with the generators)."""
         if self._gens is None:
             self._gens = tuple(_greedy_generators(self.parent, self.indices)[0])
         return self._gens
@@ -463,7 +452,7 @@ def coset_orders(h: Subgroup, k: Subgroup) -> tuple[list[int], dict[int, int]]:
     """Orders of the cosets of k in h, with the coset map h -> h/k.
 
     The order of the coset xk is the least t with x^t in k; k must be
-    normal in h (not checked).  Coset ids follow the canonical order of h.
+    normal in h (not checked).  Coset ids follow the index order of h.
     """
     G = h.parent
     coset_of: dict[int, int] = {}

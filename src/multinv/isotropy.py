@@ -137,7 +137,12 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
     # 1. distinct cyclic fixed spaces by key, each with an element that fixes it
     cyclic: dict[tuple, int] = {}
     for i in range(G.order):
-        cyclic.setdefault(G.fixed_key(i), i)
+        key = G.fixed_key(i)
+        if not key and i != G.identity_index:
+            # impossible when p does not divide |G|: the kernel of GL_n(Z) -> GL_n(F_p)
+            # is torsion-free for odd p, and for p = 2 (|G| odd) holds only involutions
+            raise TheoremViolation("a nonidentity element reduces to the identity mod p")
+        cyclic.setdefault(key, i)
 
     # 2. meet closure, one cyclic space at a time; key -> saturated basis
     closure: dict[tuple, IntMatrix] = {}
@@ -290,7 +295,7 @@ def _verify_quotient_fixed_point_free(G: FiniteMatrixGroup, cl: IsotropyClass) -
     induced = induced_on_quotient(cl.fixed_space, mats)
     ident = IntMatrix.identity(n - cl.fixed_rank)
     for q in induced:
-        if q == ident or (q - ident).det() == 0:
+        if (q - ident).det() == 0:
             raise TheoremViolation(
                 "minimal nontrivial isotropy group is not fixed-point-free on the quotient"
             )
@@ -300,14 +305,9 @@ def _verify_quotient_fixed_point_free(G: FiniteMatrixGroup, cl: IsotropyClass) -
 
 
 def is_fixed_point_free(G: FiniteMatrixGroup) -> bool:
-    """No nonidentity element fixes a nonzero vector: det(g - I) != 0."""
+    """No nonidentity element fixes a nonzero vector: each moves the whole lattice."""
     n = G.lattice.rank
-    ident = IntMatrix.identity(n)
-    return all(
-        (G.element(i) - ident).det() != 0
-        for i in range(G.order)
-        if i != G.identity_index
-    )
+    return all(G.moved_rank(i) == n for i in range(G.order) if i != G.identity_index)
 
 
 # element-order histogram of SL(2, F_5)

@@ -181,19 +181,17 @@ def naive_closure(lattice):
 
 def check_closure(G, conjugator):
     """G, as ``close`` enumerated it, against :func:`naive_closure`: the
-    same elements in the same BFS order, sorted the same, with every table
-    entry a matrix product; and ``induced_group`` through the lattice
-    conjugated by ``conjugator`` gives the conjugated elements in that BFS
-    order."""
+    same elements in the same BFS order, with every table entry a matrix
+    product; and ``induced_group`` through the lattice conjugated by
+    ``conjugator`` gives the conjugated elements in that BFS order."""
     gens, found = naive_closure(G.lattice)
-    assert [G.elements[i] for i in G._bfs] == found
-    assert G.elements == tuple(sorted(found, key=lambda m: m.entries))
+    assert list(G.elements) == found
     for k, g in enumerate(gens):
         assert all(G.elements[G.left[k][x]] == g * G.elements[x] for x in range(G.order)), k
     u, u_inv = conjugator, unimodular_inverse(conjugator)
     image = GLattice(G.lattice.rank, [u * g * u_inv for g in G.lattice.generators])
     H = induced_group(G, image)
-    assert [H.elements[i] for i in H._bfs] == [u * x * u_inv for x in found]
+    assert list(H.elements) == [u * x * u_inv for x in found]
 
 
 def check_infinite_pair(exc):

@@ -5,6 +5,7 @@ import pytest
 from multinv.catalog import (
     DEFAULT_BUILTINS,
     builtin,
+    builtin_order_factors,
     parse_group_definition,
     parse_group_file,
     serialize_group_definition,
@@ -39,6 +40,13 @@ def test_every_builtin_closes_to_documented_order():
     for name in DEFAULT_BUILTINS:
         group = close(builtin(name))
         assert group.order == EXPECTED_ORDERS[name], name
+        assert math.prod(builtin_order_factors(name)) == group.order, name
+
+
+def test_closed_form_order_of_an_unknown_name_raises():
+    for name in ("nonsense", "rank3_order8", "sym3_u4", "root_a1"):
+        with pytest.raises(UnknownBuiltin):
+            builtin_order_factors(name)
 
 
 def test_rank3_order6_cube_is_negative_identity():

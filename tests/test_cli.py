@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,21 @@ class TestExitCodes:
             "so its closure would exceed the cap of 1000000 elements\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (["analyze", "builtin:sym40"], 20000),
+            (["copies", "builtin:diag_sl30", "--r", "1"], 50000),
+        ],
+    )
+    def test_oversized_builtin_refused_before_building(self, argv, cap):
+        # 40! and 2^29 elements: closing up to the cap alone took seconds
+        start = time.perf_counter()
+        code, out = run_cli([*argv, "--cap", str(cap)])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == f"error: group closure exceeded the cap of {cap} elements\n"
+
     def test_bad_arguments(self):
         code, _ = run_cli(["copies", "builtin:sym3_u3"])  # missing --r
         assert code == 2
@@ -201,6 +217,27 @@ class TestBatch:
         assert code == 3
         assert "a.json: ERROR" in out and "b.json: ERROR" in out
         assert "errors 2" in out
+
+    @pytest.mark.parametrize("entry", ["directory", "dangling_symlink"])
+    def test_unreadable_entry_keeps_other_reports(self, entry, tmp_path):
+        (tmp_path / "a.json").write_text(serialize_group_definition(builtin("rank3_order2")))
+        if entry == "directory":
+            (tmp_path / "b.json").mkdir()
+        else:
+            (tmp_path / "b.json").symlink_to(tmp_path / "missing.json")
+        (tmp_path / "c.json").write_text(serialize_group_definition(builtin("diag_sl2")))
+        code, out = run_cli(["batch", str(tmp_path), "--format", "json"])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["summary"] == {
+            "obstructed": 1,
+            "inconclusive": 0,
+            "trivially_cm": 1,
+            "errors": 1,
+        }
+        assert [r["file"] for r in doc["reports"]] == ["a.json", "b.json", "c.json"]
+        assert doc["reports"][1]["error"].startswith("cannot read: ")
+        assert str(tmp_path) not in doc["reports"][1]["error"]
 
     def test_text_summary_line(self, tmp_path):
         (tmp_path / "neg.json").write_text(serialize_group_definition(builtin("rank3_order2")))

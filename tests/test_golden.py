@@ -14,14 +14,17 @@ intended output change:
 
 import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from multinv.catalog import DEFAULT_BUILTINS
+from multinv.catalog import DEFAULT_BUILTINS, builtin, serialize_group_definition
 from multinv.cli import run
+from multinv.groups import GLattice
+from multinv.intlinalg import IntMatrix
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -79,6 +82,37 @@ def test_golden_output(case):
 def test_golden_digest(case):
     expected = (GOLDEN / f"{case}.sha256").read_text().strip()
     assert digest(DIGEST_CASES[case]) == expected
+
+
+# element indices follow the generator list; these groups cover the
+# catalog's large cases, the icosian's fixed-point-free action, and the
+# conjugacy sweep on small ones
+ORDER_FREE = ("sym6_u6", "alt6_u6", "root_a5", "signed_root_s5", "icosian", "diag_sl6",
+              "rank3_order6", "sym4_u4", "root_a3")
+
+
+@pytest.mark.parametrize("command", ["analyze", "witness"])
+@pytest.mark.parametrize("name", ORDER_FREE)
+def test_output_ignores_generator_order(name, command, tmp_path):
+    """The same group given by its generators reversed, and reversed with a
+    duplicate generator and the identity appended, gives the same JSON."""
+    lat = builtin(name)
+    gens = lat.generators[::-1]
+    variants = {
+        "given": lat.generators,
+        "reversed": gens,
+        "padded": gens + (gens[0], IntMatrix.identity(lat.rank)),
+    }
+    docs = {}
+    for label, generators in variants.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(serialize_group_definition(GLattice(lat.rank, generators, lat.name)))
+        buf = io.StringIO()
+        assert run([command, str(path), "--format", "json"], buf) == 0
+        docs[label] = json.loads(buf.getvalue())
+        del docs[label]["input"]
+    assert docs["reversed"] == docs["given"]
+    assert docs["padded"] == docs["given"]
 
 
 def record():
