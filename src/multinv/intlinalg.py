@@ -6,10 +6,13 @@ pure, so concurrent use needs no locking.
 
 Normal forms follow the usual conventions:
 
-* ``hnf`` returns a row Hermite normal form: echelon shape, positive
+* ``sparse_echelon`` is the one integer row reduction; ``hnf``,
+  ``hnf_basis``, ``rank`` and ``kernel_lattice`` read their answers off
+  it.  ``hnf`` returns a row Hermite normal form: echelon shape, positive
   pivots, entries above each pivot reduced into ``[0, pivot)``.
 * ``snf`` returns a Smith decomposition ``U A V = S`` with nonnegative
-  diagonal and the divisibility chain ``d_i | d_{i+1}``.
+  diagonal and the divisibility chain ``d_i | d_{i+1}``.  It is
+  two-sided, so it keeps its own elimination.
 
 Returned lattice bases are always in Hermite form, so equal sublattices
 compare equal entry-by-entry.  ``rref_mod`` is the one computation over a
@@ -249,96 +252,152 @@ def _combine_rows(m, r1, r2, a11, a12, a21, a22):
     m[r2] = [a21 * p + a22 * q for p, q in zip(row1, row2)]
 
 
-def _echelon(h: list[list[int]], want_u: bool):
-    """In-place row Hermite reduction.
+def _add_multiple(dst: dict, q: int, src: dict) -> None:
+    """``dst += q * src`` on sparse vectors, dropping entries that cancel."""
+    if not q:
+        return
+    for k, v in src.items():
+        s = dst.get(k, 0) + q * v
+        if s:
+            dst[k] = s
+        else:
+            del dst[k]
 
-    Returns ``(u_rows, pivots)`` where ``pivots`` lists ``(row, col)`` of
-    the echelon pivots and ``u_rows`` tracks the left transform (or is
-    None when not requested).  Each sub-pivot entry is cleared by one
-    extended-gcd two-row transform, never by repeated remaindering:
-    iterated Euclidean passes contaminate whole rows each round and make
-    intermediate entries grow exponentially on unlucky dense inputs.
+
+def sparse_echelon(rows: dict) -> tuple[dict, list[dict]]:
+    """Row echelon form of sparse integer rows, with its certificate.
+
+    ``rows`` maps a label to a row ``{col: coeff}``.  Rows are inserted in
+    the mapping's order, and each is reduced at its leading (smallest)
+    column against the pivot there: by subtraction when the pivot divides
+    the entry, otherwise by the extended-gcd two-row transform, which
+    replaces the pivot by the gcd.  One transform per entry, never repeated
+    remaindering: iterated Euclidean passes contaminate whole rows each
+    round and make intermediate entries grow exponentially on unlucky
+    dense inputs.
+
+    Returns ``(pivots, relations)``.  ``pivots`` maps each pivot column to
+    ``(row, combination)``, a row with a positive leading entry and its
+    combination ``{label: coeff}`` of the input rows; the pivot rows are a
+    basis of the row lattice.  ``relations`` holds, in insertion order, the
+    combination of every row that reduced to zero.  Every step is
+    unimodular, so the relations are a basis of the lattice of relations
+    among the input rows (the left kernel).
     """
-    rows = len(h)
-    cols = len(h[0]) if rows else 0
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if want_u else None
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        best = -1
-        best_abs = 0
-        for i in range(r, rows):
-            v = h[i][c]
-            if v and (best == -1 or abs(v) < best_abs):
-                best = i
-                best_abs = abs(v)
-        if best == -1:
-            continue
-        if best != r:
-            h[r], h[best] = h[best], h[r]
-            if want_u:
-                u[r], u[best] = u[best], u[r]
-        for i in range(r + 1, rows):
-            b = h[i][c]
-            if not b:
-                continue
-            a = h[r][c]
+    pivots: dict[int, tuple[dict, dict]] = {}
+    relations: list[dict] = []
+    for label, row in rows.items():
+        row = dict(row)
+        combo = {label: 1}
+        while row:
+            c = min(row)
+            b = row[c]
+            hit = pivots.get(c)
+            if hit is None:
+                if b < 0:
+                    row = {k: -v for k, v in row.items()}
+                    combo = {k: -v for k, v in combo.items()}
+                pivots[c] = (row, combo)
+                break
+            prow, pcombo = hit
+            a = prow[c]
             if b % a == 0:
-                q = b // a
-                hr, hi = h[r], h[i]
-                for j in range(c, cols):
-                    hi[j] -= q * hr[j]
-                if want_u:
-                    ur, ui = u[r], u[i]
-                    for j in range(rows):
-                        ui[j] -= q * ur[j]
+                _add_multiple(row, -(b // a), prow)
+                _add_multiple(combo, -(b // a), pcombo)
             else:
+                # (pivot, row) <- (x pivot + y row, (a/g) row - (b/g) pivot)
                 g, x, y = _xgcd(a, b)
-                _combine_rows(h, r, i, x, y, -(b // g), a // g)
-                if want_u:
-                    _combine_rows(u, r, i, x, y, -(b // g), a // g)
-        if h[r][c] < 0:
-            h[r] = [-v for v in h[r]]
-            if want_u:
-                u[r] = [-v for v in u[r]]
-        pivot = h[r][c]
-        for i in range(r):
-            q = h[i][c] // pivot
+                ag, bg = a // g, b // g
+                pairs = []
+                for p, r in ((prow, row), (pcombo, combo)):
+                    top: dict = {}
+                    _add_multiple(top, x, p)
+                    _add_multiple(top, y, r)
+                    bottom = {k: v * ag for k, v in r.items()}
+                    _add_multiple(bottom, -bg, p)
+                    pairs.append((top, bottom))
+                (prow, row), (pcombo, combo) = pairs
+                pivots[c] = (prow, pcombo)
+        else:
+            relations.append(combo)
+    return pivots, relations
+
+
+def solve_echelon(pivots: dict, target: dict) -> dict | None:
+    """Combination ``{label: coeff}`` of the input rows behind ``pivots``
+    (as returned by ``sparse_echelon``) that equals the sparse ``target``,
+    by back-substitution at the target's leading column; None when the
+    target is outside the row lattice."""
+    t = dict(target)
+    out: dict = {}
+    while t:
+        c = min(t)
+        hit = pivots.get(c)
+        if hit is None:
+            return None
+        prow, pcombo = hit
+        q, rem = divmod(t[c], prow[c])
+        if rem:
+            return None
+        _add_multiple(t, -q, prow)
+        _add_multiple(out, q, pcombo)
+    return out
+
+
+def _hermite(rows: dict) -> tuple[list[tuple[dict, dict]], list[dict]]:
+    """``sparse_echelon`` of ``rows`` with the entries above each pivot
+    reduced into ``[0, pivot)``, the combinations carried along.  Returns
+    the pivot ``(row, combination)`` pairs in column order, which are the
+    Hermite basis of the row lattice, and the relations."""
+    pivots, relations = sparse_echelon(rows)
+    done: list[tuple[dict, dict]] = []
+    for c in sorted(pivots):
+        row, combo = pivots[c]
+        pivot = row[c]
+        for above, above_combo in done:
+            q = above.get(c, 0) // pivot
             if q:
-                hr, hi = h[r], h[i]
-                for j in range(cols):
-                    hi[j] -= q * hr[j]
-                if want_u:
-                    ur, ui = u[r], u[i]
-                    for j in range(rows):
-                        ui[j] -= q * ur[j]
-        pivots.append((r, c))
-        r += 1
-    return u, pivots
+                _add_multiple(above, -q, row)
+                _add_multiple(above_combo, -q, combo)
+        done.append((row, combo))
+    return done, relations
+
+
+def _sparse_rows(a: IntMatrix) -> dict:
+    """Rows of ``a`` as sparse rows labelled by index."""
+    c, e = a.cols, a.entries
+    return {i: {j: x for j, x in enumerate(e[i * c : (i + 1) * c]) if x} for i in range(a.rows)}
+
+
+def _dense(vectors: Sequence[dict], cols: int) -> IntMatrix:
+    """Sparse rows ``{col: coeff}`` as the rows of a matrix."""
+    return IntMatrix(len(vectors), cols, [v.get(j, 0) for v in vectors for j in range(cols)])
 
 
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form: returns ``(h, u)`` with ``u`` unimodular
-    and ``u * a = h``."""
-    h = a.row_lists()
-    u, _ = _echelon(h, want_u=True)
-    return IntMatrix.from_rows(h, a.cols), IntMatrix.from_rows(u, a.rows)
+    and ``u * a = h``.
+
+    Only ``h`` is canonical.  The first rank rows of ``u`` express the
+    Hermite rows; the rows past the rank are relations among the rows of
+    ``a`` and span its left kernel.  For a square unimodular ``a`` the
+    transform is unique, the inverse of ``a``.
+    """
+    basis, relations = _hermite(_sparse_rows(a))
+    h = _dense([row for row, _ in basis] + [{}] * len(relations), a.cols)
+    return h, _dense([combo for _, combo in basis] + relations, a.rows)
 
 
 def hnf_basis(a: IntMatrix) -> IntMatrix:
     """Hermite form with zero rows dropped: a canonical basis of the row
     span of ``a``."""
-    h = a.row_lists()
-    _, pivots = _echelon(h, want_u=False)
-    return IntMatrix.from_rows(h[: len(pivots)], a.cols)
+    basis, _ = _hermite(_sparse_rows(a))
+    return _dense([row for row, _ in basis], a.cols)
 
 
 def rank(a: IntMatrix) -> int:
     """Rank over the integers (equivalently over the rationals)."""
-    h = a.row_lists()
-    _, pivots = _echelon(h, want_u=False)
+    pivots, _ = sparse_echelon(_sparse_rows(a))
     return len(pivots)
 
 
@@ -469,17 +528,14 @@ def kernel_lattice(a: IntMatrix) -> IntMatrix:
     """Basis (as rows, Hermite form) of ``{v : a @ v = 0}``.
 
     The kernel of an integer matrix is automatically saturated: if a
-    multiple of ``v`` is killed by ``a`` then so is ``v``.  The basis is
-    read off the left transform of the Hermite form of the transpose:
-    rows of ``u`` facing zero rows of ``h`` span the kernel exactly.
+    multiple of ``v`` is killed by ``a`` then so is ``v``.  It is the
+    lattice of relations among the columns of ``a``, which the echelon
+    form of ``a``'s columns returns as a basis; its Hermite form makes the
+    basis canonical.
     """
-    m = a.transpose().row_lists()  # cols(a) x rows(a)
-    u, pivots = _echelon(m, want_u=True)
-    r = len(pivots)
-    kernel_rows = u[r:]
-    basis = [list(row) for row in kernel_rows]
-    _, piv2 = _echelon(basis, want_u=False)
-    return IntMatrix.from_rows(basis[: len(piv2)], a.cols)
+    _, relations = sparse_echelon(_sparse_rows(a.transpose()))
+    basis, _ = _hermite(dict(enumerate(relations)))
+    return _dense([row for row, _ in basis], a.cols)
 
 
 def common_fixed_lattice(mats: Sequence[IntMatrix], n: int) -> IntMatrix:
@@ -524,91 +580,6 @@ def rref_mod(rows: Iterable[Sequence[int]], p: int, base: tuple[bytes, ...] = ()
         out.insert(at, v)
         pivots.insert(at, c)
     return base if len(out) == len(base) else tuple(out)
-
-
-def _add_multiple(dst: dict, q: int, src: dict) -> None:
-    """``dst += q * src`` on sparse vectors, dropping entries that cancel."""
-    if not q:
-        return
-    for k, v in src.items():
-        s = dst.get(k, 0) + q * v
-        if s:
-            dst[k] = s
-        else:
-            del dst[k]
-
-
-def sparse_echelon(rows: dict) -> tuple[dict, dict | None]:
-    """Row echelon form of sparse integer rows, with its certificate.
-
-    ``rows`` maps a label to a row ``{col: coeff}``.  Rows are inserted in
-    the mapping's order, and each is reduced at its leading (smallest)
-    column against the pivot there: by subtraction when the pivot divides
-    the entry, otherwise by the extended-gcd two-row transform, which
-    replaces the pivot by the gcd.  Returns ``(pivots, relation)``:
-    ``pivots`` maps each pivot column to ``(row, combination)``, a row with
-    a positive leading entry and its combination ``{label: coeff}`` of the
-    input rows.  Every step is unimodular, so a row that reduces to zero
-    leaves a nonzero ``relation`` among the input rows; insertion stops
-    there.  Otherwise ``relation`` is None and the pivot rows are a basis
-    of the row lattice.
-    """
-    pivots: dict[int, tuple[dict, dict]] = {}
-    for label, row in rows.items():
-        row = dict(row)
-        combo = {label: 1}
-        while row:
-            c = min(row)
-            b = row[c]
-            hit = pivots.get(c)
-            if hit is None:
-                if b < 0:
-                    row = {k: -v for k, v in row.items()}
-                    combo = {k: -v for k, v in combo.items()}
-                pivots[c] = (row, combo)
-                break
-            prow, pcombo = hit
-            a = prow[c]
-            if b % a == 0:
-                _add_multiple(row, -(b // a), prow)
-                _add_multiple(combo, -(b // a), pcombo)
-            else:
-                # (pivot, row) <- (x pivot + y row, (a/g) row - (b/g) pivot)
-                g, x, y = _xgcd(a, b)
-                pairs = []
-                for p, r in ((prow, row), (pcombo, combo)):
-                    top: dict = {}
-                    _add_multiple(top, x, p)
-                    _add_multiple(top, y, r)
-                    bottom = {k: v * (a // g) for k, v in r.items()}
-                    _add_multiple(bottom, -(b // g), p)
-                    pairs.append((top, bottom))
-                (prow, row), (pcombo, combo) = pairs
-                pivots[c] = (prow, pcombo)
-        else:
-            return pivots, combo
-    return pivots, None
-
-
-def solve_echelon(pivots: dict, target: dict) -> dict | None:
-    """Combination ``{label: coeff}`` of the input rows behind ``pivots``
-    (as returned by ``sparse_echelon``) that equals the sparse ``target``,
-    by back-substitution at the target's leading column; None when the
-    target is outside the row lattice."""
-    t = dict(target)
-    out: dict = {}
-    while t:
-        c = min(t)
-        hit = pivots.get(c)
-        if hit is None:
-            return None
-        prow, pcombo = hit
-        q, rem = divmod(t[c], prow[c])
-        if rem:
-            return None
-        _add_multiple(t, -q, prow)
-        _add_multiple(out, q, pcombo)
-    return out
 
 
 class QuotientInvariants(NamedTuple):

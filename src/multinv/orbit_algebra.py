@@ -319,12 +319,12 @@ def verify_free_decomposition(
     col = {r: j for j, r in enumerate(reps)}
     rows = [{col[r]: c for r, c in e.items()} for e in expansions]
     order = sorted(range(len(rows)), key=lambda i: min(rows[i]))
-    pivots, relation = sparse_echelon({i: rows[i] for i in order})
+    pivots, relations = sparse_echelon({i: rows[i] for i in order})
 
     # (i) independence and saturation of the span: the pivot values of any
     # echelon basis are lattice invariants
-    if relation is not None:
-        return _relation_failure(tuple((c, products[i][0]) for i, c in sorted(relation.items())))
+    if relations:
+        return _relation_failure(tuple((c, products[i][0]) for i, c in sorted(relations[0].items())))
     bad = next((c for c in sorted(pivots) if pivots[c][0][c] != 1), None)
     if bad is not None:
         return DecompositionResult(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import GF, ZZ, Matrix
 from sympy.polys.matrices import DomainMatrix
-from sympy.matrices.normalforms import smith_normal_form
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors, smith_normal_form
 
 from multinv.intlinalg import (
     IntMatrix,
@@ -56,6 +56,16 @@ def is_hermite(h):
             if not 0 <= h.entry(k, j) < pivot:
                 return False
     return True
+
+
+def sym(rows, cols):
+    return Matrix(len(rows), cols, [x for row in rows for x in row])
+
+
+def sympy_span(rows, cols):
+    """sympy's Hermite form of the row span; its convention differs from
+    ``hnf``'s, so it is compared only with other sympy forms."""
+    return hermite_normal_form(sym(rows, cols).T)
 
 
 class TestHnf:
@@ -298,6 +308,45 @@ def test_snf_matches_sympy_smith_normal_form():
         assert s.row_lists() == [[abs(x) for x in row] for row in expected.tolist()], a.row_lists()
 
 
+def test_hermite_rank_and_kernel_match_sympy():
+    # sympy is the oracle; three regimes: small entries with a planted
+    # dependent row, entries in +-10^12, and P D Q with a divisibility chain
+    rng = random.Random(0x4E2F)
+    for trial in range(600):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        if trial % 3 == 0:
+            rows = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
+            if r > 1:
+                i = rng.randrange(r)
+                coeffs = [rng.randint(-3, 3) for _ in range(r)]
+                coeffs[i] = 0
+                rows[i] = [sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(c)]
+            a = IntMatrix.from_rows(rows, c)
+        elif trial % 3 == 1:
+            a = IntMatrix(r, c, [rng.randint(-10**12, 10**12) for _ in range(r * c)])
+        else:
+            d, chain = IntMatrix.zeros(r, c).row_lists(), 1
+            for i in range(rng.randint(0, min(r, c))):
+                chain *= rng.choice([1, 1, 2, 3, 6, 10**9 + 7])
+                d[i][i] = chain
+            p = random_unimodular(r, rng, ops=4 * r)
+            q = random_unimodular(c, rng, ops=4 * c)
+            a = p * IntMatrix.from_rows(d, c) * q
+        sa = sym(a.row_lists(), c)
+        h, u = hnf(a)
+        assert u * a == h
+        assert abs(sym(u.row_lists(), r).det()) == 1
+        assert is_hermite(h)
+        basis = hnf_basis(a)
+        assert sympy_span(basis.row_lists(), c) == sympy_span(a.row_lists(), c)
+        assert rank(a) == sa.rank()
+        k = kernel_lattice(a)
+        assert k.rows == c - sa.rank()
+        assert all(a.apply(k.row(i)) == (0,) * r for i in range(k.rows))
+        if k.rows:
+            assert set(invariant_factors(sym(k.row_lists(), c))) == {1}
+
+
 def test_rectangular_extremes():
     for a in (IntMatrix(1, 6, [3, 0, -2, 5, 0, 1]), IntMatrix(6, 1, [2, 4, 6, 0, -8, 10]),
               IntMatrix(0, 4, ()), IntMatrix(4, 0, ())):
@@ -348,22 +397,26 @@ def combine(rows, combo):
 @given(dense=st.lists(vectors, max_size=6), target=vectors)
 def test_sparse_echelon_certifies_rows_and_solutions(dense, target):
     rows = {f"r{i}": sparse(v) for i, v in enumerate(dense)}
-    pivots, relation = sparse_echelon(rows)
-    if relation is not None:
+    pivots, relations = sparse_echelon(rows)
+    r = sym(dense, WIDTH).rank()
+    assert len(pivots) == r
+    assert len(relations) == len(dense) - r
+    for relation in relations:
         assert relation and combine(rows, relation) == [0] * WIDTH
-        assert rank(IntMatrix.from_rows(dense, WIDTH)) < len(dense)
-        return
-    assert len(pivots) == len(dense)
     basis = []
     for c, (row, combo) in pivots.items():
         assert min(row) == c and row[c] > 0
         dense_row = [row.get(j, 0) for j in range(WIDTH)]
         assert combine(rows, combo) == dense_row
         basis.append(dense_row)
-    span = hnf_basis(IntMatrix.from_rows(dense, WIDTH))
-    assert hnf_basis(IntMatrix.from_rows(basis, WIDTH)) == span
+    assert sympy_span(basis, WIDTH) == sympy_span(dense, WIDTH)
+    # pivot combinations and relations together are a unimodular transform,
+    # so the relations span every relation among the rows
+    labels = list(rows)
+    combos = [combo for _, combo in pivots.values()] + relations
+    assert abs(sym([[k.get(label, 0) for label in labels] for k in combos], len(dense)).det()) == 1
     coeffs = solve_echelon(pivots, sparse(target))
-    inside = hnf_basis(IntMatrix.from_rows(dense + [target], WIDTH)) == span
+    inside = sympy_span(dense + [target], WIDTH) == sympy_span(dense, WIDTH)
     assert (coeffs is not None) == inside
     if coeffs is not None:
         assert combine(rows, coeffs) == target
@@ -372,11 +425,16 @@ def test_sparse_echelon_certifies_rows_and_solutions(dense, target):
 def test_sparse_echelon_gcd_step_keeps_the_lattice():
     # neither leading entry divides the other: the pivot becomes gcd(2, 3)
     rows = {"a": {0: 2, 1: 1}, "b": {0: 3}}
-    pivots, relation = sparse_echelon(rows)
-    assert relation is None
+    pivots, relations = sparse_echelon(rows)
+    assert relations == []
     assert sorted((c, row[c]) for c, (row, _) in pivots.items()) == [(0, 1), (1, 3)]
     assert solve_echelon(pivots, {1: 1}) is None
     assert combine(rows, solve_echelon(pivots, {0: 1, 1: 2})) == [1, 2, 0, 0, 0]
+    # a third row in the span reduces to zero and leaves its relation
+    rows["c"] = {0: 5, 1: 1}
+    pivots, relations = sparse_echelon(rows)
+    assert len(pivots) == 2 and len(relations) == 1
+    assert combine(rows, relations[0]) == [0] * WIDTH
 
 
 def sympy_rref_mod(rows, p):
