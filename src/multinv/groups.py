@@ -15,10 +15,9 @@ row per generator, and the BFS tree, which gives every element a word in
 the generators (an ``array`` of 16-bit letters).  A product i j starts at
 j and follows i's word through the table, so it costs one lookup per
 letter of the word.  Inverses and orders come from one walk along an
-element's powers, a conjugate is two products, and the stabilizer of a
-vector follows the vector's orbit down the BFS tree.  The table does not
+element's powers, and a conjugate is two products.  The table does not
 depend on the rank, only on the order and the number of generators.  This
-is the orbit and Schreier-vector bookkeeping of Holt, Eick and O'Brien,
+is the Schreier-vector bookkeeping of Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, ch. 4.
 """
 
@@ -173,35 +172,6 @@ class FiniteMatrixGroup:
                 if gcd(k, len(powers)) == 1:
                     self._fixed_keys[j] = key
         return key
-
-    def stabilizer_mask(self, vec: Sequence[int]) -> int:
-        """Bitmask of the elements that fix the vector, from its orbit.
-
-        Down the BFS tree, x = g_k p sends vec to g_k applied to p's image,
-        so a generator matrix is applied once per (orbit point, generator)
-        pair met, not once per element.
-        """
-        vec = tuple(vec)
-        gens = [self.elements[row[self.identity_index]] for row in self.left]
-        width = len(gens)
-        points = [vec]
-        point_id = {vec: 0}
-        step: dict[int, int] = {}  # point * width + letter -> point
-        image = array("i", bytes(4 * self.order))  # everything starts at vec
-        parent, letter = self._parent, self._letter
-        mask = 1 << self.identity_index
-        for x in range(1, self.order):
-            p, k = image[parent[x]], letter[x]
-            q = step.get(p * width + k)
-            if q is None:
-                w = gens[k].apply(points[p])
-                q = step[p * width + k] = point_id.setdefault(w, len(points))
-                if q == len(points):
-                    points.append(w)
-            image[x] = q
-            if not q:
-                mask |= 1 << x
-        return mask
 
     def __len__(self) -> int:
         return self.order
@@ -545,16 +515,8 @@ def are_conjugate_subgroups(G: FiniteMatrixGroup, h1: Subgroup, h2: Subgroup) ->
         raise ValueError("subgroups do not belong to the given group")
     if h1.indices == h2.indices:
         return True
-    # equal orders: a conjugate inside h2 is all of h2
-    return subgroup_invariant_key(h1) == subgroup_invariant_key(h2) and has_conjugate_inside(G, h1, h2)
-
-
-def has_conjugate_inside(G: FiniteMatrixGroup, h1: Subgroup, h2: Subgroup) -> bool:
-    """True when some conjugate of h1 is contained in h2."""
-    if h2.order % h1.order:
+    if subgroup_invariant_key(h1) != subgroup_invariant_key(h2):
         return False
+    # equal orders: a conjugate inside h2 is all of h2
     target = h2._indexset
-    for g in range(G.order):
-        if all(G.conj(g, i) in target for i in h1.indices):
-            return True
-    return False
+    return any(all(G.conj(g, i) in target for i in h1.indices) for g in range(G.order))

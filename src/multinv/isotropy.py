@@ -9,10 +9,9 @@ The catalog of isotropy groups is built without scanning lattice vectors:
    closure is exactly the family of isotropy fixed spaces.
 3. Sweep the closure by conjugation orbits.  G permutes the closure, and
    the stabilizer of gW is g G_W g^-1, so each orbit costs one pointwise
-   stabilizer (the meet of its basis vectors' stabilizers, each read off
-   the vector's orbit by ``FiniteMatrixGroup.stabilizer_mask``); the
-   other members' stabilizers follow through conjugation by generators.
-   The orbits are the conjugacy classes of isotropy groups.
+   stabilizer, read off the keys of step 1; the other members'
+   stabilizers follow through conjugation by generators.  The orbits are
+   the conjugacy classes of isotropy groups.
 
 Steps 1 and 2 work over F_p, for p = ``G.prime`` the least prime not
 dividing |G|.  For a subgroup H, the averaging idempotent e = (1/|H|) sum h
@@ -36,9 +35,18 @@ integer basis, the one the output needs: with B the basis of c, c ∧ b is
 spanned by K B for K the kernel of (g - I) B^T; that span is saturated,
 because K is a kernel and B spans a direct summand.  A cyclic space costs
 one kernel per distinct key.  Each integer basis is checked against its
-key's dimension under a ``TheoremViolation`` guard.  Step 3 moves the
-integer bases themselves, so every rank statement there is a statement
-about saturated kernels.
+key's dimension under a ``TheoremViolation`` guard.
+
+Step 3 works on the keys alone.  An element g lies in G_W exactly when
+key(W) contains g's key.  If it does, Fix_p(g) contains Fix_p(G_W), so
+H = <G_W, g> has Fix_p(H) = Fix_p(G_W); by the argument above Fix_Z(H) is
+a saturated sublattice of W of the same rank, hence W, and g fixes W.
+So G_W collects the elements of every cyclic key that key(W) contains.
+W's saturated basis reduces mod p to a basis of the space key(W)
+annihilates, so the test is that the rows of g's key vanish on W's basis
+mod p.  Orbits move keys, not integer bases: the annihilator of gW is the
+annihilator of W times g^-1, so key(gW) is the echelon form of the rows
+of key(W) times g^-1.
 """
 
 from __future__ import annotations
@@ -46,14 +54,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from operator import attrgetter
+from operator import mul
 
 from .errors import NotIsotropy, TheoremViolation
 from .groups import (
     FiniteMatrixGroup,
     Subgroup,
     element_order_histogram,
-    has_conjugate_inside,
     is_perfect,
 )
 from .intlinalg import (
@@ -77,8 +84,8 @@ def isotropy_group_of(G: FiniteMatrixGroup, m) -> Subgroup:
     """Exact pointwise stabilizer of the lattice vector m.
 
     Applies every element's matrix on purpose: this is the brute-force
-    reference for ``FiniteMatrixGroup.stabilizer_mask``, the orbit scan the
-    catalog uses, and shares no code with it.
+    reference for the stabilizers the isotropy catalog reads off its keys,
+    and shares no code with them.
     """
     m = tuple(m)
     return Subgroup(G, (i for i in range(G.order) if G.element(i).apply(m) == m))
@@ -117,10 +124,7 @@ class IsotropyCatalog:
         KeyError when h is not an isotropy group."""
         if h.parent is not self.group:
             raise ValueError("subgroup of a different group")
-        mask = 0
-        for i in h.indices:
-            mask |= 1 << i
-        cl = self._orbit_index.get(mask)
+        cl = self._orbit_index.get(_mask(h.indices))
         if cl is None:
             raise KeyError("subgroup is not conjugate to any catalog class")
         return cl
@@ -134,22 +138,22 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
     p = G.prime
     ident = IntMatrix.identity(n)
 
-    # 1. distinct cyclic fixed spaces by key, each with an element that fixes it
-    cyclic: dict[tuple, int] = {}
+    # 1. distinct cyclic fixed spaces by key, each with the elements whose key it is
+    cyclic: dict[tuple, list[int]] = {}
     for i in range(G.order):
         key = G.fixed_key(i)
         if not key and i != G.identity_index:
             # impossible when p does not divide |G|: the kernel of GL_n(Z) -> GL_n(F_p)
             # is torsion-free for odd p, and for p = 2 (|G| odd) holds only involutions
             raise TheoremViolation("a nonidentity element reduces to the identity mod p")
-        cyclic.setdefault(key, i)
+        cyclic.setdefault(key, []).append(i)
 
     # 2. meet closure, one cyclic space at a time; key -> saturated basis
     closure: dict[tuple, IntMatrix] = {}
-    for bkey, i in sorted(cyclic.items(), key=lambda t: (len(t[0]), t[0])):
+    for bkey, members in sorted(cyclic.items(), key=lambda t: (len(t[0]), t[0])):
         if bkey in closure:
             continue
-        g = G.element(i)
+        g = G.element(members[0])
         new = {bkey: _checked_basis(common_fixed_lattice([g], n), bkey, n)}
         moved = g - ident
         for ckey, c in closure.items():
@@ -159,48 +163,63 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
             new[key] = _checked_basis(hnf_basis(kernel_lattice(moved * c.transpose()) * c), key, n)
         closure.update(new)
 
-    # 3. one stabilizer per conjugation orbit; a space's image under a
-    # generator g is stabilized by the conjugate of its stabilizer by g
+    # 3. one stabilizer per conjugation orbit, read off the keys: g fixes W
+    # exactly when g's key vanishes on W's basis mod p.  A space's image
+    # under a generator g is keyed by key(W) g^-1, and stabilized by the
+    # conjugate of W's stabilizer by g.
+    candidates = [(_pivot_mask(ck), ck, members) for ck, members in cyclic.items()]
     gens = [
-        (G.element(g).transpose(), array("i", [G.conj(g, i) for i in range(G.order)]))
+        (G.element(G.inv(g)).transpose(), array("i", [G.conj(g, i) for i in range(G.order)]))
         for g in G.generator_indices
     ]
-    trivial = 1 << G.identity_index
     classes: list[IsotropyClass] = []
     orbit_index: dict[int, IsotropyClass] = {}
-    bases = set(closure.values())
-    seen: set[IntMatrix] = set()
-    for basis in sorted(bases, key=attrgetter("entries")):
-        if basis in seen:
+    seen: set[tuple] = set()
+    for key, basis in sorted(closure.items(), key=lambda t: t[1].entries):
+        if key in seen:
             continue
-        mask = (1 << G.order) - 1
-        for r in range(basis.rows):
-            mask &= G.stabilizer_mask(basis.row(r))
-            if mask == trivial:
-                break
-        cl = IsotropyClass(Subgroup(G, (i for i in range(G.order) if mask >> i & 1)), basis)
+        pivots, fixed = _pivot_mask(key), [basis.row(r) for r in range(basis.rows)]
+        # a contained row leads at a pivot of key(W); filtering on that first
+        # measured 1.4-3x faster on sym7_u7 and alt7_u7 than testing every key
+        stabilizer = [
+            i for ck_pivots, ck, members in candidates
+            if ck_pivots | pivots == pivots and not any(sum(map(mul, row, w)) % p for row in ck for w in fixed)
+            for i in members
+        ]
+        cl = IsotropyClass(Subgroup(G, stabilizer), basis)
         classes.append(cl)
-        seen.add(basis)
-        orbit = [(basis, cl.subgroup.indices)]
+        seen.add(key)
+        orbit = [(key, cl.subgroup.indices)]
         for space, indices in orbit:
-            mask = 0
-            for i in indices:
-                mask |= 1 << i
+            mask = _mask(indices)
             if mask in orbit_index:
                 # two closure spaces cannot stabilize to the same group: the
                 # fixed space of the stabilizer recovers the space
                 raise TheoremViolation("meet-closure produced a duplicate stabilizer")
             orbit_index[mask] = cl
-            for gt, conj in gens:
-                image = hnf_basis(space * gt)
+            for inv_t, conj in gens:
+                image = rref_mod((inv_t.apply(r) for r in space), p)
                 if image not in seen:
-                    if image not in bases:
+                    if image not in closure:
                         raise TheoremViolation("a generator moves a closure space out of the closure")
                     seen.add(image)
                     orbit.append((image, [conj[i] for i in indices]))
     # the first space seen of each orbit is its least, as the sweep is sorted
     classes.sort(key=lambda cl: (-cl.order, cl.fixed_space.entries))
     return IsotropyCatalog(G, tuple(classes), orbit_index)
+
+
+def _mask(indices) -> int:
+    """Bitmask of a set of element indices."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def _pivot_mask(key: tuple[bytes, ...]) -> int:
+    """Bitmask of the pivot columns of a reduced echelon form mod p."""
+    return sum(1 << row.index(1) for row in key)
 
 
 def _checked_basis(basis: IntMatrix, key: tuple, n: int) -> IntMatrix:
@@ -270,20 +289,17 @@ def minimal_nontrivial_isotropy(G: FiniteMatrixGroup) -> list[Subgroup]:
 
 
 def _minimal_classes(catalog: IsotropyCatalog) -> list[IsotropyClass]:
-    G = catalog.group
-    nontrivial = catalog.nontrivial_classes()
+    """Nontrivial classes with no nontrivial conjugate of another class
+    inside them; the orbit index holds every conjugate of every class."""
     minimal: list[IsotropyClass] = []
-    for cl in nontrivial:
-        if any(
-            other is not cl
-            and other.order < cl.order
-            and has_conjugate_inside(G, other.subgroup, cl.subgroup)
-            for other in nontrivial
+    for cl in catalog.nontrivial_classes():
+        mask = _mask(cl.subgroup.indices)
+        if not any(
+            m != mask and m & mask == m and other.order > 1 for m, other in catalog._orbit_index.items()
         ):
-            continue
-        minimal.append(cl)
+            minimal.append(cl)
     for cl in minimal:
-        _verify_quotient_fixed_point_free(G, cl)
+        _verify_quotient_fixed_point_free(catalog.group, cl)
     return minimal
 
 

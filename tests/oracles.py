@@ -6,9 +6,10 @@ difference-lattice rank is plain integer elimination, the SL(2, F_5)
 histogram is computed from scratch over the finite field, abelian
 invariants come from sympy's permutation groups, and orbit-verify
 certificates are re-multiplied with plain Laurent arithmetic, and group
-closures are redone breadth-first with plain ``IntMatrix`` products, and
-the isotropy catalog's meet closure is redone with one integer kernel per
-pair of spaces.
+closures are redone breadth-first with plain ``IntMatrix`` products, the
+isotropy catalog's meet closure is redone with one integer kernel per
+pair of spaces, and minimal isotropy classes are found by conjugating
+matrices.
 """
 
 from collections import Counter
@@ -223,3 +224,24 @@ def integer_meet_closure(G):
         closure.add(b)
         closure.update(meets)
     return closure
+
+
+def minimal_classes_oracle(G, classes):
+    """The minimal ones among the nontrivial isotropy classes given by their
+    representatives' index tuples: those with no conjugate of a smaller
+    nontrivial class inside, searched over every g in G with matrix
+    products g h g^-1 looked up by value."""
+    index = {m: i for i, m in enumerate(G.elements)}
+    inverses = [unimodular_inverse(g) for g in G.elements]
+    nontrivial = [frozenset(h) for h in classes if len(h) > 1]
+
+    def conjugate_inside(small, big):
+        return any(
+            all(index[g * G.elements[i] * g_inv] in big for i in small)
+            for g, g_inv in zip(G.elements, inverses)
+        )
+
+    return [
+        tuple(sorted(h)) for h in nontrivial
+        if not any(len(o) < len(h) and conjugate_inside(o, h) for o in nontrivial)
+    ]

@@ -29,7 +29,7 @@ from multinv.isotropy import (
 )
 
 from helpers import cycle, diag, transposition
-from oracles import integer_meet_closure, stabilizer_census
+from oracles import integer_meet_closure, minimal_classes_oracle, stabilizer_census
 
 C4 = IntMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])
 
@@ -260,7 +260,7 @@ def test_class_for_rejects_subgroup_of_another_group():
         cat.class_for(full_subgroup(close(builtin("root_a2"))))
 
 
-@pytest.mark.parametrize("name", ["root_a3", "sym4_u4", "signed_root_s5"])
+@pytest.mark.parametrize("name", ["root_a3", "sym4_u4", "signed_root_s5", "alt6_u6"])
 def test_every_conjugate_of_every_class_conjugated_basis(name):
     """Outside plain coordinates, every conjugate g h g^-1 of a class is
     found under that class, and is the stabilizer of its own witness."""
@@ -321,6 +321,20 @@ def test_one_integer_kernel_per_closure_space(name, spaces, monkeypatch):
     catalog = enumerate_isotropy_groups(G)
     assert len(catalog._orbit_index) == spaces
     assert len(calls) == spaces
+
+
+@pytest.mark.parametrize(
+    "name", ["sym5_u5", "alt5_u5", "root_a4", "signed_root_s5", "diag_sl4", "icosian", "alt6_u6",
+             "conj_alt6_u6.json"],
+)
+def test_minimal_classes_match_brute_force(name):
+    """The minimal nontrivial classes read off the orbit index are those a
+    search over G for conjugates inside finds."""
+    G = _group(name)
+    classes = [cl.subgroup.indices for cl in enumerate_isotropy_groups(G).classes]
+    expected = minimal_classes_oracle(G, classes)
+    assert expected
+    assert [h.indices for h in minimal_nontrivial_isotropy(G)] == expected
 
 
 def test_a_prime_dividing_the_order_is_caught():
