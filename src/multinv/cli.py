@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import DEFAULT_CAP, GLattice, close
-from .isotropy import _witness_scan, enumerate_isotropy_groups
+from .isotropy import enumerate_isotropy_groups, witness_vector
 from .obstruction import ObstructionReport, check_necessary_conditions, copies_verdict
 from .orbit_algebra import (
     LaurentElement,
@@ -238,7 +238,7 @@ def _cmd_witness(args, out) -> int:
     lines = [f"input: {args.input} (rank {lattice.rank})", f"group order: {group.order}"]
     lines.append(f"isotropy classes: {len(catalog.classes)}")
     for cl in catalog.classes:
-        witness = _witness_scan(group, cl.subgroup, cl.fixed_space)
+        witness = witness_vector(group, cl.subgroup)
         classes.append(
             {
                 "order": cl.order,

@@ -19,12 +19,20 @@ element's powers, and a conjugate is two products.  The table does not
 depend on the rank, only on the order and the number of generators.  This
 is the Schreier-vector bookkeeping of Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, ch. 4.
+
+Subgroups are closed by cosets, as in Dimino's algorithm (Butler,
+*Fundamental Algorithms for Permutation Groups*, LNCS 559): given K =
+<gens>, :func:`_extend` builds <gens, g> from whole right cosets K y, a
+coset representative r and a generator s giving the coset of r s when r s
+is new.  Each new element costs one product and K is never visited again;
+greedy generating sets and normal closures take one step per kept
+generator.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from operator import add
@@ -347,28 +355,32 @@ class Subgroup:
 
 def _greedy_generators(G: FiniteMatrixGroup, seed: Sequence[int]) -> tuple[list[int], set[int]]:
     """Walk the sorted seed, keeping each element not yet generated; returns
-    the kept generators and the subgroup they generate.  Closure work stays
-    near |result| * #gens."""
+    the kept generators and the subgroup they generate.  Each kept element
+    costs one :func:`_extend`, so the walk makes one product per element of
+    the result, one per coset representative and generator of each step,
+    and one membership test per seed element."""
     gens: list[int] = []
     closed = {G.identity_index}
     for i in seed:
         if i not in closed:
+            closed = _extend(G, closed, gens, i)
             gens.append(i)
-            closed = _bfs_closure(G, gens)
     return gens, closed
 
 
-def _bfs_closure(G: FiniteMatrixGroup, gens: Sequence[int]) -> set[int]:
-    seen = {G.identity_index}
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = G.mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+def _extend(G: FiniteMatrixGroup, closed: set[int], gens: Sequence[int], g: int) -> set[int]:
+    """<gens, g> from closed = <gens>, as a union of whole right cosets of
+    closed (see the module docstring)."""
+    gens = [*gens, g]
+    result = set(closed)
+    reps = [G.identity_index]
+    for r in reps:
+        for s in gens:
+            y = G.mul(r, s)
+            if y not in result:
+                result.update([G.mul(k, y) for k in closed])
+                reps.append(y)
+    return result
 
 
 def full_subgroup(G: FiniteMatrixGroup) -> Subgroup:
@@ -391,27 +403,20 @@ def intersect_subgroups(h1: Subgroup, h2: Subgroup) -> Subgroup:
 
 
 def commutator_subgroup(h: Subgroup) -> Subgroup:
-    """Normal closure in h of the commutators of a generating set."""
+    """Normal closure in h of the commutators of a generating set.  Each
+    queued element not yet in K extends K and queues its conjugates by h's
+    generators; once they all lie in K, K is normal in h."""
     G = h.parent
     gens = h.generating_set()
-    seeds = set()
-    for a in gens:
-        ia = G.inv(a)
-        for b in gens:
-            c = G.mul(G.mul(ia, G.inv(b)), G.mul(a, b))
-            seeds.add(c)
-    seeds.discard(G.identity_index)
-    k = subgroup_generated(G, seeds)
-    while True:
-        new = set()
-        for g in gens:
-            for s in k.generating_set():
-                c = G.conj(g, s)
-                if c not in k:
-                    new.add(c)
-        if not new:
-            return k
-        k = subgroup_generated(G, set(k.indices) | new)
+    queue = [G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b)) for a in gens for b in gens]
+    kept: list[int] = []
+    k = {G.identity_index}
+    for c in queue:
+        if c not in k:
+            k = _extend(G, k, kept, c)
+            kept.append(c)
+            queue.extend(G.conj(g, c) for g in gens)
+    return Subgroup(G, k)
 
 
 def is_perfect(h: Subgroup) -> bool:

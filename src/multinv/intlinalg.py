@@ -626,6 +626,8 @@ def induced_on_quotient(sub_basis: IntMatrix, mats: Sequence[IntMatrix]) -> list
     k = sub_basis.rows
     if k == 0:
         return list(mats)
+    if k == n and sub_basis.is_identity() and all(g.is_identity() for g in mats):
+        return [IntMatrix.zeros(0, 0)] * len(mats)  # the whole lattice: the quotient is 0
     dec = snf(sub_basis)
     if dec.invariant_factors() != (1,) * k:
         raise ValueError("sub-basis is not saturated")

@@ -235,44 +235,35 @@ def _checked_basis(basis: IntMatrix, key: tuple, n: int) -> IntMatrix:
 
 def _shell(s: int, k: int):
     """Tuples in [0, s]^k with maximum exactly s, in lexicographic order."""
-    if k == 0:
-        if s == 0:
-            yield ()
-        return
     for c in iter_product(range(s + 1), repeat=k):
-        if max(c) == s:
+        if max(c, default=0) == s:
             yield c
 
 
 def witness_vector(G: FiniteMatrixGroup, h: Subgroup) -> tuple[int, ...]:
-    """Integer vector m with stabilizer exactly h."""
-    return _witness_scan(G, h, fixed_lattice(h))
+    """Integer vector m with stabilizer exactly h.
 
-
-def _witness_scan(G: FiniteMatrixGroup, h: Subgroup, basis: IntMatrix) -> tuple[int, ...]:
-    """Witness for h, given the saturated basis of its fixed lattice.
-
-    Scans integer combinations of the basis over coefficient boxes
-    [0, s]^k of growing side s, lexicographically inside each shell.
-    A witness must only avoid at most |G| proper subspaces of the fixed
+    Scans integer combinations of the saturated Hermite basis of h's fixed
+    lattice over coefficient boxes [0, s]^k of growing side s,
+    lexicographically inside each shell.  For an isotropy class that basis
+    is the catalog's ``fixed_space``, as a Hermite basis is canonical.  A
+    witness must only avoid at most |G| proper subspaces of the fixed
     space, and a box of side exceeding that count cannot be covered by
     them, so the scan terminates by side |G| at the latest.
     """
+    basis = fixed_lattice(h)
     k = basis.rows
+    rows = [basis.row(r) for r in range(k)]
     # candidate rejectors, likeliest fixers first
     others = sorted(
         (i for i in range(G.order) if i not in h),
         key=lambda i: (G.moved_rank(i), i),
     )
-    if not others and k == 0:
-        # h is the whole group with zero fixed space
-        return (0,) * G.lattice.rank
     other_mats = [G.element(i) for i in others]
     # isotropy precondition: h must be the exact stabilizer of its fixed space
     for g in other_mats:
-        if all(g.apply(basis.row(r)) == basis.row(r) for r in range(k)):
+        if all(g.apply(row) == row for row in rows):
             raise NotIsotropy("subgroup is not the full stabilizer of its fixed lattice")
-    rows = [basis.row(r) for r in range(k)]
     n = G.lattice.rank
     for s in range(0, G.order + 1):
         for c in _shell(s, k):

@@ -36,7 +36,7 @@ from .groups import (
     induced_group,
 )
 from .intlinalg import IntMatrix, common_fixed_lattice, induced_on_quotient
-from .isotropy import IsotropyClass, _witness_scan, enumerate_isotropy_groups
+from .isotropy import IsotropyClass, enumerate_isotropy_groups, witness_vector
 from .reflections import bireflection_subgroup
 
 
@@ -174,7 +174,7 @@ def _condition_row(G: FiniteMatrixGroup, cl: IsotropyClass, need_witness: bool) 
     perfect_mod = len(image) == len(orders)
     witness = None
     if need_witness and not perfect_mod:
-        witness = _witness_scan(G, subgroup, cl.fixed_space)
+        witness = witness_vector(G, subgroup)
     return IsotropyConditionRow(
         order=subgroup.order,
         moved_rank=G.lattice.rank - cl.fixed_rank,

@@ -8,8 +8,9 @@ invariants come from sympy's permutation groups, and orbit-verify
 certificates are re-multiplied with plain Laurent arithmetic, and group
 closures are redone breadth-first with plain ``IntMatrix`` products, the
 isotropy catalog's meet closure is redone with one integer kernel per
-pair of spaces, and minimal isotropy classes are found by conjugating
-matrices.
+pair of spaces, minimal isotropy classes are found by conjugating
+matrices, and generated subgroups are closed by numpy matrix products
+looked up by value.
 """
 
 from collections import Counter
@@ -245,3 +246,53 @@ def minimal_classes_oracle(G, classes):
         tuple(sorted(h)) for h in nontrivial
         if not any(len(o) < len(h) and conjugate_inside(o, h) for o in nontrivial)
     ]
+
+
+def _by_value(G):
+    """G's elements as int64 arrays, and each element's index keyed by its
+    entries; products of group elements stay group elements, so their
+    entries stay as small as the elements' own."""
+    n = G.lattice.rank
+    mats = np.array([g.row_lists() for g in G.elements], dtype=np.int64).reshape(G.order, n, n)
+    assert np.abs(mats).max() <= 2**20, "entries too large for exact int64 products"
+    return mats, {g.entries: i for i, g in enumerate(G.elements)}
+
+
+def _lookup(index, products):
+    return [index[tuple(m.ravel().tolist())] for m in products]
+
+
+def subgroup_oracle(G, seed):
+    """Indices of the subgroup of G the seed indices generate: the found
+    elements, from the identity on, multiplied on the right by each seed
+    element kept so far until nothing new appears, every product a matrix
+    product looked up by value.  A seed element already found is not kept."""
+    mats, index = _by_value(G)
+    found = {index[IntMatrix.identity(G.lattice.rank).entries]}
+    kept = []
+    for s in sorted(set(seed)):
+        if s in found:
+            continue
+        kept.append(s)
+        frontier = sorted(found)
+        while frontier:
+            new = set()
+            for g in kept:
+                new.update(_lookup(index, mats[frontier] @ mats[g]))
+            frontier = sorted(new - found)
+            found.update(frontier)
+    return frozenset(found)
+
+
+def commutator_seed(G, indices):
+    """Indices of every x^-1 y^-1 x y for x, y among the given indices, by
+    matrix products looked up by value."""
+    mats, index = _by_value(G)
+    indices = list(indices)
+    own = mats[indices]
+    inverses = np.array([unimodular_inverse(G.elements[i]).row_lists() for i in indices], dtype=np.int64)
+    inverses = inverses.reshape(own.shape)
+    seed = set()
+    for x, x_inv in zip(own, inverses):
+        seed.update(_lookup(index, (x_inv @ inverses) @ (x @ own)))
+    return seed

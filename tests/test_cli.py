@@ -68,6 +68,17 @@ class TestAnalyze:
         assert code == 0
         assert "verdict: Obstructed" in out
 
+    def test_generator_free_high_rank_is_quick(self, tmp_path):
+        # the trivial action's quotient by the whole lattice once took a Smith
+        # form of the rank-600 identity: about 10 s
+        path = tmp_path / "trivial600.json"
+        path.write_text(json.dumps({"rank": 600, "generators": []}))
+        start = time.perf_counter()
+        code, out = run_cli(["analyze", str(path)])
+        assert time.perf_counter() - start < 2.5
+        assert code == 0
+        assert "verdict: TriviallyCM" in out
+
 
 class TestExitCodes:
     def test_unknown_builtin(self):

@@ -28,9 +28,17 @@ from multinv.errors import InvalidGenerator, TheoremViolation
 from multinv.intlinalg import IntMatrix, common_fixed_lattice, snf, unimodular_inverse
 from multinv.isotropy import enumerate_isotropy_groups, isotropy_group_of, witness_vector
 from multinv.obstruction import direct_sum_copies, effective_reduction
+from multinv.reflections import bireflection_subgroup
 
 from helpers import conjugated_lattice, diag, random_unimodular, transposition, cycle, unipotent
-from oracles import check_closure, check_infinite_pair, sympy_abelianization
+from oracles import (
+    check_closure,
+    check_infinite_pair,
+    commutator_seed,
+    difference_rank,
+    subgroup_oracle,
+    sympy_abelianization,
+)
 
 C4 = IntMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])  # order 4, rank 3
 
@@ -426,3 +434,41 @@ def test_induced_group_rejects_an_unfaithful_image():
     G = close(GLattice(3, [C4]))
     with pytest.raises(TheoremViolation):
         induced_group(G, GLattice(1, [IntMatrix.from_rows([[-1]])]))
+
+
+# -- generated subgroups against closure by matrix products ----------------------
+
+
+def check_subgroup_functions(G, h):
+    """commutator_subgroup, bireflection_subgroup and generating_set on h,
+    each against subgroup_oracle."""
+    assert set(commutator_subgroup(h).indices) == subgroup_oracle(G, commutator_seed(G, h.indices))
+    bireflections = [i for i in h.indices if difference_rank([G.element(i)]) <= 2]
+    assert set(bireflection_subgroup(h).indices) == subgroup_oracle(G, bireflections)
+    gens = h.generating_set()
+    assert subgroup_oracle(G, gens) == set(h.indices)
+    for j, g in enumerate(gens):
+        assert g not in subgroup_oracle(G, gens[:j]), (gens, j)
+
+
+@pytest.fixture(scope="module", params=["sym5_u5", "alt5_u5", "signed_root_s5", "icosian", "conj_alt6_u6"])
+def oracle_group(request):
+    return close(_finite_lattice(request.param))
+
+
+def test_subgroup_functions_match_the_oracle_on_catalog_classes(oracle_group):
+    G = oracle_group
+    for cl in enumerate_isotropy_groups(G).classes:
+        h = cl.subgroup
+        assert subgroup_generated(G, h.indices) == h
+        check_subgroup_functions(G, h)
+
+
+def test_subgroup_functions_match_the_oracle_on_random_seeds(oracle_group):
+    G = oracle_group
+    rng = random.Random(G.order)
+    for _ in range(6):
+        seed = rng.sample(range(G.order), rng.randint(1, 3))
+        h = subgroup_generated(G, seed)
+        assert set(h.indices) == subgroup_oracle(G, seed), seed
+        check_subgroup_functions(G, h)

@@ -177,6 +177,13 @@ class TestInducedOnQuotient:
         g = M([[0, 1], [1, 0]])
         assert induced_on_quotient(IntMatrix(0, 2, ()), [g]) == [g]
 
+    def test_whole_lattice_leaves_rank_zero(self):
+        assert induced_on_quotient(IntMatrix.identity(3), [IntMatrix.identity(3)] * 2) == [IntMatrix(0, 0, ())] * 2
+
+    def test_whole_lattice_rejects_a_moving_matrix(self):
+        with pytest.raises(ValueError, match="does not fix the sub-lattice pointwise"):
+            induced_on_quotient(IntMatrix.identity(2), [IntMatrix.identity(2), M([[0, 1], [1, 0]])])
+
 
 # -- randomized property suites (fixed seed) ---------------------------
 
