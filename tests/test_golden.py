@@ -48,8 +48,9 @@ DIGEST_CASES = {
     for _preset in ("diag_sl", "alt_laurent")
 }
 # the large builtins of the benchmark; alt6_u6 is the one whose meet closure
-# adds spaces beyond the cyclic ones (97 cyclic, 188 in all)
-for _name in ("sym7_u7", "sym6_u6", "alt6_u6", "root_a5", "diag_sl6"):
+# adds spaces beyond the cyclic ones (97 cyclic, 188 in all); alt7_u7 and
+# sym8_u8 have the largest closures (856 and 4,140 spaces)
+for _name in ("sym7_u7", "sym6_u6", "alt6_u6", "root_a5", "diag_sl6", "alt7_u7", "sym8_u8"):
     DIGEST_CASES[f"analyze_{_name}"] = ["analyze", f"builtin:{_name}"]
 for _name in ("alt6_u6", "sym6_u6", "root_a5"):
     DIGEST_CASES[f"witness_{_name}"] = ["witness", f"builtin:{_name}"]
