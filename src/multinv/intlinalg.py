@@ -542,6 +542,8 @@ def common_fixed_lattice(mats: Sequence[IntMatrix], n: int) -> IntMatrix:
     """Saturated Hermite basis of the vectors fixed by every matrix in
     ``mats``: the kernel of the stacked ``g - I``.  With no matrices this
     is the whole of ``Z^n``."""
+    if not mats:
+        return IntMatrix.identity(n)
     ident = IntMatrix.identity(n)
     return kernel_lattice(IntMatrix.vstack([g - ident for g in mats], cols=n))
 
@@ -622,12 +624,9 @@ def induced_on_quotient(sub_basis: IntMatrix, mats: Sequence[IntMatrix]) -> list
     identity block on the fixed part, and the lower-right block is the
     quotient action.
     """
-    n = sub_basis.cols if sub_basis.rows else (mats[0].rows if mats else 0)
-    k = sub_basis.rows
+    n, k = sub_basis.cols, sub_basis.rows
     if k == 0:
         return list(mats)
-    if k == n and sub_basis.is_identity() and all(g.is_identity() for g in mats):
-        return [IntMatrix.zeros(0, 0)] * len(mats)  # the whole lattice: the quotient is 0
     dec = snf(sub_basis)
     if dec.invariant_factors() != (1,) * k:
         raise ValueError("sub-basis is not saturated")

@@ -107,12 +107,16 @@ def effective_reduction(lat: GLattice) -> GLattice:
 
     Generators that induce the identity are kept (dropping them would
     change the declared generator pairing); the closed group is the same
-    either way because the induced action of the closure is faithful.
+    either way because the induced action of the closure is faithful.  A
+    trivial action reduces to rank 0, with 0x0 generators.
     """
     fixed = common_fixed_lattice(lat.generators, lat.rank)
     if fixed.rows == 0:
         return lat
-    induced = induced_on_quotient(fixed, list(lat.generators))
+    if fixed.rows == lat.rank:
+        induced = [IntMatrix.zeros(0, 0)] * len(lat.generators)
+    else:
+        induced = induced_on_quotient(fixed, list(lat.generators))
     return GLattice(lat.rank - fixed.rows, induced, lat.name + "/effective")
 
 
@@ -195,12 +199,12 @@ def check_necessary_conditions(lat: GLattice, cap: int = DEFAULT_CAP) -> Obstruc
     not Cohen-Macaulay); the converse is never claimed, which is why the
     conditions holding yields Inconclusive rather than a positive answer.
     """
-    trivial_action = all(g.is_identity() for g in lat.generators)
     # close the input before reducing: an infinite group must surface as
     # CapExceeded, and reduction can quotient away infinite unipotent parts
     G = close(lat, cap)
     reduced = effective_reduction(lat)
     fixed_rank = lat.rank - reduced.rank
+    trivial_action = reduced.rank == 0
     rank_le2 = lat.rank <= 2
     if reduced is not lat:
         G = induced_group(G, reduced)  # rebinding frees the original group before the catalog
@@ -237,8 +241,7 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     """Verdict for the r-fold direct sum, with the proved guarantee that
     three or more copies of a nontrivial action are always obstructed."""
     report = check_necessary_conditions(direct_sum_copies(lat, r), cap)
-    nontrivial = not all(g.is_identity() for g in lat.generators)
-    if r >= 3 and nontrivial and report.verdict != OBSTRUCTED:
+    if r >= 3 and not report.reduction.trivial_action and report.verdict != OBSTRUCTED:
         raise TheoremViolation(
             f"{r} copies of a nontrivial action must be obstructed, got {report.verdict}"
         )

@@ -305,22 +305,29 @@ def test_closure_matches_integer_meet_closure(name):
 
 
 @pytest.mark.parametrize("name, spaces", [("alt6_u6", 188), ("conj_alt6_u6.json", 188), ("sym6_u6", 203)])
-def test_one_integer_kernel_per_closure_space(name, spaces, monkeypatch):
-    """Meets and dedupe run on the keys mod p; only a space not seen
-    before pays an integer kernel."""
+def test_one_integer_kernel_per_orbit(name, spaces, monkeypatch):
+    """Meets, dedupe and orbits run on the keys mod p.  Each orbit pays one
+    integer fixed lattice, its root's; the other members' bases are the
+    root's moved by generators.  The whole lattice, fixed by the trivial
+    class, needs no kernel."""
     G = _group(name)
-    calls = []
-    kernel = intlinalg.kernel_lattice
+    lattices, kernels = [], []
+    fixed, kernel = isotropy.common_fixed_lattice, intlinalg.kernel_lattice
 
-    def counted(a):
-        calls.append(a)
+    def counted_fixed(mats, n):
+        lattices.append(mats)
+        return fixed(mats, n)
+
+    def counted_kernel(a):
+        kernels.append(a)
         return kernel(a)
 
-    monkeypatch.setattr(intlinalg, "kernel_lattice", counted)
-    monkeypatch.setattr(isotropy, "kernel_lattice", counted)
+    monkeypatch.setattr(isotropy, "common_fixed_lattice", counted_fixed)
+    monkeypatch.setattr(intlinalg, "kernel_lattice", counted_kernel)
     catalog = enumerate_isotropy_groups(G)
     assert len(catalog._orbit_index) == spaces
-    assert len(calls) == spaces
+    assert len(lattices) == len(catalog.classes)
+    assert len(kernels) == len(catalog.classes) - 1
 
 
 @pytest.mark.parametrize(
