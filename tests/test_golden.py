@@ -42,10 +42,12 @@ for _preset, _rank, _bound in (("diag_sl", 2, 4), ("diag_sl", 3, 3), ("alt_laure
         "orbit", "verify", _preset, "--rank", str(_rank), "--bound", str(_bound),
     ]
 
-# bound 4 at rank 4: hundreds of products share a leading representative
+# bound 4 at rank 4: hundreds of products share a leading representative;
+# bound 6 at rank 4: the largest windows the suite runs
 DIGEST_CASES = {
-    f"orbit_{_preset}_r4_b4": ["orbit", "verify", _preset, "--rank", "4", "--bound", "4"]
+    f"orbit_{_preset}_r4_b{_bound}": ["orbit", "verify", _preset, "--rank", "4", "--bound", str(_bound)]
     for _preset in ("diag_sl", "alt_laurent")
+    for _bound in (4, 6)
 }
 # the large builtins of the benchmark; alt6_u6 is the one whose meet closure
 # adds spaces beyond the cyclic ones (97 cyclic, 188 in all); alt7_u7 and
