@@ -365,8 +365,12 @@ def _hermite(rows: dict) -> tuple[list[tuple[dict, dict]], list[dict]]:
 
 def _sparse_rows(a: IntMatrix) -> dict:
     """Rows of ``a`` as sparse rows labelled by index."""
-    c, e = a.cols, a.entries
-    return {i: {j: x for j, x in enumerate(e[i * c : (i + 1) * c]) if x} for i in range(a.rows)}
+    c = a.cols
+    rows: dict = {i: {} for i in range(a.rows)}
+    for k, x in enumerate(a.entries):
+        if x:
+            rows[k // c][k % c] = x
+    return rows
 
 
 def _dense(vectors: Sequence[dict], cols: int) -> IntMatrix:

@@ -17,6 +17,21 @@ representative lies in an interior window (shrunk by the generator
 support widths, so window-edge artifacts cannot produce false negatives)
 must then be an exact integer combination of the products, read off by
 back-substitution; the products are independent, so it is unique.
+
+The products are multiplied in orbit coordinates and never expanded.
+Write O(R) for the orbit sum of the representative R and rep(m) for the
+representative of m's orbit.  For an invariant f = sum_R f_R O(R) and an
+invariant a = sum_e a[e] x^e, the coefficient of f*a at the
+representative r is
+
+    (f*a)_r = (1/|O(r)|) sum_R f_R |O(R)| sum_{e in supp a, rep(R+e) = r} a[e].
+
+Proof: O(R) = sum_{g in G/G_R} x^{gR}, and x^{gR} a = g(x^R a) since a is
+invariant, so O(R) a = sum_{g in G/G_R} g(x^R a).  Each g permutes O(r),
+so the coefficients of g(x^R a) on O(r) add up to those of x^R a, which
+is the inner sum; and the invariant f*a has the same coefficient at all
+|O(r)| members of O(r).  The division is exact; a remainder means the
+invariance argument failed and raises TheoremViolation.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 from operator import add
 
-from .errors import NotInvariant, ParityViolation, ValidationError
+from .errors import NotInvariant, ParityViolation, TheoremViolation, ValidationError
 from .groups import FiniteMatrixGroup
 from .intlinalg import IntMatrix, solve_echelon, sparse_echelon
 
@@ -277,23 +292,31 @@ def verify_free_decomposition(
     # algebra generators (e.g. a pair of mutually inverse monomials).  A
     # product's Newton box is the sum of its factors' boxes, so products
     # that leave the window are skipped before they are multiplied out, and
-    # a word reached again along another path is skipped outright.
+    # a word reached again along another path is skipped outright.  Each
+    # product is carried as its orbit coordinates {representative: coeff},
+    # which determine it, so equal rows are equal values.
+    orbits: dict[tuple, list[tuple]] = {}
+    gen_terms = [list(a.terms.items()) for a in algebra_gens]
     gen_boxes = [a.newton_box() for a in algebra_gens]
-    products: list[tuple[ProductTerm, LaurentElement]] = []
-    seen: set[LaurentElement] = set()
+    products: list[tuple[ProductTerm, dict]] = []
+    seen: set[frozenset] = set()
     visited: set[tuple[int, tuple[int, ...]]] = set()
     queue = deque()
     for j, h in enumerate(module_gens):
         term = ProductTerm(j, (0,) * len(algebra_gens))
         if h.is_zero():
             return _relation_failure(((1, term),))
-        if h.support_width() <= bound and h not in seen:
-            seen.add(h)
-            products.append((term, h))
-            queue.append((term, h, h.newton_box()))
+        if h.support_width() > bound:
+            continue
+        row = express_in_orbit_basis(G, h, orbits)
+        value = frozenset(row.items())
+        if value not in seen:
+            seen.add(value)
+            products.append((term, row))
+            queue.append((term, row, h.newton_box()))
     while queue:
-        term, value, (lo, hi) = queue.popleft()
-        for i, (gen, (gen_lo, gen_hi)) in enumerate(zip(algebra_gens, gen_boxes)):
+        term, row, (lo, hi) = queue.popleft()
+        for i, (terms, (gen_lo, gen_hi)) in enumerate(zip(gen_terms, gen_boxes)):
             key = (term.module_index, _bump(term.exponents, i))
             if key in visited:
                 continue
@@ -302,10 +325,11 @@ def verify_free_decomposition(
             new_hi = tuple(map(add, hi, gen_hi))
             if min(new_lo) < -bound or max(new_hi) > bound:
                 continue
-            new = value * gen
-            if new in seen:
+            new = _times(G, row, terms, orbits)
+            value = frozenset(new.items())
+            if value in seen:
                 continue
-            seen.add(new)
+            seen.add(value)
             word = ProductTerm(*key)
             products.append((word, new))
             queue.append((word, new, (new_lo, new_hi)))
@@ -313,11 +337,9 @@ def verify_free_decomposition(
     # sparse coefficient rows over the touched orbit representatives,
     # greatest representative first; rows enter the elimination by leading
     # representative, so most land on a fresh pivot column
-    orbits: dict[tuple, list[tuple]] = {}
-    expansions = [express_in_orbit_basis(G, p, orbits) for _, p in products]
-    reps = sorted({r for e in expansions for r in e}, reverse=True)
+    reps = sorted({r for _, row in products for r in row}, reverse=True)
     col = {r: j for j, r in enumerate(reps)}
-    rows = [{col[r]: c for r, c in e.items()} for e in expansions]
+    rows = [{col[r]: c for r, c in row.items()} for _, row in products]
     order = sorted(range(len(rows)), key=lambda i: min(rows[i]))
     pivots, relations = sparse_echelon({i: rows[i] for i in order})
 
@@ -357,6 +379,26 @@ def verify_free_decomposition(
         expressions=expressions,
     )
     return DecompositionResult(True, certificate=certificate)
+
+
+def _times(G: FiniteMatrixGroup, f: dict, terms: list, orbits: dict) -> dict:
+    """Orbit coordinates of f * a, for f given by its orbit coordinates and
+    the invariant a by its terms; see the module docstring."""
+    acc: dict[tuple, int] = {}
+    get = acc.get
+    for rep, c in f.items():
+        c *= len(_memo_orbit(G, rep, orbits))
+        for e, a_e in terms:
+            r = _memo_orbit(G, tuple(map(add, rep, e)), orbits)[0]
+            acc[r] = get(r, 0) + c * a_e
+    out = {}
+    for r, total in acc.items():
+        q, rem = divmod(total, len(orbits[r]))
+        if rem:
+            raise TheoremViolation(f"orbit coordinate {total}/{len(orbits[r])} at {r} is not an integer")
+        if q:
+            out[r] = q
+    return out
 
 
 def _relation_failure(relation: tuple) -> DecompositionResult:

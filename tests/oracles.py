@@ -4,8 +4,10 @@ These never call back into the code paths they check: the stabilizer
 census scans lattice vectors directly with numpy integer arithmetic, the
 difference-lattice rank is plain integer elimination, the SL(2, F_5)
 histogram is computed from scratch over the finite field, abelian
-invariants come from sympy's permutation groups, and orbit-verify
-certificates are re-multiplied with plain Laurent arithmetic, and group
+invariants come from sympy's permutation groups, orbit-verify
+certificates are re-multiplied with plain Laurent arithmetic, the
+orbit-verify enumeration is redone with every product multiplied out
+as a Laurent polynomial before it is read in orbit coordinates, group
 closures are redone breadth-first with plain ``IntMatrix`` products, the
 isotropy catalog's meet closure is redone with one integer kernel per
 pair of spaces, minimal isotropy classes are found by conjugating
@@ -13,16 +15,33 @@ matrices, and generated subgroups are closed by numpy matrix products
 looked up by value.
 """
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import product as iter_product
+from operator import add
 
 import numpy as np
 from sympy import primefactors
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from multinv.groups import GLattice, induced_group
-from multinv.intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, kernel_lattice, unimodular_inverse
-from multinv.orbit_algebra import LaurentElement
+from multinv.intlinalg import (
+    IntMatrix,
+    common_fixed_lattice,
+    hnf_basis,
+    kernel_lattice,
+    solve_echelon,
+    sparse_echelon,
+    unimodular_inverse,
+)
+from multinv.orbit_algebra import (
+    DecompositionCertificate,
+    DecompositionFailure,
+    DecompositionResult,
+    LaurentElement,
+    ProductTerm,
+    express_in_orbit_basis,
+    orbit_of,
+)
 
 
 def stabilizer_census(group):
@@ -163,6 +182,96 @@ def check_certificate(G, algebra_gens, module_gens, cert):
         for pos, c in combo:
             total = total + values[pos] * c
         assert total == LaurentElement(n, {g.apply(rep): 1 for g in G.elements}), rep
+
+
+def dense_free_decomposition(G, algebra_gens, module_gens, bound):
+    """``verify_free_decomposition`` on valid input, with every product
+    multiplied out as a Laurent polynomial, deduplicated by value, and only
+    then read in orbit coordinates by ``express_in_orbit_basis``.  The
+    enumeration order, the elimination and the interior scan follow the
+    library's, so the two results must be equal."""
+    n = G.lattice.rank
+    width = max(g.support_width() for g in algebra_gens + module_gens)
+    interior = bound - width
+    zero_word = (0,) * len(algebra_gens)
+
+    def relation_failure(relation):
+        return DecompositionResult(False, failure=DecompositionFailure(kind="relation", relation=relation))
+
+    gen_boxes = [a.newton_box() for a in algebra_gens]
+    products = []
+    seen = set()
+    visited = set()
+    queue = deque()
+    for j, h in enumerate(module_gens):
+        term = ProductTerm(j, zero_word)
+        if h.is_zero():
+            return relation_failure(((1, term),))
+        if h.support_width() <= bound and h not in seen:
+            seen.add(h)
+            products.append((term, h))
+            queue.append((term, h, h.newton_box()))
+    while queue:
+        term, value, (lo, hi) = queue.popleft()
+        for i, (gen, (gen_lo, gen_hi)) in enumerate(zip(algebra_gens, gen_boxes)):
+            exps = list(term.exponents)
+            exps[i] += 1
+            key = (term.module_index, tuple(exps))
+            if key in visited:
+                continue
+            visited.add(key)
+            new_lo = tuple(map(add, lo, gen_lo))
+            new_hi = tuple(map(add, hi, gen_hi))
+            if min(new_lo) < -bound or max(new_hi) > bound:
+                continue
+            new = value * gen
+            if new in seen:
+                continue
+            seen.add(new)
+            word = ProductTerm(*key)
+            products.append((word, new))
+            queue.append((word, new, (new_lo, new_hi)))
+
+    orbits = {}
+    expansions = [express_in_orbit_basis(G, p, orbits) for _, p in products]
+    reps = sorted({r for e in expansions for r in e}, reverse=True)
+    col = {r: j for j, r in enumerate(reps)}
+    rows = [{col[r]: c for r, c in e.items()} for e in expansions]
+    order = sorted(range(len(rows)), key=lambda i: min(rows[i]))
+    pivots, relations = sparse_echelon({i: rows[i] for i in order})
+    if relations:
+        return relation_failure(tuple((c, products[i][0]) for i, c in sorted(relations[0].items())))
+    bad = next((c for c in sorted(pivots) if pivots[c][0][c] != 1), None)
+    if bad is not None:
+        return DecompositionResult(False, failure=DecompositionFailure(kind="torsion", witness_orbit=reps[bad]))
+
+    covered = []
+    expressions = {}
+    shells = (
+        v
+        for s in range(interior + 1)
+        for v in iter_product(range(s, -s - 1, -1), repeat=n)
+        if s == 0 or max(map(abs, v)) == s
+    )
+    for v in shells:
+        if v not in orbits:
+            orbit = orbit_of(G, v)
+            orbits.update(dict.fromkeys(orbit, orbit))
+        if orbits[v][0] != v:
+            continue
+        combo = solve_echelon(pivots, {col[v]: 1}) if v in col else None
+        if combo is None:
+            return DecompositionResult(False, failure=DecompositionFailure(kind="unreachable", witness_orbit=v))
+        covered.append(v)
+        expressions[v] = tuple(sorted(combo.items()))
+    certificate = DecompositionCertificate(
+        bound=bound,
+        interior_bound=interior,
+        products=tuple(term for term, _ in products),
+        covered=tuple(covered),
+        expressions=expressions,
+    )
+    return DecompositionResult(True, certificate=certificate)
 
 
 def naive_closure(lattice):

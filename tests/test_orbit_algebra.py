@@ -5,8 +5,9 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multinv import orbit_algebra
 from multinv.cli import _orbit_preset
-from multinv.errors import NotInvariant
+from multinv.errors import NotInvariant, TheoremViolation
 from multinv.groups import GLattice, close
 from multinv.intlinalg import IntMatrix, rank
 from multinv.orbit_algebra import (
@@ -22,7 +23,7 @@ from multinv.orbit_algebra import (
 )
 
 from helpers import cycle, diag, transposition
-from oracles import check_certificate, product_value
+from oracles import check_certificate, dense_free_decomposition, product_value
 
 
 def neg_group(n):
@@ -240,6 +241,13 @@ class TestFreeDecomposition:
                 g, [LaurentElement.monomial((1, 0))], [LaurentElement.one(2)], 3
             )
 
+    def test_non_integer_orbit_coordinate_is_a_theorem_violation(self, monkeypatch):
+        # past the entry check, x * 1 has coefficient 1/2 on the orbit {x, x^-1}
+        monkeypatch.setattr(orbit_algebra, "is_invariant", lambda G, a: True)
+        g = neg_group(1)
+        with pytest.raises(TheoremViolation):
+            verify_free_decomposition(g, [LaurentElement.monomial((1,))], [LaurentElement.one(1)], 3)
+
 
 class TestAlternatingD:
     def test_n2_is_x1(self):
@@ -386,6 +394,61 @@ def test_certificate_check_rejects_a_wrong_expression():
     bad = replace(cert, expressions={**cert.expressions, rep: ((pos, c + 1), *rest)})
     with pytest.raises(AssertionError):
         check_certificate(g, algebra, module, bad)
+
+
+# -- against the dense enumeration --------------------------------------------
+
+
+def moved_preset(preset, rank_, seed):
+    """The CLI's preset moved by a seeded signed permutation p: the group
+    p G p^-1 with every generator x -> x^(p m) applied to the invariants."""
+    rng = random.Random(seed)
+    perm = list(range(rank_))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(rank_)]
+    p = IntMatrix(rank_, rank_, (signs[i] if perm[i] == j else 0 for i in range(rank_) for j in range(rank_)))
+    g, algebra, module = _orbit_preset(preset, rank_)
+    moved = close(GLattice(rank_, [p * h * p.transpose() for h in g.lattice.generators], f"{preset}~{seed}"))
+    return moved, [act(p, a) for a in algebra], [act(p, h) for h in module]
+
+
+# the module generators as given, and three ways to break the decomposition
+MODULE_VARIANTS = {
+    "ok": lambda algebra, module: module,
+    "unreachable": lambda algebra, module: module[:1],
+    "torsion": lambda algebra, module: [module[0], module[1] * 2],
+    "relation": lambda algebra, module: [*module, module[1] * algebra[0] + module[0]],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(MODULE_VARIANTS))
+@pytest.mark.parametrize("preset,rank_,bound,seed", [
+    ("diag_sl", 3, 4, 1), ("diag_sl", 4, 4, 2), ("alt_laurent", 3, 4, 3), ("alt_laurent", 4, 4, 4),
+])
+def test_orbit_coordinates_match_dense_products(preset, rank_, bound, seed, variant):
+    g, algebra, module = moved_preset(preset, rank_, seed)
+    module = MODULE_VARIANTS[variant](algebra, module)
+    result = verify_free_decomposition(g, algebra, module, bound)
+    assert result == dense_free_decomposition(g, algebra, module, bound)
+    assert (result.failure.kind if result.failure else "ok") == variant
+
+
+def small_inputs():
+    neg1, trivial = neg_group(1), close(GLattice(1, [], "trivial1"))
+    g2 = diag_sl(2)
+    return {
+        "unreachable": (g2, [xi(g2, 0), xi(g2, 1)], [LaurentElement.one(2)], 4),
+        "relation": (neg1, [xi(neg1, 0)], [LaurentElement.one(1), LaurentElement(1, {(0,): 2})], 3),
+        "zero_module": (neg1, [xi(neg1, 0)], [LaurentElement.one(1), LaurentElement.zero(1)], 3),
+        "torsion": (trivial, [LaurentElement.monomial((2,))], [LaurentElement.one(1), LaurentElement(1, {(1,): 2})], 4),
+        "duplicates": (neg1, [xi(neg1, 0), xi(neg1, 0)], [LaurentElement.one(1)], 3),
+    }
+
+
+@pytest.mark.parametrize("case", ["unreachable", "relation", "zero_module", "torsion", "duplicates"])
+def test_small_inputs_match_dense_products(case):
+    g, algebra, module, bound = small_inputs()[case]
+    assert verify_free_decomposition(g, algebra, module, bound) == dense_free_decomposition(g, algebra, module, bound)
 
 
 # -- Newton boxes ------------------------------------------------------------------
