@@ -24,6 +24,7 @@ input error, else 0.  Exit code 1 is never used.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -238,7 +239,7 @@ def _cmd_witness(args, out) -> int:
     lines = [f"input: {args.input} (rank {lattice.rank})", f"group order: {group.order}"]
     lines.append(f"isotropy classes: {len(catalog.classes)}")
     for cl in catalog.classes:
-        witness = witness_vector(group, cl.subgroup)
+        witness = witness_vector(group, cl.subgroup, cl.fixed_space)
         classes.append(
             {
                 "order": cl.order,
@@ -378,7 +379,10 @@ def _at_least(least: int):
     return integer
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged, so every
+    :func:`run` call shares it."""
     parser = argparse.ArgumentParser(
         prog="multinv",
         description="Obstruction analysis and orbit-sum verification for "

@@ -306,6 +306,35 @@ def induced_group(G: FiniteMatrixGroup, lattice: GLattice) -> FiniteMatrixGroup:
     return FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter)
 
 
+def diagonal_group(G: FiniteMatrixGroup, lattice: GLattice) -> FiniteMatrixGroup:
+    """G acting on the r-fold direct sum of its lattice through
+    x -> diag(x, ..., x); ``lattice`` is that sum, whose generators are
+    the diagonal images of G's generators, position by position.
+
+    The map is faithful, so as in :func:`induced_group` the table, the
+    words and the BFS tree carry over.  Each element is its matrix placed
+    r times along the diagonal: no product and no hashing.  Raises
+    ``ValueError`` if ``lattice`` is not that sum.
+    """
+    r = lattice.rank // max(G.lattice.rank, 1)
+    if lattice.generators != tuple(block_diagonal([g] * r) for g in G.lattice.generators):
+        raise ValueError("the lattice is not a diagonal sum of the group's lattice")
+    elements = [block_diagonal([x] * r) for x in G.elements]
+    return FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter)
+
+
+def block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
+    """Square blocks placed along the diagonal."""
+    n = sum(b.rows for b in blocks)
+    big = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i in range(b.rows):
+            big[offset + i][offset : offset + b.rows] = b.row(i)
+        offset += b.rows
+    return IntMatrix.from_rows(big, n)
+
+
 class Subgroup:
     """A subgroup of an enumerated group, stored as a sorted index set."""
 

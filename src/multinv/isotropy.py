@@ -233,18 +233,20 @@ def _shell(s: int, k: int):
             yield c
 
 
-def witness_vector(G: FiniteMatrixGroup, h: Subgroup) -> tuple[int, ...]:
+def witness_vector(G: FiniteMatrixGroup, h: Subgroup, basis: IntMatrix | None = None) -> tuple[int, ...]:
     """Integer vector m with stabilizer exactly h.
 
     Scans integer combinations of the saturated Hermite basis of h's fixed
     lattice over coefficient boxes [0, s]^k of growing side s,
-    lexicographically inside each shell.  For an isotropy class that basis
-    is the catalog's ``fixed_space``, as a Hermite basis is canonical.  A
+    lexicographically inside each shell.  ``basis`` is that basis when the
+    caller holds it, as an isotropy class does in its ``fixed_space`` (a
+    Hermite basis is canonical); otherwise it is computed from h.  A
     witness must only avoid at most |G| proper subspaces of the fixed
     space, and a box of side exceeding that count cannot be covered by
     them, so the scan terminates by side |G| at the latest.
     """
-    basis = fixed_lattice(h)
+    if basis is None:
+        basis = fixed_lattice(h)
     k = basis.rows
     rows = [basis.row(r) for r in range(k)]
     # candidate rejectors, likeliest fixers first

@@ -18,6 +18,15 @@ most 2 are always Cohen-Macaulay).
 Both conditions are invariant under passing to the effective lattice
 L / L^G: the isotropy groups and all moved ranks are unchanged, so the
 pipeline analyzes the reduced action and records the reduction.
+
+The r-fold direct sum L^r that :func:`copies_verdict` decides goes through
+the same pipeline, but its group is never closed at rank r n.  The map
+x -> diag(x, ..., x) is faithful and sends the generators of L to those of
+L^r, so both groups have one Cayley graph: closing L gives the same BFS
+order and table, stops at the cap at the same element, and meets the
+first two elements that agree mod 3 at the same step (two elements agree
+mod 3 exactly when their diagonal images do).  The closed base is lifted
+block by block instead.
 """
 
 from __future__ import annotations
@@ -30,9 +39,11 @@ from .groups import (
     FiniteMatrixGroup,
     GLattice,
     abelian_invariants,
+    block_diagonal,
     close,
     commutator_subgroup,
     coset_orders,
+    diagonal_group,
     induced_group,
 )
 from .intlinalg import IntMatrix, common_fixed_lattice, induced_on_quotient
@@ -126,20 +137,8 @@ def direct_sum_copies(lat: GLattice, r: int) -> GLattice:
         raise ValueError("copy count must be at least 1")
     if r == 1:
         return lat
-    gens = [_block_diagonal([g] * r) for g in lat.generators]
+    gens = [block_diagonal([g] * r) for g in lat.generators]
     return GLattice(lat.rank * r, gens, f"{lat.name}^{r}" if lat.name else f"sum^{r}")
-
-
-def _block_diagonal(blocks: list[IntMatrix]) -> IntMatrix:
-    """Square blocks placed along the diagonal."""
-    n = sum(b.rows for b in blocks)
-    big = [[0] * n for _ in range(n)]
-    offset = 0
-    for b in blocks:
-        for i in range(b.rows):
-            big[offset + i][offset : offset + b.rows] = b.row(i)
-        offset += b.rows
-    return IntMatrix.from_rows(big, n)
 
 
 def rationally_isomorphic(l1: GLattice, l2: GLattice, cap: int = DEFAULT_CAP) -> bool:
@@ -154,7 +153,7 @@ def rationally_isomorphic(l1: GLattice, l2: GLattice, cap: int = DEFAULT_CAP) ->
     if len(l1.generators) != len(l2.generators):
         raise GeneratorMismatch("generator lists have different lengths")
     n1, n = l1.rank, l1.rank + l2.rank
-    pairs = close(GLattice(n, [_block_diagonal([a, b]) for a, b in zip(l1.generators, l2.generators)]), cap)
+    pairs = close(GLattice(n, [block_diagonal([a, b]) for a, b in zip(l1.generators, l2.generators)]), cap)
     # the top n1 rows hold the first block, the other rows the second
     firsts = {m.entries[: n1 * n] for m in pairs.elements}
     seconds = {m.entries[n1 * n :] for m in pairs.elements}
@@ -178,7 +177,7 @@ def _condition_row(G: FiniteMatrixGroup, cl: IsotropyClass, need_witness: bool) 
     perfect_mod = len(image) == len(orders)
     witness = None
     if need_witness and not perfect_mod:
-        witness = witness_vector(G, subgroup)
+        witness = witness_vector(G, subgroup, cl.fixed_space)
     return IsotropyConditionRow(
         order=subgroup.order,
         moved_rank=G.lattice.rank - cl.fixed_rank,
@@ -201,7 +200,11 @@ def check_necessary_conditions(lat: GLattice, cap: int = DEFAULT_CAP) -> Obstruc
     """
     # close the input before reducing: an infinite group must surface as
     # CapExceeded, and reduction can quotient away infinite unipotent parts
-    G = close(lat, cap)
+    return _decide(lat, close(lat, cap))
+
+
+def _decide(lat: GLattice, G: FiniteMatrixGroup) -> ObstructionReport:
+    """The pipeline after closure: G is the closed group of ``lat``."""
     reduced = effective_reduction(lat)
     fixed_rank = lat.rank - reduced.rank
     trivial_action = reduced.rank == 0
@@ -239,8 +242,18 @@ def check_necessary_conditions(lat: GLattice, cap: int = DEFAULT_CAP) -> Obstruc
 
 def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> ObstructionReport:
     """Verdict for the r-fold direct sum, with the proved guarantee that
-    three or more copies of a nontrivial action are always obstructed."""
-    report = check_necessary_conditions(direct_sum_copies(lat, r), cap)
+    three or more copies of a nontrivial action are always obstructed.
+
+    Only the base lattice is closed.  The map x -> diag(x, ..., x) is
+    faithful and sends the base's generators to the sum's, position by
+    position, so the sum's group has the base's Cayley graph: the same BFS
+    order and table, the cap reached at the same element, and the same
+    first pair of elements that agree mod 3.  :func:`groups.diagonal_group`
+    lifts the closed base to the sum, and the sum goes through the rest of
+    :func:`check_necessary_conditions` unchanged.
+    """
+    total = direct_sum_copies(lat, r)
+    report = _decide(total, diagonal_group(close(lat, cap), total))
     if r >= 3 and not report.reduction.trivial_action and report.verdict != OBSTRUCTED:
         raise TheoremViolation(
             f"{r} copies of a nontrivial action must be obstructed, got {report.verdict}"

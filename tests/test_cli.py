@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import multinv
-from multinv import cli
+from multinv import cli, obstruction
 from multinv.catalog import builtin, serialize_group_definition
 from multinv.cli import run
+from multinv.errors import CapExceeded, InfiniteGroup
+from multinv.groups import DEFAULT_CAP, block_diagonal, close
 
 from helpers import unipotent
 
@@ -271,6 +273,44 @@ class TestCopies:
         assert doc["verdict"] == "Obstructed"
 
 
+    @pytest.mark.parametrize(
+        "name, r, cap",
+        [("unipotent4", 2, 1000), ("unipotent4", 3, 1000), ("unipotent4", 3, None), ("sym6_u6", 2, 500)],
+    )
+    def test_stops_where_closing_the_sum_stops(self, name, r, cap, tmp_path):
+        """Closing the base refuses the sum with the exit code and message
+        a closure of the sum itself gives, and for an infinite base with
+        the diagonal images of the sum's pair of elements agreeing mod 3."""
+        lat = unipotent(4) if name.startswith("unipotent") else builtin(name)
+        path = tmp_path / f"{name}.json"  # a file, so that the closure and not the order check refuses it
+        path.write_text(serialize_group_definition(lat))
+        cap_args = [] if cap is None else ["--cap", str(cap)]
+        code, out = run_cli(["copies", str(path), "--r", str(r), *cap_args])
+        with pytest.raises(CapExceeded) as whole:
+            close(obstruction.direct_sum_copies(lat, r), cap or DEFAULT_CAP)
+        assert code == 3
+        assert out == f"error: {whole.value}\n"
+        with pytest.raises(CapExceeded) as base:
+            close(lat, cap or DEFAULT_CAP)
+        assert type(base.value) is type(whole.value)
+        if isinstance(whole.value, InfiniteGroup):
+            assert block_diagonal([base.value.first] * r) == whole.value.first
+            assert block_diagonal([base.value.second] * r) == whole.value.second
+
+    def test_closes_no_lattice_above_the_input_rank(self, monkeypatch):
+        ranks = []
+        real_close = obstruction.close
+
+        def recorded(lat, cap):
+            ranks.append(lat.rank)
+            return real_close(lat, cap)
+
+        monkeypatch.setattr(obstruction, "close", recorded)
+        code, out = run_cli(["copies", "builtin:icosian", "--r", "3"])
+        assert code == 0 and "group order: 120" in out
+        assert ranks == [8]
+
+
 class TestOrbitVerify:
     def test_diag_sl_rank2(self):
         code, out = run_cli(["orbit", "verify", "diag_sl", "--rank", "2", "--bound", "4"])
@@ -342,6 +382,31 @@ def test_repeated_runs_byte_identical():
         ["orbit", "verify", "diag_sl", "--rank", "3", "--bound", "3", "--format", "json"],
     ):
         assert run_cli(argv) == run_cli(argv)
+
+
+def test_one_parser_serves_a_run_of_commands(capsys):
+    """The parser is built once per process, and a usage error between two
+    commands changes neither their outputs nor its own message."""
+    golden = Path(__file__).resolve().parent / "golden"
+    first, second = ["analyze", "builtin:sym4_u4"], ["witness", "builtin:icosian"]
+    usage_error = ["copies", "builtin:sym3_u3"]  # missing --r
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(usage_error)
+    message = capsys.readouterr().err
+    assert message.startswith("usage: multinv copies") and "--r" in message
+    for argv, expected, err in [
+        (first, (golden / "analyze_sym4_u4.txt").read_text(), ""),
+        (usage_error, "exit 2\n", message),
+        (second, (golden / "witness_icosian.txt").read_text(), ""),
+        (usage_error, "exit 2\n", message),
+        (first, (golden / "analyze_sym4_u4.txt").read_text(), ""),
+    ]:
+        json_args = [] if argv is usage_error else ["--format", "json"]
+        code, out = run_cli([*argv, *json_args])
+        assert f"exit {code}\n{out}" == expected
+        assert capsys.readouterr().err == err
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_help_exits_zero():

@@ -13,8 +13,10 @@ from multinv.groups import (
     abelian_invariants,
     abelianization,
     are_conjugate_subgroups,
+    block_diagonal,
     close,
     commutator_subgroup,
+    diagonal_group,
     element_order_histogram,
     full_subgroup,
     induced_group,
@@ -408,26 +410,56 @@ class TestKernelEdgeCases:
         self.check_all(G)
 
 
-@pytest.mark.parametrize("name", ["sym5_u5", "alt5_u5", "sym4_u4", "root_a3~conj+fixed"])
+def _sum_base(name):
+    if name == "sym4_u4+repeated":
+        # one generator given twice, the identity once more
+        gens = builtin("sym4_u4").generators
+        return GLattice(4, [gens[0], *gens, gens[0], IntMatrix.identity(4)], name)
+    return _finite_lattice(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["sym5_u5", "alt5_u5", "sym4_u4", "root_a3~conj+fixed"]
+    + [f"{base}^{r}" for base in ("sym4_u4", "alt5_u5", "icosian", "conj_signed_root_s5", "sym4_u4+repeated")
+       for r in (2, 3)],
+)
 def test_induced_group_matches_a_second_closure(name):
-    """The reduced group built along the original closure's BFS tree is the
-    group a fresh closure of the reduced lattice enumerates, table included."""
-    if name == "root_a3~conj+fixed":
-        # a fixed coordinate added, then mixed in by a base change
-        base = _kernel_lattice("root_a3~conj")
-        padded = GLattice(4, [IntMatrix.from_rows([list(g.row(i)) + [0] for i in range(3)] + [[0, 0, 0, 1]])
-                              for g in base.generators])
-        lat = conjugated_lattice(padded, random_unimodular(4, random.Random(11)))
+    """A group carried along the first closure's BFS tree, to the reduced
+    lattice or diagonally to r copies of its lattice, is the group a fresh
+    closure of that lattice enumerates, table included."""
+    if "^" in name:
+        base_name, r = name.split("^")
+        base = _sum_base(base_name)
+        lat = direct_sum_copies(base, int(r))
+        G = diagonal_group(close(base), lat)
     else:
-        lat = builtin(name)
-    reduced = effective_reduction(lat)
-    assert reduced is not lat
-    G = induced_group(close(lat), reduced)
-    H = close(reduced)
+        if name == "root_a3~conj+fixed":
+            # a fixed coordinate added, then mixed in by a base change
+            base = _kernel_lattice("root_a3~conj")
+            padded = GLattice(4, [IntMatrix.from_rows([list(g.row(i)) + [0] for i in range(3)] + [[0, 0, 0, 1]])
+                                  for g in base.generators])
+            base = conjugated_lattice(padded, random_unimodular(4, random.Random(11)))
+        else:
+            base = builtin(name)
+        lat = effective_reduction(base)
+        assert lat is not base
+        G = induced_group(close(base), lat)
+    H = close(lat)
     assert G.elements == H.elements
     assert G.left == H.left
     assert G.identity_index == H.identity_index and G.generator_indices == H.generator_indices
     check_products(G, _sample_pairs(G, random.Random(1)))
+
+
+def test_diagonal_group_rejects_a_lattice_that_is_not_the_sum():
+    base = builtin("sym4_u4")
+    G = close(base)
+    twisted = GLattice(8, [block_diagonal([g, g.transpose()]) for g in base.generators])
+    with pytest.raises(ValueError):
+        diagonal_group(G, twisted)
+    with pytest.raises(ValueError):
+        diagonal_group(G, direct_sum_copies(GLattice(4, base.generators[:1]), 2))
 
 
 def test_induced_group_rejects_an_unfaithful_image():

@@ -1,10 +1,11 @@
+import io
 import random
 from pathlib import Path
 
 import pytest
 
 from multinv.catalog import builtin, parse_group_definition
-from multinv import intlinalg, isotropy
+from multinv import cli, intlinalg, isotropy, obstruction
 from multinv.errors import NotIsotropy, TheoremViolation
 from multinv.groups import (
     GLattice,
@@ -121,6 +122,51 @@ class TestWitness:
         rot = subgroup_generated(g, [g.index_of(cycle([0, 1, 2], 3))])
         with pytest.raises(NotIsotropy):
             witness_vector(g, rot)
+
+    def test_rejects_non_isotropy_with_a_given_basis(self):
+        g = sym_u(3)
+        rot = subgroup_generated(g, [g.index_of(cycle([0, 1, 2], 3))])
+        with pytest.raises(NotIsotropy):
+            witness_vector(g, rot, fixed_lattice(rot))
+        # the basis of a class, given with a proper subgroup of the class
+        with pytest.raises(NotIsotropy):
+            witness_vector(g, trivial_subgroup(g), fixed_lattice(full_subgroup(g)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["witness", "builtin:sym4_u4"], ["witness", "builtin:signed_root_s5"], ["analyze", "builtin:rank3_order6"],
+     ["copies", "builtin:alt5_u5", "--r", "3"], ["copies", "builtin:signed_root_s5", "--r", "3"]],
+)
+def test_witnesses_scan_the_class_bases(argv, monkeypatch):
+    """Every witness the CLI prints is scanned over its class's
+    ``fixed_space``, so no witness computes an integer kernel; a basis
+    computed afresh from the subgroup gives the same vector."""
+    inside, kernels, fresh = [], [], []
+    kernel = intlinalg.kernel_lattice
+
+    def counted_kernel(a):
+        kernels.append(bool(inside))
+        return kernel(a)
+
+    def recorded_witness(G, h, basis=None):
+        assert basis is not None
+        inside.append(h)
+        try:
+            m = witness_vector(G, h, basis)
+        finally:
+            inside.pop()
+        before = len(kernels)
+        assert witness_vector(G, h) == m
+        fresh.append(len(kernels) - before)
+        return m
+
+    monkeypatch.setattr(intlinalg, "kernel_lattice", counted_kernel)
+    module = cli if argv[0] == "witness" else obstruction
+    monkeypatch.setattr(module, "witness_vector", recorded_witness)
+    assert cli.run(argv, io.StringIO()) == 0
+    assert kernels.count(True) == 0
+    assert sum(fresh) > 0  # the counter sees the kernels a fresh basis costs
 
 
 class TestMinimalNontrivial:
