@@ -316,8 +316,10 @@ def diagonal_group(G: FiniteMatrixGroup, lattice: GLattice) -> FiniteMatrixGroup
     r times along the diagonal: no product and no hashing.  Raises
     ``ValueError`` if ``lattice`` is not that sum.
     """
-    r = lattice.rank // max(G.lattice.rank, 1)
-    if lattice.generators != tuple(block_diagonal([g] * r) for g in G.lattice.generators):
+    n = G.lattice.rank
+    r = lattice.rank // max(n, 1)
+    images = tuple(block_diagonal([g] * r) for g in G.lattice.generators)
+    if lattice.rank != r * n or lattice.generators != images:
         raise ValueError("the lattice is not a diagonal sum of the group's lattice")
     elements = [block_diagonal([x] * r) for x in G.elements]
     return FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter)

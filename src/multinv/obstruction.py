@@ -204,7 +204,12 @@ def check_necessary_conditions(lat: GLattice, cap: int = DEFAULT_CAP) -> Obstruc
 
 
 def _decide(lat: GLattice, G: FiniteMatrixGroup) -> ObstructionReport:
-    """The pipeline after closure: G is the closed group of ``lat``."""
+    """The pipeline after closure: G is the closed group of ``lat``.
+
+    Callers pass G without keeping a reference, so rebinding it to the
+    reduced group frees the original before the catalog (on CPython 3.11
+    and later, whose calls hand their arguments to the callee's frame).
+    """
     reduced = effective_reduction(lat)
     fixed_rank = lat.rank - reduced.rank
     trivial_action = reduced.rank == 0

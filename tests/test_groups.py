@@ -460,6 +460,8 @@ def test_diagonal_group_rejects_a_lattice_that_is_not_the_sum():
         diagonal_group(G, twisted)
     with pytest.raises(ValueError):
         diagonal_group(G, direct_sum_copies(GLattice(4, base.generators[:1]), 2))
+    with pytest.raises(ValueError):
+        diagonal_group(close(GLattice(2, [])), GLattice(5, []))
 
 
 def test_induced_group_rejects_an_unfaithful_image():
