@@ -63,6 +63,10 @@ for _name in ("sym7_u7", "sym6_u6", "alt6_u6", "root_a5", "diag_sl6", "alt7_u7",
 for _name in ("alt6_u6", "sym6_u6", "root_a5"):
     DIGEST_CASES[f"witness_{_name}"] = ["witness", f"builtin:{_name}"]
 DIGEST_CASES["analyze_conj_alt6_u6"] = ["analyze", "conj_alt6_u6.json"]
+# copies of large bases: sym7_u7 reduces its fixed part away and needs a
+# rank-18 witness; icosian has no fixed part and a rank-80 sum
+DIGEST_CASES["copies_sym7_u7_r3"] = ["copies", "builtin:sym7_u7", "--r", "3"]
+DIGEST_CASES["copies_icosian_r10"] = ["copies", "builtin:icosian", "--r", "10"]
 
 
 def render(argv):
