@@ -113,6 +113,7 @@ class FiniteMatrixGroup:
         self._orders = array("i", bytes(4 * n))
         self.prime = _least_prime_not_dividing(n)
         self._fixed_keys: dict[int, tuple] = {}
+        self._moved_by: tuple[FiniteMatrixGroup, int] | None = None  # see induced_group
 
     def element(self, i: int) -> IntMatrix:
         return self.elements[i]
@@ -159,6 +160,9 @@ class FiniteMatrixGroup:
 
     def moved_rank(self, i: int) -> int:
         """rank(g - I), the complement of the fixed lattice's rank."""
+        if self._moved_by is not None:
+            G, k = self._moved_by
+            return k * G.moved_rank(i)
         return len(self.fixed_key(i))
 
     def fixed_key(self, i: int) -> tuple[bytes, ...]:
@@ -283,7 +287,7 @@ def _left_product(rows, x: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def induced_group(G: FiniteMatrixGroup, lattice: GLattice) -> FiniteMatrixGroup:
+def induced_group(G: FiniteMatrixGroup, lattice: GLattice, moved_factor: int | None = None) -> FiniteMatrixGroup:
     """G acting through ``lattice``, whose generators are the images of G's
     generators, position by position, under a faithful representation.
 
@@ -292,6 +296,11 @@ def induced_group(G: FiniteMatrixGroup, lattice: GLattice) -> FiniteMatrixGroup:
     generator times its parent's matrix, one product per element and no
     second closure.  Raises :class:`TheoremViolation` if two elements
     share an image.
+
+    ``moved_factor`` k states that the representation multiplies every
+    moved rank by k, as x -> diag(x, ..., x) on r copies does with k = r
+    (reducing away a fixed part changes none).  The image then reads its
+    moved ranks off G's fixed keys and keys none of its own elements.
     """
     if len(lattice.generators) != len(G.lattice.generators):
         raise ValueError("generator lists have different lengths")
@@ -303,38 +312,25 @@ def induced_group(G: FiniteMatrixGroup, lattice: GLattice) -> FiniteMatrixGroup:
     if len(set(images)) != G.order:
         raise TheoremViolation("the representation is not faithful")
     elements = [IntMatrix(n, n, entries) for entries in images]
-    return FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter)
-
-
-def diagonal_group(G: FiniteMatrixGroup, lattice: GLattice) -> FiniteMatrixGroup:
-    """G acting on the r-fold direct sum of its lattice through
-    x -> diag(x, ..., x); ``lattice`` is that sum, whose generators are
-    the diagonal images of G's generators, position by position.
-
-    The map is faithful, so as in :func:`induced_group` the table, the
-    words and the BFS tree carry over.  Each element is its matrix placed
-    r times along the diagonal: no product and no hashing.  Raises
-    ``ValueError`` if ``lattice`` is not that sum.
-    """
-    n = G.lattice.rank
-    r = lattice.rank // max(n, 1)
-    images = tuple(block_diagonal([g] * r) for g in G.lattice.generators)
-    if lattice.rank != r * n or lattice.generators != images:
-        raise ValueError("the lattice is not a diagonal sum of the group's lattice")
-    elements = [block_diagonal([x] * r) for x in G.elements]
-    return FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter)
+    image = FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter)
+    if moved_factor is not None:
+        image._moved_by = (G, moved_factor)
+    return image
 
 
 def block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    """Square blocks placed along the diagonal."""
-    n = sum(b.rows for b in blocks)
-    big = [[0] * n for _ in range(n)]
-    offset = 0
+    """Blocks placed along the diagonal; they need not be square."""
+    cols = sum(b.cols for b in blocks)
+    entries: list[int] = []
+    before = 0
     for b in blocks:
+        pad, after = [0] * before, [0] * (cols - before - b.cols)
         for i in range(b.rows):
-            big[offset + i][offset : offset + b.rows] = b.row(i)
-        offset += b.rows
-    return IntMatrix.from_rows(big, n)
+            entries += pad
+            entries += b.row(i)
+            entries += after
+        before += b.cols
+    return IntMatrix(sum(b.rows for b in blocks), cols, entries)
 
 
 class Subgroup:

@@ -618,25 +618,36 @@ def unimodular_inverse(a: IntMatrix) -> IntMatrix:
     return u
 
 
+def quotient_transform(sub_basis: IntMatrix) -> IntMatrix:
+    """The right Smith transform v of a saturated basis of k rows.
+
+    The rows of v^-1 are a basis of the ambient lattice whose first k rows
+    span ``rowspan(sub_basis)``, so the last n - k entries of the row
+    vector x v are the coordinates of x in ``Z^n / rowspan(sub_basis)``.
+    """
+    dec = snf(sub_basis)
+    if dec.invariant_factors() != (1,) * sub_basis.rows:
+        raise ValueError("sub-basis is not saturated")
+    return dec.v
+
+
 def induced_on_quotient(sub_basis: IntMatrix, mats: Sequence[IntMatrix]) -> list[IntMatrix]:
     """Matrices of the induced action on ``Z^n / rowspan(sub_basis)``.
 
     ``sub_basis`` must be a saturated basis whose span is fixed pointwise
     by every matrix in ``mats``.  The basis is completed to a unimodular
-    basis of the ambient lattice via the Smith transforms; in the
-    completed coordinates each matrix is block upper triangular with an
-    identity block on the fixed part, and the lower-right block is the
-    quotient action.
+    basis of the ambient lattice via the Smith transforms
+    (:func:`quotient_transform`); in the completed coordinates each matrix
+    is block upper triangular with an identity block on the fixed part,
+    and the lower-right block is the quotient action.
     """
     n, k = sub_basis.cols, sub_basis.rows
     if k == 0:
         return list(mats)
-    dec = snf(sub_basis)
-    if dec.invariant_factors() != (1,) * k:
-        raise ValueError("sub-basis is not saturated")
-    p = unimodular_inverse(dec.v)  # rows 0..k-1 of p span the sub-lattice
+    v = quotient_transform(sub_basis)
+    p = unimodular_inverse(v)  # rows 0..k-1 of p span the sub-lattice
     pt = p.transpose()
-    vt = dec.v.transpose()  # equals inverse(p transpose)
+    vt = v.transpose()  # equals inverse(p transpose)
     out = []
     for g in mats:
         gt = vt * g * pt

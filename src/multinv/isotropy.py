@@ -46,8 +46,12 @@ one fixed lattice per orbit, W = Fix_Z(G_W) at the orbit's first key;
 every other member's basis is the Hermite form of B g^T, for B the basis
 of the member it was reached from.  g W stays saturated because g is
 unimodular.  Each integer basis is checked against its key's dimension
-under a ``TheoremViolation`` guard, and the member with the least basis
-represents the class.
+under a ``TheoremViolation`` guard.  The sweep (:func:`isotropy_orbits`)
+hands out each orbit's members as pairs (sorted element indices, Hermite
+basis) and keeps neither once the orbit is done.  The catalog lets the
+member with the least basis represent the class; a caller that reports
+the fixed lattices in other coordinates passes a ``lift`` for the bases,
+and the least lifted basis represents the class instead.
 """
 
 from __future__ import annotations
@@ -132,7 +136,40 @@ class IsotropyCatalog:
         return [cl for cl in self.classes if cl.order > 1]
 
 
-def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
+def enumerate_isotropy_groups(G: FiniteMatrixGroup, lift=None) -> IsotropyCatalog:
+    """The catalog of G's isotropy groups, from one sweep of :func:`isotropy_orbits`.
+
+    ``lift``, when given, maps each member's Hermite basis to the Hermite
+    basis the catalog reports instead, as the fixed lattice of the same
+    subgroup acting on another lattice (``obstruction.copies_verdict``
+    lifts to the r-fold sum).  The member with the least reported basis
+    represents its class, and the classes are sorted by descending order,
+    then by that basis.
+    """
+    classes: list[IsotropyClass] = []
+    orbit_index: dict[tuple[int, ...], IsotropyClass] = {}
+    for root, orbit in isotropy_orbits(G):
+        if lift is not None:
+            orbit = [(members, lift(basis)) for members, basis in orbit]
+        indices, basis = min(orbit, key=lambda member: member[1].entries)
+        # the root's Subgroup already caches the generating set the condition rows reuse
+        cl = IsotropyClass(root if indices is root.indices else Subgroup(G, indices), basis)
+        classes.append(cl)
+        for members, _ in orbit:
+            if members in orbit_index:
+                # two closure spaces cannot stabilize to the same group: the
+                # fixed space of the stabilizer recovers the space
+                raise TheoremViolation("meet-closure produced a duplicate stabilizer")
+            orbit_index[members] = cl
+    classes.sort(key=lambda cl: (-cl.order, cl.fixed_space.entries))
+    return IsotropyCatalog(G, tuple(classes), orbit_index)
+
+
+def isotropy_orbits(G: FiniteMatrixGroup):
+    """Steps 1-3 of the module docstring: yields each conjugation orbit of
+    isotropy groups as its root's stabilizer and the list of its members,
+    each a pair (sorted element indices, saturated Hermite basis of the
+    fixed lattice); the root comes first."""
     n = G.lattice.rank
     p = G.prime
 
@@ -162,8 +199,6 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
         (G.element(G.inv(g)).transpose(), G.element(g).transpose(), [G.conj(g, i) for i in range(G.order)])
         for g in G.generator_indices
     ]
-    classes: list[IsotropyClass] = []
-    orbit_index: dict[tuple[int, ...], IsotropyClass] = {}
     seen: set[tuple] = set()
     for key in sorted(closure):
         if key in seen:
@@ -187,19 +222,7 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup) -> IsotropyCatalog:
                     seen.add(image)
                     members = tuple(sorted([conj[i] for i in indices]))
                     orbit.append((image, members, _checked_basis(hnf_basis(basis * t), image, n)))
-        # the class representative is the member with the least Hermite basis
-        _, indices, basis = min(orbit, key=lambda member: member[2].entries)
-        # the root's Subgroup already caches the generating set the condition rows reuse
-        cl = IsotropyClass(root if indices is root.indices else Subgroup(G, indices), basis)
-        classes.append(cl)
-        for _, members, _ in orbit:
-            if members in orbit_index:
-                # two closure spaces cannot stabilize to the same group: the
-                # fixed space of the stabilizer recovers the space
-                raise TheoremViolation("meet-closure produced a duplicate stabilizer")
-            orbit_index[members] = cl
-    classes.sort(key=lambda cl: (-cl.order, cl.fixed_space.entries))
-    return IsotropyCatalog(G, tuple(classes), orbit_index)
+        yield root, [(indices, basis) for _, indices, basis in orbit]
 
 
 def _annihilated(key: tuple[bytes, ...], n: int) -> list[list[int]]:

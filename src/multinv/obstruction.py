@@ -19,35 +19,61 @@ Both conditions are invariant under passing to the effective lattice
 L / L^G: the isotropy groups and all moved ranks are unchanged, so the
 pipeline analyzes the reduced action and records the reduction.
 
-The r-fold direct sum L^r that :func:`copies_verdict` decides goes through
-the same pipeline, but its group is never closed at rank r n.  The map
-x -> diag(x, ..., x) is faithful and sends the generators of L to those of
-L^r, so both groups have one Cayley graph: closing L gives the same BFS
-order and table, stops at the cap at the same element, and meets the
-first two elements that agree mod 3 at the same step (two elements agree
-mod 3 exactly when their diagonal images do).  The closed base is lifted
-block by block instead.
+The r-fold direct sum L^r that :func:`copies_verdict` decides is never
+closed, swept or keyed at rank r n: everything in its report but the
+witness is a lift of the base's.  The map x -> diag(x, ..., x) is faithful
+and sends the generators of L to those of L^r, so both groups have one
+Cayley graph: closing L gives the same BFS order and table, stops at the
+cap at the same element, and meets the first two elements that agree
+mod 3 at the same step (two elements agree mod 3 exactly when their
+diagonal images do).  Three facts carry the rest over.
+
+1. For H <= G, Fix_{L^r}(H) = Fix_L(H)^r, and L and L^r have the same
+   isotropy groups.  The stabilizer of (m_1, ..., m_r) is the pointwise
+   stabilizer of their span W, which is the stabilizer of one vector of
+   W: a generic vector avoids the finitely many proper sublattices
+   W ∩ Fix(g).  Conversely G_m = G_{(m, 0, ..., 0)}.  So the base's
+   catalog, its orbits and its conjugacy classes are the sum's, and each
+   fixed lattice of the sum is the block copy of the base's.
+2. (L^r)^G = (L^G)^r, so the effective reduction of the sum is the sum
+   of the reductions.  In coordinates, let W ⊇ (L^r)^G be a saturated
+   fixed lattice Fix(H).  Its image in L^r / (L^r)^G is saturated: if
+   k y lies in W + (L^r)^G = W, so does y.  Taking H-invariants is exact
+   over Q (Maschke), so the quotient's fixed lattice of H has rank
+   rank W - rank (L^r)^G, the image's rank; a saturated sublattice of the
+   same rank is all of it.  Hence the sum's reduced fixed lattice of H is
+   the Hermite form of the last r n - rank (L^r)^G columns of B v, for B
+   a basis of W and v the Smith transform that :func:`effective_reduction`
+   completes (L^r)^G with.  That fixed part is the block copy of L^G's,
+   so it needs no kernel at rank r n.
+3. g is a bireflection of the sum exactly when r rank(g - I) <= 2; for
+   r >= 3 only the identity is.
+
+The condition rows read subgroups on the base's Cayley table, so their
+commutator subgroups, cosets and abelian invariants are the base's.  Only
+the witness scan runs at rank r n: a vector (m_1, ..., m_r) can have
+stabilizer H although no m_i does, so the sum's witness is not a lift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import GeneratorMismatch, TheoremViolation
 from .groups import (
     DEFAULT_CAP,
     FiniteMatrixGroup,
     GLattice,
+    Subgroup,
     abelian_invariants,
     block_diagonal,
     close,
     commutator_subgroup,
     coset_orders,
-    diagonal_group,
     induced_group,
 )
-from .intlinalg import IntMatrix, common_fixed_lattice, induced_on_quotient
-from .isotropy import IsotropyClass, enumerate_isotropy_groups, witness_vector
+from .intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, induced_on_quotient, quotient_transform
+from .isotropy import IsotropyCatalog, IsotropyClass, enumerate_isotropy_groups, witness_vector
 from .reflections import bireflection_subgroup
 
 
@@ -137,8 +163,13 @@ def direct_sum_copies(lat: GLattice, r: int) -> GLattice:
         raise ValueError("copy count must be at least 1")
     if r == 1:
         return lat
-    gens = [block_diagonal([g] * r) for g in lat.generators]
-    return GLattice(lat.rank * r, gens, f"{lat.name}^{r}" if lat.name else f"sum^{r}")
+    return GLattice(lat.rank * r, [block_diagonal([g] * r) for g in lat.generators], _sum_name(lat, r))
+
+
+def _sum_name(lat: GLattice, r: int) -> str:
+    if r == 1:
+        return lat.name
+    return f"{lat.name}^{r}" if lat.name else f"sum^{r}"
 
 
 def rationally_isomorphic(l1: GLattice, l2: GLattice, cap: int = DEFAULT_CAP) -> bool:
@@ -167,27 +198,27 @@ def rationally_isomorphic(l1: GLattice, l2: GLattice, cap: int = DEFAULT_CAP) ->
     )
 
 
-def _condition_row(G: FiniteMatrixGroup, cl: IsotropyClass, need_witness: bool) -> IsotropyConditionRow:
+def _condition_row(cl: IsotropyClass, effective_rank: int, copies: int) -> IsotropyConditionRow:
+    """The row of one class, without its witness; the class's group acts
+    on ``copies`` copies of its lattice, whose effective reduction has
+    ``effective_rank`` and holds the class's fixed space."""
     subgroup = cl.subgroup
-    m = bireflection_subgroup(subgroup)
+    m = bireflection_subgroup(subgroup, copies)
     k = commutator_subgroup(subgroup)
     orders, coset_of = coset_orders(subgroup, k)
     # the image of M in H / K is a subgroup; H = M K exactly when it is all of H / K
     image = {coset_of[i] for i in m.indices}
     perfect_mod = len(image) == len(orders)
-    witness = None
-    if need_witness and not perfect_mod:
-        witness = witness_vector(G, subgroup, cl.fixed_space)
     return IsotropyConditionRow(
         order=subgroup.order,
-        moved_rank=G.lattice.rank - cl.fixed_rank,
+        moved_rank=effective_rank - cl.fixed_rank,
         bireflection_order=m.order,
         abelianization=abelian_invariants(orders),
         bireflection_image=abelian_invariants(orders[c] for c in image),
         perfect=k.order == subgroup.order,
         perfect_mod_bireflections=perfect_mod,
         generated_by_bireflections=m.order == subgroup.order,
-        witness=witness,
+        witness=None,
     )
 
 
@@ -200,30 +231,33 @@ def check_necessary_conditions(lat: GLattice, cap: int = DEFAULT_CAP) -> Obstruc
     """
     # close the input before reducing: an infinite group must surface as
     # CapExceeded, and reduction can quotient away infinite unipotent parts
-    return _decide(lat, close(lat, cap))
-
-
-def _decide(lat: GLattice, G: FiniteMatrixGroup) -> ObstructionReport:
-    """The pipeline after closure: G is the closed group of ``lat``.
-
-    Callers pass G without keeping a reference, so rebinding it to the
-    reduced group frees the original before the catalog (on CPython 3.11
-    and later, whose calls hand their arguments to the callee's frame).
-    """
+    G = close(lat, cap)
     reduced = effective_reduction(lat)
-    fixed_rank = lat.rank - reduced.rank
-    trivial_action = reduced.rank == 0
-    rank_le2 = lat.rank <= 2
     if reduced is not lat:
         G = induced_group(G, reduced)  # rebinding frees the original group before the catalog
-    catalog = enumerate_isotropy_groups(G)
-    rows = []
-    witness_pending = True
-    for cl in catalog.classes:
-        row = _condition_row(G, cl, need_witness=witness_pending)
+    return _decide(lat.name, lat.rank, lat.rank - reduced.rank, enumerate_isotropy_groups(G), 1, lambda: G)
+
+
+def _decide(name: str, rank: int, fixed_rank: int, catalog: IsotropyCatalog, copies: int,
+            witness_group) -> ObstructionReport:
+    """Condition rows and verdict for a lattice of ``rank`` with a fixed
+    part of ``fixed_rank``, on which the catalog's group acts through
+    ``copies`` copies of its own lattice.  The catalog's fixed spaces are
+    in the coordinates of the effective reduction, and ``witness_group()``
+    is the group acting there, asked for only when some class fails
+    condition A.
+    """
+    effective_rank = rank - fixed_rank
+    trivial_action = effective_rank == 0
+    rank_le2 = rank <= 2
+    rows = [_condition_row(cl, effective_rank, copies) for cl in catalog.classes]
+    for at, row in enumerate(rows):
         if not row.perfect_mod_bireflections:
-            witness_pending = False  # cite only the first failing class
-        rows.append(row)
+            # cite only the first failing class
+            cl, group = catalog.classes[at], witness_group()
+            h = cl.subgroup if cl.subgroup.parent is group else Subgroup(group, cl.subgroup.indices)
+            rows[at] = replace(row, witness=witness_vector(group, h, cl.fixed_space))
+            break
     rows = tuple(rows)
     condition_a = all(r.perfect_mod_bireflections for r in rows)
     condition_b = trivial_action or any(not r.perfect for r in rows)
@@ -234,10 +268,10 @@ def _decide(lat: GLattice, G: FiniteMatrixGroup) -> ObstructionReport:
     else:
         verdict = INCONCLUSIVE
     return ObstructionReport(
-        description=lat.name or f"rank-{lat.rank} lattice",
-        original_rank=lat.rank,
-        group_order=G.order,
-        reduction=ReductionInfo(lat.rank, fixed_rank, reduced.rank, trivial_action, rank_le2),
+        description=name or f"rank-{rank} lattice",
+        original_rank=rank,
+        group_order=catalog.group.order,
+        reduction=ReductionInfo(rank, fixed_rank, effective_rank, trivial_action, rank_le2),
         classes=rows,
         condition_a=condition_a,
         condition_b=condition_b,
@@ -249,18 +283,62 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     """Verdict for the r-fold direct sum, with the proved guarantee that
     three or more copies of a nontrivial action are always obstructed.
 
-    Only the base lattice is closed.  The map x -> diag(x, ..., x) is
-    faithful and sends the base's generators to the sum's, position by
-    position, so the sum's group has the base's Cayley graph: the same BFS
-    order and table, the cap reached at the same element, and the same
-    first pair of elements that agree mod 3.  :func:`groups.diagonal_group`
-    lifts the closed base to the sum, and the sum goes through the rest of
-    :func:`check_necessary_conditions` unchanged.
+    Only the base lattice is closed, and its catalog is swept at its own
+    rank n (module docstring).  The sum's group has the base's Cayley
+    graph, and L and L^r have the same isotropy groups, with
+    Fix_{L^r}(H) = Fix_L(H)^r.  Each member's fixed lattice is lifted to
+    the sum's reduced coordinates: the block copy of its basis when
+    L^G = 0, otherwise the Hermite form of the last columns of that copy
+    times the Smith transform of (L^r)^G = (L^G)^r, which is exact because
+    a saturated fixed lattice containing the fixed part maps onto the
+    quotient's fixed lattice.  The least lifted basis represents each
+    class.  The rows run on the base's subgroups, and the sum's
+    bireflections are the elements with r rank(g - I) <= 2.  The sum's
+    element matrices are built only for the witness scan.
     """
-    total = direct_sum_copies(lat, r)
-    report = _decide(total, diagonal_group(close(lat, cap), total))
+    if r < 1:
+        raise ValueError("copy count must be at least 1")
+    G = close(lat, cap)
+    n = lat.rank
+    fixed = block_diagonal([common_fixed_lattice(lat.generators, n)] * r)  # (L^r)^G = (L^G)^r
+
+    def sum_group() -> FiniteMatrixGroup:
+        gens = [block_diagonal([g] * r) for g in lat.generators]
+        if fixed.rows:
+            gens = induced_on_quotient(fixed, gens)
+        return induced_group(G, GLattice(r * n - fixed.rows, gens, _sum_name(lat, r)), moved_factor=r)
+
+    catalog = enumerate_isotropy_groups(G, _lift_to_copies(fixed, r))
+    report = _decide(_sum_name(lat, r), r * n, fixed.rows, catalog, r, sum_group)
     if r >= 3 and not report.reduction.trivial_action and report.verdict != OBSTRUCTED:
         raise TheoremViolation(
             f"{r} copies of a nontrivial action must be obstructed, got {report.verdict}"
         )
     return report
+
+
+def _lift_to_copies(fixed: IntMatrix, r: int):
+    """The map from the Hermite basis B of a base fixed lattice to the
+    Hermite basis of the same subgroup's fixed lattice on the r-fold sum,
+    in the coordinates of the sum's effective reduction; ``fixed`` is the
+    basis of the sum's fixed part."""
+    if not fixed.rows:
+        return lambda basis: block_diagonal([basis] * r)  # already in Hermite form
+    if fixed.rows == fixed.cols:
+        return lambda basis: IntMatrix(0, 0, ())  # a trivial action reduces to rank 0
+    total, f = fixed.cols, fixed.rows
+    n = total // r
+    v = quotient_transform(fixed)
+    # diag(B, ..., B) v stacks the products B v_i, for v_i the i-th block of n rows
+    blocks = [
+        IntMatrix(n, total - f, [v.entry(i * n + a, j) for a in range(n) for j in range(f, total)])
+        for i in range(r)
+    ]
+
+    def lift(basis: IntMatrix) -> IntMatrix:
+        lifted = hnf_basis(IntMatrix.vstack([basis * w for w in blocks], cols=total - f))
+        if lifted.rows != r * basis.rows - f:
+            raise TheoremViolation("a lifted fixed lattice's rank differs from its copies' less the fixed part")
+        return lifted
+
+    return lift

@@ -29,11 +29,12 @@ def moved_rank_subgroup(h: Subgroup) -> int:
     return h.parent.lattice.rank - fixed_lattice(h).rows
 
 
-def bireflection_subgroup(h: Subgroup) -> Subgroup:
-    """Subgroup generated by all bireflections of h.
+def bireflection_subgroup(h: Subgroup, copies: int = 1) -> Subgroup:
+    """Subgroup generated by all bireflections of h, acting on ``copies``
+    copies of its parent's lattice, where g moves rank copies * rank(g - I).
 
     Scans every element of h, not just generators: the bireflection set
     of a subgroup is not determined by a generating set.
     """
-    seeds = [i for i in h.indices if h.parent.moved_rank(i) <= 2]
+    seeds = [i for i in h.indices if copies * h.parent.moved_rank(i) <= 2]
     return subgroup_generated(h.parent, seeds)

@@ -11,8 +11,9 @@ as a Laurent polynomial before it is read in orbit coordinates, group
 closures are redone breadth-first with plain ``IntMatrix`` products, the
 isotropy catalog's meet closure is redone with one integer kernel per
 pair of spaces, minimal isotropy classes are found by conjugating
-matrices, and generated subgroups are closed by numpy matrix products
-looked up by value.
+matrices, generated subgroups are closed by numpy matrix products
+looked up by value, and the ``copies`` report is redone on the r-fold sum
+itself, its group materialized, reduced and catalogued at rank r n.
 """
 
 from collections import Counter, deque
@@ -23,7 +24,7 @@ import numpy as np
 from sympy import primefactors
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from multinv.groups import GLattice, induced_group
+from multinv.groups import FiniteMatrixGroup, GLattice, block_diagonal, close, induced_group
 from multinv.intlinalg import (
     IntMatrix,
     common_fixed_lattice,
@@ -33,6 +34,8 @@ from multinv.intlinalg import (
     sparse_echelon,
     unimodular_inverse,
 )
+from multinv.isotropy import enumerate_isotropy_groups
+from multinv.obstruction import _decide, direct_sum_copies, effective_reduction
 from multinv.orbit_algebra import (
     DecompositionCertificate,
     DecompositionFailure,
@@ -405,3 +408,34 @@ def commutator_seed(G, indices):
     for x, x_inv in zip(own, inverses):
         seed.update(_lookup(index, (x_inv @ inverses) @ (x @ own)))
     return seed
+
+
+def diagonal_group(G, lattice):
+    """G acting on the r-fold direct sum of its lattice through
+    x -> diag(x, ..., x); ``lattice`` is that sum, whose generators are
+    the diagonal images of G's generators, position by position.
+
+    The map is faithful, so the table, the words and the BFS tree carry
+    over, and each element is its matrix placed r times along the
+    diagonal.  Raises ``ValueError`` if ``lattice`` is not that sum.
+    """
+    n = G.lattice.rank
+    r = lattice.rank // max(n, 1)
+    images = tuple(block_diagonal([g] * r) for g in G.lattice.generators)
+    if lattice.rank != r * n or lattice.generators != images:
+        raise ValueError("the lattice is not a diagonal sum of the group's lattice")
+    elements = [block_diagonal([x] * r) for x in G.elements]
+    return FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter)
+
+
+def materialized_copies_report(lat, r):
+    """The ``copies`` report of the r-fold sum and its catalog, from its own
+    group: the diagonal lift of the closed base, reduced and catalogued at
+    rank r n, its condition rows read with its own moved ranks."""
+    total = direct_sum_copies(lat, r)
+    G = diagonal_group(close(lat), total)
+    reduced = effective_reduction(total)
+    if reduced is not total:
+        G = induced_group(G, reduced)
+    catalog = enumerate_isotropy_groups(G)
+    return _decide(total.name, total.rank, total.rank - reduced.rank, catalog, 1, lambda: G), catalog

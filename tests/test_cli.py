@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import multinv
-from multinv import cli, obstruction
+from multinv import cli, groups, intlinalg, isotropy, obstruction
 from multinv.catalog import builtin, serialize_group_definition
 from multinv.cli import run
 from multinv.errors import CapExceeded, InfiniteGroup
@@ -309,6 +309,62 @@ class TestCopies:
         code, out = run_cli(["copies", "builtin:icosian", "--r", "3"])
         assert code == 0 and "group order: 120" in out
         assert ranks == [8]
+
+    def test_keys_no_matrix_above_the_input_rank(self, monkeypatch):
+        """With no witness to scan, the sum's report is a lift of the
+        base's: no fixed key, meet or determinant sees rank 24."""
+        seen = {"fixed_key": [], "rref_mod": [], "det": []}
+        fixed_key, rref_mod, det = groups.FiniteMatrixGroup.fixed_key, intlinalg.rref_mod, intlinalg.IntMatrix.det
+
+        def recorded_key(G, i):
+            seen["fixed_key"].append(G.lattice.rank)
+            return fixed_key(G, i)
+
+        def recorded_rref(rows, p, base=()):
+            rows = [list(row) for row in rows]
+            seen["rref_mod"].append(max(map(len, [*rows, *base]), default=0))
+            return rref_mod(rows, p, base)
+
+        def recorded_det(m):
+            seen["det"].append(m.rows)
+            return det(m)
+
+        monkeypatch.setattr(groups.FiniteMatrixGroup, "fixed_key", recorded_key)
+        for module in (intlinalg, groups, isotropy):
+            monkeypatch.setattr(module, "rref_mod", recorded_rref)
+        monkeypatch.setattr(intlinalg.IntMatrix, "det", recorded_det)
+        code, out = run_cli(["copies", "builtin:icosian", "--r", "3"])
+        assert code == 0 and "moved rank 24" in out and "condition A fails" not in out
+        assert all(seen.values())
+        assert max(max(ranks) for ranks in seen.values()) == 8
+
+    def test_witness_orders_its_rejectors_by_the_base_keys(self, monkeypatch):
+        """The sum's witness scan runs at rank 12, but the moved ranks that
+        order its rejectors are r times the base's: no key at rank 12."""
+        ranks = []
+        fixed_key = groups.FiniteMatrixGroup.fixed_key
+
+        def recorded_key(G, i):
+            ranks.append(G.lattice.rank)
+            return fixed_key(G, i)
+
+        monkeypatch.setattr(groups.FiniteMatrixGroup, "fixed_key", recorded_key)
+        code, out = run_cli(["copies", "builtin:alt5_u5", "--r", "3", "--format", "json"])
+        assert code == 0
+        (witness,) = [c["witness"] for c in json.loads(out)["isotropy_classes"] if "witness" in c]
+        assert len(witness) == 12
+        assert set(ranks) == {5}
+
+    def test_forty_copies_within_budget(self):
+        """The rank-320 sum of the icosian: 12.6 s while the catalog ran on
+        the sum, well under a second as a lift of the base's."""
+        start = time.monotonic()
+        code, out = run_cli(["copies", "builtin:icosian", "--r", "40"])
+        elapsed = time.monotonic() - start
+        assert code == 0
+        assert "input: builtin:icosian (rank 320)" in out and "order 120: moved rank 320" in out
+        assert "verdict: Obstructed" in out
+        assert elapsed < 3.0
 
 
 class TestOrbitVerify:

@@ -16,7 +16,6 @@ from multinv.groups import (
     block_diagonal,
     close,
     commutator_subgroup,
-    diagonal_group,
     element_order_histogram,
     full_subgroup,
     induced_group,
@@ -37,6 +36,7 @@ from oracles import (
     check_closure,
     check_infinite_pair,
     commutator_seed,
+    diagonal_group,
     difference_rank,
     subgroup_oracle,
     sympy_abelianization,

@@ -1,7 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from multinv import obstruction
+from multinv.catalog import DEFAULT_BUILTINS, builtin, parse_group_definition
 from multinv.errors import CapExceeded, GeneratorMismatch, InfiniteGroup
 from multinv.groups import GLattice, close
 from multinv.intlinalg import IntMatrix
@@ -18,7 +21,10 @@ from multinv.obstruction import (
 from multinv.reflections import moved_rank
 
 from helpers import conjugated_lattice, cycle, random_unimodular, transposition
-from oracles import check_infinite_pair
+from oracles import check_infinite_pair, materialized_copies_report
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CONJ = ("conj_root_a3", "conj_sym4_u4", "conj_signed_root_s5", "conj_alt6_u6")
 
 NEG3 = GLattice(3, [-IntMatrix.identity(3)], "neg3")
 C4 = GLattice(3, [IntMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])], "c4")
@@ -203,6 +209,56 @@ class TestCopies:
         assert rep.verdict == TRIVIALLY_CM
 
 
+def _copies_base(name):
+    if name.startswith("conj_"):
+        return parse_group_definition((GOLDEN / f"{name}.json").read_bytes()).lattice
+    if name.endswith("~conj"):
+        # the bases of the benchmark's copies, off their plain coordinates
+        base = builtin(name.removesuffix("~conj"))
+        return conjugated_lattice(base, random_unimodular(base.rank, random.Random(base.rank)))
+    return builtin(name)
+
+
+LIFT_CASES = [
+    (name, r)
+    for name in ("sym3_u3", "sym4_u4", "alt4_u4", "alt5_u5", "sym5_u5", "root_a3", "diag_sl4",
+                 "signed_root_s5", "icosian", "rank3_order6")
+    for r in (2, 3)
+] + [("icosian~conj", 2), ("icosian~conj", 3), ("signed_root_s5~conj", 3), ("alt5_u5~conj", 3)]
+LIFT_CASES += [(name, r) for name in CONJ for r in (2, 3)]
+
+
+@pytest.mark.parametrize("name, r", LIFT_CASES)
+def test_copies_lift_the_base_catalog(name, r, monkeypatch):
+    """The report and catalog lifted from the base equal those of the sum's
+    own group, reduced and catalogued at rank r n: the same class
+    subgroups, fixed spaces, orbit index and rows, witnesses included."""
+    lat = _copies_base(name)
+    catalogs = []
+    real = obstruction.enumerate_isotropy_groups
+
+    def recorded(G, lift=None):
+        catalogs.append(real(G, lift))
+        return catalogs[-1]
+
+    monkeypatch.setattr(obstruction, "enumerate_isotropy_groups", recorded)
+    report = copies_verdict(lat, r)
+    expected, catalog = materialized_copies_report(lat, r)
+    assert report == expected
+    (lifted,) = catalogs
+    assert [cl.subgroup.indices for cl in lifted.classes] == [cl.subgroup.indices for cl in catalog.classes]
+    assert [cl.fixed_space for cl in lifted.classes] == [cl.fixed_space for cl in catalog.classes]
+    assert lifted._orbit_index.keys() == catalog._orbit_index.keys()
+
+
+@pytest.mark.parametrize("name", DEFAULT_BUILTINS + CONJ)
+def test_one_copy_is_the_lattice(name):
+    """With r = 1 the lift is the identity map: the base swept at its own
+    rank and projected away from its fixed part is the reduced catalog."""
+    lat = _copies_base(name)
+    assert copies_verdict(lat, 1) == check_necessary_conditions(lat)
+
+
 def test_verdict_invariant_under_rational_isomorphism():
     u3 = sym_u_lattice(3)
     root = root_lattice_action(3)
@@ -235,8 +291,6 @@ def test_verdict_invariant_under_base_change():
 
 
 def test_verdict_logic_consistent_across_builtins():
-    from multinv.catalog import DEFAULT_BUILTINS, builtin
-
     for name in DEFAULT_BUILTINS:
         rep = check_necessary_conditions(builtin(name))
         special = rep.reduction.trivial_action or rep.reduction.rank_at_most_2
