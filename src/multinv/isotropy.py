@@ -56,6 +56,7 @@ and the least lifted basis represents the class instead.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from operator import mul
@@ -136,7 +137,9 @@ class IsotropyCatalog:
         return [cl for cl in self.classes if cl.order > 1]
 
 
-def enumerate_isotropy_groups(G: FiniteMatrixGroup, lift=None) -> IsotropyCatalog:
+def enumerate_isotropy_groups(
+    G: FiniteMatrixGroup, lift: Callable[[IntMatrix], IntMatrix] | None = None
+) -> IsotropyCatalog:
     """The catalog of G's isotropy groups, from one sweep of :func:`isotropy_orbits`.
 
     ``lift``, when given, maps each member's Hermite basis to the Hermite
@@ -165,7 +168,7 @@ def enumerate_isotropy_groups(G: FiniteMatrixGroup, lift=None) -> IsotropyCatalo
     return IsotropyCatalog(G, tuple(classes), orbit_index)
 
 
-def isotropy_orbits(G: FiniteMatrixGroup):
+def isotropy_orbits(G: FiniteMatrixGroup) -> Iterator[tuple[Subgroup, list[tuple[tuple[int, ...], IntMatrix]]]]:
     """Steps 1-3 of the module docstring: yields each conjugation orbit of
     isotropy groups as its root's stabilizer and the list of its members,
     each a pair (sorted element indices, saturated Hermite basis of the

@@ -57,6 +57,7 @@ stabilizer H although no m_i does, so the sum's witness is not a lift.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .errors import GeneratorMismatch, TheoremViolation
@@ -239,7 +240,7 @@ def check_necessary_conditions(lat: GLattice, cap: int = DEFAULT_CAP) -> Obstruc
 
 
 def _decide(name: str, rank: int, fixed_rank: int, catalog: IsotropyCatalog, copies: int,
-            witness_group) -> ObstructionReport:
+            witness_group: Callable[[], FiniteMatrixGroup]) -> ObstructionReport:
     """Condition rows and verdict for a lattice of ``rank`` with a fixed
     part of ``fixed_rank``, on which the catalog's group acts through
     ``copies`` copies of its own lattice.  The catalog's fixed spaces are
@@ -317,7 +318,7 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     return report
 
 
-def _lift_to_copies(fixed: IntMatrix, r: int):
+def _lift_to_copies(fixed: IntMatrix, r: int) -> Callable[[IntMatrix], IntMatrix]:
     """The map from the Hermite basis B of a base fixed lattice to the
     Hermite basis of the same subgroup's fixed lattice on the r-fold sum,
     in the coordinates of the sum's effective reduction; ``fixed`` is the
