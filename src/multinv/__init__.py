@@ -17,6 +17,7 @@ from .errors import (
     CapExceeded,
     GeneratorMismatch,
     InfiniteGroup,
+    InfiniteOrderElement,
     InvalidGenerator,
     NotInvariant,
     NotIsotropy,

@@ -3,8 +3,8 @@
 
 class CapExceeded(RuntimeError):
     """Group closure passed the element cap, or proved the group infinite
-    first (:class:`InfiniteGroup`); either way it will not close under the
-    cap."""
+    first (:class:`InfiniteGroup`, :class:`InfiniteOrderElement`); either
+    way it will not close under the cap."""
 
     def __init__(self, cap, message=None):
         super().__init__(message or f"group closure exceeded the cap of {cap} elements")
@@ -27,6 +27,23 @@ class InfiniteGroup(CapExceeded):
         )
         self.first = first
         self.second = second
+
+
+class InfiniteOrderElement(CapExceeded):
+    """Group closure met an element g with |tr g| > n, its rank.
+
+    The eigenvalues of an element of finite order are roots of unity, so
+    its trace is at most n in absolute value; ``element`` has infinite
+    order, which anyone can re-check from that one matrix.
+    """
+
+    def __init__(self, cap, element):
+        super().__init__(
+            cap,
+            f"group is infinite (an element's trace exceeds its rank in absolute value), "
+            f"so its closure would exceed the cap of {cap} elements",
+        )
+        self.element = element
 
 
 class TheoremViolation(AssertionError):

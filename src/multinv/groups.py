@@ -38,7 +38,7 @@ from math import gcd
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, InfiniteGroup, InvalidGenerator, TheoremViolation
+from .errors import CapExceeded, InfiniteGroup, InfiniteOrderElement, InvalidGenerator, TheoremViolation
 from .intlinalg import IntMatrix, rref_mod
 
 DEFAULT_CAP = 10**6
@@ -113,7 +113,6 @@ class FiniteMatrixGroup:
         self._orders = array("i", bytes(4 * n))
         self.prime = _least_prime_not_dividing(n)
         self._fixed_keys: dict[int, tuple] = {}
-        self._moved_by: tuple[FiniteMatrixGroup, int] | None = None  # see induced_group
 
     def element(self, i: int) -> IntMatrix:
         return self.elements[i]
@@ -160,9 +159,6 @@ class FiniteMatrixGroup:
 
     def moved_rank(self, i: int) -> int:
         """rank(g - I), the complement of the fixed lattice's rank."""
-        if self._moved_by is not None:
-            G, k = self._moved_by
-            return k * G.moved_rank(i)
         return len(self.fixed_key(i))
 
     def fixed_key(self, i: int) -> tuple[bytes, ...]:
@@ -224,8 +220,12 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
     :class:`InfiniteGroup`, which carries them.  Otherwise raises
     :class:`CapExceeded` once more than ``cap`` elements appear, which
     converts an unreasonably large input into a clean error instead of a
-    hang.  ``InfiniteGroup`` is a ``CapExceeded``, so callers need only
-    catch the latter.
+    hang.  An element of finite order has roots of unity for eigenvalues,
+    so its trace is at most n in absolute value; a new element past both
+    tests with a larger trace raises :class:`InfiniteOrderElement`, which
+    carries it.  Dense generators of infinite order meet no mod-3 twin
+    for a long time, but their traces grow fast.  Both refusals are
+    ``CapExceeded``, so callers need only catch the latter.
     """
     n = lattice.rank
     gens = [_sparse_rows(lattice.generators[p]) for p in _table_rows(lattice.generators)]
@@ -248,6 +248,8 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
                     raise InfiniteGroup(cap, IntMatrix(n, n, found[twin]), IntMatrix(n, n, y))
                 if j >= cap:
                     raise CapExceeded(cap)
+                if abs(sum(y[:: n + 1])) > n:
+                    raise InfiniteOrderElement(cap, IntMatrix(n, n, y))
                 index[y] = j
                 found.append(y)
                 parents.append(x)
@@ -287,20 +289,17 @@ def _left_product(rows, x: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def induced_group(G: FiniteMatrixGroup, lattice: GLattice, moved_factor: int | None = None) -> FiniteMatrixGroup:
+def induced_group(G: FiniteMatrixGroup, lattice: GLattice) -> FiniteMatrixGroup:
     """G acting through ``lattice``, whose generators are the images of G's
     generators, position by position, under a faithful representation.
 
     A faithful image has the same Cayley graph, so the table, the words
     and the BFS tree carry over: each element's matrix is its letter's
     generator times its parent's matrix, one product per element and no
-    second closure.  Raises :class:`TheoremViolation` if two elements
-    share an image.
-
-    ``moved_factor`` k states that the representation multiplies every
-    moved rank by k, as x -> diag(x, ..., x) on r copies does with k = r
-    (reducing away a fixed part changes none).  The image then reads its
-    moved ranks off G's fixed keys and keys none of its own elements.
+    second closure.  The image keeps G's table object, so an index names
+    the same element in both groups and a subgroup of G reads as one of
+    the image (``isotropy.witness_vector``).  Raises
+    :class:`TheoremViolation` if two elements share an image.
     """
     if len(lattice.generators) != len(G.lattice.generators):
         raise ValueError("generator lists have different lengths")
@@ -312,10 +311,7 @@ def induced_group(G: FiniteMatrixGroup, lattice: GLattice, moved_factor: int | N
     if len(set(images)) != G.order:
         raise TheoremViolation("the representation is not faithful")
     elements = [IntMatrix(n, n, entries) for entries in images]
-    image = FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter)
-    if moved_factor is not None:
-        image._moved_by = (G, moved_factor)
-    return image
+    return FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter)
 
 
 def block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:

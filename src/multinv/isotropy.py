@@ -262,24 +262,27 @@ def _shell(s: int, k: int):
 def witness_vector(G: FiniteMatrixGroup, h: Subgroup, basis: IntMatrix | None = None) -> tuple[int, ...]:
     """Integer vector m with stabilizer exactly h.
 
+    h is a subgroup of G or of another group on G's Cayley table, as the
+    base group is for the r-fold sum; raises ``ValueError`` otherwise.
     Scans integer combinations of the saturated Hermite basis of h's fixed
-    lattice over coefficient boxes [0, s]^k of growing side s,
-    lexicographically inside each shell.  ``basis`` is that basis when the
-    caller holds it, as an isotropy class does in its ``fixed_space`` (a
-    Hermite basis is canonical); otherwise it is computed from h.  A
-    witness must only avoid at most |G| proper subspaces of the fixed
-    space, and a box of side exceeding that count cannot be covered by
-    them, so the scan terminates by side |G| at the latest.
+    lattice in G's coordinates over coefficient boxes [0, s]^k of growing
+    side s, lexicographically inside each shell.  ``basis`` is that basis
+    when the caller holds it, as an isotropy class does in its
+    ``fixed_space`` (a Hermite basis is canonical); otherwise it is
+    computed from h.  A witness must only avoid at most |G| proper
+    subspaces of the fixed space, and a box of side exceeding that count
+    cannot be covered by them, so the scan terminates by side |G| at the
+    latest.  Rejectors are tried by their moved ranks in h's parent,
+    likeliest fixers first; the order never changes which candidate wins.
     """
+    if h.parent.left is not G.left:
+        raise ValueError("subgroup of a group with another Cayley table")
     if basis is None:
-        basis = fixed_lattice(h)
+        basis = fixed_lattice(Subgroup(G, h.indices))
     k = basis.rows
     rows = [basis.row(r) for r in range(k)]
-    # candidate rejectors, likeliest fixers first
-    others = sorted(
-        (i for i in range(G.order) if i not in h),
-        key=lambda i: (G.moved_rank(i), i),
-    )
+    moved_rank = h.parent.moved_rank
+    others = sorted((i for i in range(G.order) if i not in h), key=lambda i: (moved_rank(i), i))
     other_mats = [G.element(i) for i in others]
     # isotropy precondition: h must be the exact stabilizer of its fixed space
     for g in other_mats:

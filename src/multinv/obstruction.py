@@ -16,17 +16,19 @@ an input lattice of rank at most 2 (normal rings of Krull dimension at
 most 2 are always Cohen-Macaulay).
 
 Both conditions are invariant under passing to the effective lattice
-L / L^G: the isotropy groups and all moved ranks are unchanged, so the
-pipeline analyzes the reduced action and records the reduction.
+L / L^G: the isotropy groups and all moved ranks are unchanged, and the
+report records the reduction.
 
-The r-fold direct sum L^r that :func:`copies_verdict` decides is never
-closed, swept or keyed at rank r n: everything in its report but the
-witness is a lift of the base's.  The map x -> diag(x, ..., x) is faithful
-and sends the generators of L to those of L^r, so both groups have one
-Cayley graph: closing L gives the same BFS order and table, stops at the
-cap at the same element, and meets the first two elements that agree
-mod 3 at the same step (two elements agree mod 3 exactly when their
-diagonal images do).  Three facts carry the rest over.
+analyze is the one-copy case of the r-fold direct sum L^r that
+:func:`copies_verdict` decides.  The sum is never closed, swept or keyed
+at rank r n: everything in its report but the witness is a lift of the
+base's.  The map x -> diag(x, ..., x) is faithful and sends the
+generators of L to those of L^r, so both groups have one Cayley graph:
+closing L gives the same BFS order and table, stops at the cap at the
+same element, and meets the first two elements that agree mod 3 at the
+same step (two elements agree mod 3 exactly when their diagonal images
+do), and so the first element whose trace exceeds the rank (the trace
+of diag(x, ..., x) is r tr x).  Three facts carry the rest over.
 
 1. For H <= G, Fix_{L^r}(H) = Fix_L(H)^r, and L and L^r have the same
    isotropy groups.  The stabilizer of (m_1, ..., m_r) is the pointwise
@@ -43,9 +45,9 @@ diagonal images do).  Three facts carry the rest over.
    rank W - rank (L^r)^G, the image's rank; a saturated sublattice of the
    same rank is all of it.  Hence the sum's reduced fixed lattice of H is
    the Hermite form of the last r n - rank (L^r)^G columns of B v, for B
-   a basis of W and v the Smith transform that :func:`effective_reduction`
-   completes (L^r)^G with.  That fixed part is the block copy of L^G's,
-   so it needs no kernel at rank r n.
+   a basis of W and v the Smith transform that completes (L^r)^G
+   (``intlinalg.quotient_transform``).  That fixed part is the block
+   copy of L^G's, so it needs no kernel at rank r n.
 3. g is a bireflection of the sum exactly when r rank(g - I) <= 2; for
    r >= 3 only the identity is.
 
@@ -53,6 +55,8 @@ The condition rows read subgroups on the base's Cayley table, so their
 commutator subgroups, cosets and abelian invariants are the base's.  Only
 the witness scan runs at rank r n: a vector (m_1, ..., m_r) can have
 stabilizer H although no m_i does, so the sum's witness is not a lift.
+Its group is built on the base's table, and only once some class fails
+condition A; with r = 1 and L^G = 0 it is the base's group itself.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ from .groups import (
     DEFAULT_CAP,
     FiniteMatrixGroup,
     GLattice,
-    Subgroup,
     abelian_invariants,
     block_diagonal,
     close,
@@ -224,19 +227,14 @@ def _condition_row(cl: IsotropyClass, effective_rank: int, copies: int) -> Isotr
 
 
 def check_necessary_conditions(lat: GLattice, cap: int = DEFAULT_CAP) -> ObstructionReport:
-    """Run the full pipeline and emit the three-valued verdict.
+    """Run the full pipeline and emit the three-valued verdict: the
+    one-copy case of :func:`copies_verdict`.
 
     Obstructed claims only the stated implication (the invariant ring is
     not Cohen-Macaulay); the converse is never claimed, which is why the
     conditions holding yields Inconclusive rather than a positive answer.
     """
-    # close the input before reducing: an infinite group must surface as
-    # CapExceeded, and reduction can quotient away infinite unipotent parts
-    G = close(lat, cap)
-    reduced = effective_reduction(lat)
-    if reduced is not lat:
-        G = induced_group(G, reduced)  # rebinding frees the original group before the catalog
-    return _decide(lat.name, lat.rank, lat.rank - reduced.rank, enumerate_isotropy_groups(G), 1, lambda: G)
+    return copies_verdict(lat, 1, cap)
 
 
 def _decide(name: str, rank: int, fixed_rank: int, catalog: IsotropyCatalog, copies: int,
@@ -245,8 +243,8 @@ def _decide(name: str, rank: int, fixed_rank: int, catalog: IsotropyCatalog, cop
     part of ``fixed_rank``, on which the catalog's group acts through
     ``copies`` copies of its own lattice.  The catalog's fixed spaces are
     in the coordinates of the effective reduction, and ``witness_group()``
-    is the group acting there, asked for only when some class fails
-    condition A.
+    is the group acting there on the catalog group's table, asked for only
+    when some class fails condition A.
     """
     effective_rank = rank - fixed_rank
     trivial_action = effective_rank == 0
@@ -255,9 +253,8 @@ def _decide(name: str, rank: int, fixed_rank: int, catalog: IsotropyCatalog, cop
     for at, row in enumerate(rows):
         if not row.perfect_mod_bireflections:
             # cite only the first failing class
-            cl, group = catalog.classes[at], witness_group()
-            h = cl.subgroup if cl.subgroup.parent is group else Subgroup(group, cl.subgroup.indices)
-            rows[at] = replace(row, witness=witness_vector(group, h, cl.fixed_space))
+            cl = catalog.classes[at]
+            rows[at] = replace(row, witness=witness_vector(witness_group(), cl.subgroup, cl.fixed_space))
             break
     rows = tuple(rows)
     condition_a = all(r.perfect_mod_bireflections for r in rows)
@@ -295,21 +292,25 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     quotient's fixed lattice.  The least lifted basis represents each
     class.  The rows run on the base's subgroups, and the sum's
     bireflections are the elements with r rank(g - I) <= 2.  The sum's
-    element matrices are built only for the witness scan.
+    element matrices are built only for the witness scan, and never when
+    the sum is the input itself (r = 1 and L^G = 0).
     """
     if r < 1:
         raise ValueError("copy count must be at least 1")
     G = close(lat, cap)
     n = lat.rank
     fixed = block_diagonal([common_fixed_lattice(lat.generators, n)] * r)  # (L^r)^G = (L^G)^r
+    lift = None if r == 1 and not fixed.rows else _lift_to_copies(fixed, r)
 
     def sum_group() -> FiniteMatrixGroup:
+        if lift is None:
+            return G  # the sum is the input itself
         gens = [block_diagonal([g] * r) for g in lat.generators]
         if fixed.rows:
             gens = induced_on_quotient(fixed, gens)
-        return induced_group(G, GLattice(r * n - fixed.rows, gens, _sum_name(lat, r)), moved_factor=r)
+        return induced_group(G, GLattice(r * n - fixed.rows, gens, _sum_name(lat, r)))
 
-    catalog = enumerate_isotropy_groups(G, _lift_to_copies(fixed, r))
+    catalog = enumerate_isotropy_groups(G, lift)
     report = _decide(_sum_name(lat, r), r * n, fixed.rows, catalog, r, sum_group)
     if r >= 3 and not report.reduction.trivial_action and report.verdict != OBSTRUCTED:
         raise TheoremViolation(

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,16 +13,22 @@ import multinv
 from multinv import cli, groups, intlinalg, isotropy, obstruction
 from multinv.catalog import builtin, serialize_group_definition
 from multinv.cli import run
-from multinv.errors import CapExceeded, InfiniteGroup
-from multinv.groups import DEFAULT_CAP, block_diagonal, close
+from multinv.errors import CapExceeded, InfiniteGroup, InfiniteOrderElement
+from multinv.groups import DEFAULT_CAP, GLattice, block_diagonal, close
 
-from helpers import unipotent
+from helpers import random_unimodular, unipotent
 
 
 def run_cli(argv):
     buf = io.StringIO()
     code = run(argv, buf)
     return code, buf.getvalue()
+
+
+def _dense(n):
+    """One dense generator of infinite order whose powers reach a trace
+    beyond the rank long before two of them agree mod 3."""
+    return GLattice(n, [random_unimodular(n, random.Random(0), ops=6 * n)], f"dense{n}")
 
 
 class TestAnalyze:
@@ -118,6 +125,16 @@ class TestExitCodes:
         assert code == 3
         assert out == (
             "error: group is infinite (two distinct elements agree mod 3), "
+            "so its closure would exceed the cap of 1000000 elements\n"
+        )
+
+    def test_dense_infinite_order_generator_refused_by_its_trace(self, tmp_path):
+        path = tmp_path / "dense60.json"
+        path.write_text(serialize_group_definition(_dense(60)))
+        code, out = run_cli(["analyze", str(path)])
+        assert code == 3
+        assert out == (
+            "error: group is infinite (an element's trace exceeds its rank in absolute value), "
             "so its closure would exceed the cap of 1000000 elements\n"
         )
 
@@ -275,13 +292,20 @@ class TestCopies:
 
     @pytest.mark.parametrize(
         "name, r, cap",
-        [("unipotent4", 2, 1000), ("unipotent4", 3, 1000), ("unipotent4", 3, None), ("sym6_u6", 2, 500)],
+        [("unipotent4", 2, 1000), ("unipotent4", 3, 1000), ("unipotent4", 3, None), ("sym6_u6", 2, 500),
+         ("dense12", 3, None)],
     )
     def test_stops_where_closing_the_sum_stops(self, name, r, cap, tmp_path):
         """Closing the base refuses the sum with the exit code and message
         a closure of the sum itself gives, and for an infinite base with
-        the diagonal images of the sum's pair of elements agreeing mod 3."""
-        lat = unipotent(4) if name.startswith("unipotent") else builtin(name)
+        the diagonal images of the sum's pair of elements agreeing mod 3,
+        or of the sum's element whose trace exceeds the rank."""
+        if name.startswith("unipotent"):
+            lat = unipotent(4)
+        elif name.startswith("dense"):
+            lat = _dense(12)
+        else:
+            lat = builtin(name)
         path = tmp_path / f"{name}.json"  # a file, so that the closure and not the order check refuses it
         path.write_text(serialize_group_definition(lat))
         cap_args = [] if cap is None else ["--cap", str(cap)]
@@ -296,6 +320,8 @@ class TestCopies:
         if isinstance(whole.value, InfiniteGroup):
             assert block_diagonal([base.value.first] * r) == whole.value.first
             assert block_diagonal([base.value.second] * r) == whole.value.second
+        if isinstance(whole.value, InfiniteOrderElement):
+            assert block_diagonal([base.value.element] * r) == whole.value.element
 
     def test_closes_no_lattice_above_the_input_rank(self, monkeypatch):
         ranks = []
@@ -339,8 +365,8 @@ class TestCopies:
         assert max(max(ranks) for ranks in seen.values()) == 8
 
     def test_witness_orders_its_rejectors_by_the_base_keys(self, monkeypatch):
-        """The sum's witness scan runs at rank 12, but the moved ranks that
-        order its rejectors are r times the base's: no key at rank 12."""
+        """The sum's witness scan runs at rank 12, but it orders its
+        rejectors by the base's moved ranks: no key at rank 12."""
         ranks = []
         fixed_key = groups.FiniteMatrixGroup.fixed_key
 

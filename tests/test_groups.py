@@ -1,12 +1,13 @@
 import math
 import random
+import time
 from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multinv.errors import CapExceeded, InfiniteGroup
+from multinv.errors import CapExceeded, InfiniteGroup, InfiniteOrderElement
 from multinv.groups import (
     DEFAULT_CAP,
     GLattice,
@@ -257,6 +258,28 @@ def test_infinite_group_refused_at_the_default_cap():
     check_infinite_pair(exc.value)
     assert exc.value.cap == DEFAULT_CAP
     assert isinstance(exc.value, CapExceeded)
+
+
+@pytest.mark.parametrize("n", [60, 120])
+def test_dense_infinite_order_generator_refused_by_its_trace(n):
+    """A dense generator of infinite order meets no mod-3 twin for a long
+    time; the first element with |tr g| > n proves the group infinite."""
+    g = random_unimodular(n, random.Random(0), ops=6 * n)
+    start = time.perf_counter()
+    with pytest.raises(InfiniteOrderElement) as exc:
+        close(GLattice(n, [g]))
+    assert time.perf_counter() - start < 5
+    element = exc.value.element
+    assert abs(sum(element.entry(i, i) for i in range(n))) > n
+    # one generator: the closure walks its powers, and the first with a large trace is refused
+    power = g
+    for _ in range(100):
+        if power == element:
+            break
+        assert abs(sum(power.entry(i, i) for i in range(n))) <= n
+        power = g * power
+    assert power == element
+    assert exc.value.cap == DEFAULT_CAP and "trace" in str(exc.value)
 
 
 def _finite_lattice(name):

@@ -13,11 +13,13 @@ from multinv.groups import (
     are_conjugate_subgroups,
     close,
     full_subgroup,
+    induced_group,
     intersect_subgroups,
     subgroup_generated,
     trivial_subgroup,
 )
 from multinv.intlinalg import IntMatrix, hnf_basis
+from multinv.obstruction import direct_sum_copies
 from multinv.isotropy import (
     check_fpf_constraints,
     enumerate_isotropy_groups,
@@ -131,6 +133,23 @@ class TestWitness:
         # the basis of a class, given with a proper subgroup of the class
         with pytest.raises(NotIsotropy):
             witness_vector(g, trivial_subgroup(g), fixed_lattice(full_subgroup(g)))
+
+    def test_reads_a_subgroup_of_a_group_on_the_same_table(self):
+        """A subgroup of G names the elements of every group built on G's
+        table, such as G on two copies of its lattice."""
+        g = sym_u(3)
+        image = induced_group(g, direct_sum_copies(g.lattice, 2))
+        h = subgroup_generated(g, [g.index_of(transposition(0, 1, 3))])
+        m = witness_vector(image, h)
+        assert m == witness_vector(image, Subgroup(image, h.indices)) == (0, 0, 0, 0, 0, 1)
+        assert isotropy_group_of(image, m).indices == h.indices
+
+    def test_rejects_a_subgroup_of_a_group_with_another_table(self):
+        g = sym_u(3)
+        # the same matrices closed a second time still make another table
+        for h in (full_subgroup(sym_u(3)), trivial_subgroup(neg_identity(3))):
+            with pytest.raises(ValueError, match="another Cayley table"):
+                witness_vector(g, h)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 from multinv import obstruction
 from multinv.catalog import DEFAULT_BUILTINS, builtin, parse_group_definition
 from multinv.errors import CapExceeded, GeneratorMismatch, InfiniteGroup
-from multinv.groups import GLattice, close
+from multinv.groups import GLattice, block_diagonal, close
 from multinv.intlinalg import IntMatrix
 from multinv.obstruction import (
     INCONCLUSIVE,
@@ -210,6 +210,11 @@ class TestCopies:
 
 
 def _copies_base(name):
+    if "+" in name:
+        # the base beside a fixed part of rank k
+        stem, k = name.split("+")
+        base, k = builtin(stem), int(k)
+        return GLattice(base.rank + k, [block_diagonal([g, IntMatrix.identity(k)]) for g in base.generators], name)
     if name.startswith("conj_"):
         return parse_group_definition((GOLDEN / f"{name}.json").read_bytes()).lattice
     if name.endswith("~conj"):
@@ -222,10 +227,10 @@ def _copies_base(name):
 LIFT_CASES = [
     (name, r)
     for name in ("sym3_u3", "sym4_u4", "alt4_u4", "alt5_u5", "sym5_u5", "root_a3", "diag_sl4",
-                 "signed_root_s5", "icosian", "rank3_order6")
-    for r in (2, 3)
+                 "signed_root_s5", "icosian", "rank3_order6", "rank3_order6+1", "rank3_order6+2")
+    for r in (1, 2, 3)
 ] + [("icosian~conj", 2), ("icosian~conj", 3), ("signed_root_s5~conj", 3), ("alt5_u5~conj", 3)]
-LIFT_CASES += [(name, r) for name in CONJ for r in (2, 3)]
+LIFT_CASES += [(name, r) for name in CONJ for r in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("name, r", LIFT_CASES)
@@ -253,10 +258,28 @@ def test_copies_lift_the_base_catalog(name, r, monkeypatch):
 
 @pytest.mark.parametrize("name", DEFAULT_BUILTINS + CONJ)
 def test_one_copy_is_the_lattice(name):
-    """With r = 1 the lift is the identity map: the base swept at its own
-    rank and projected away from its fixed part is the reduced catalog."""
+    """With r = 1 the base swept at its own rank and projected away from
+    its fixed part gives the report of the reduce-then-sweep path: the
+    effective reduction's group, catalogued at rank n - rank L^G."""
     lat = _copies_base(name)
-    assert copies_verdict(lat, 1) == check_necessary_conditions(lat)
+    assert copies_verdict(lat, 1) == materialized_copies_report(lat, 1)[0]
+
+
+@pytest.mark.parametrize("name, calls", [("sym7_u7", 0), ("rank3_order6+1", 1)])
+def test_the_reduced_witness_group_is_built_lazily(name, calls, monkeypatch):
+    """sym7_u7 has a fixed part but passes condition A, so no group on its
+    reduction is built; the padded rank3_order6 fails A and builds one."""
+    built = []
+    real = obstruction.induced_group
+
+    def recorded(G, lattice):
+        built.append(lattice.rank)
+        return real(G, lattice)
+
+    monkeypatch.setattr(obstruction, "induced_group", recorded)
+    report = check_necessary_conditions(_copies_base(name))
+    assert report.reduction.fixed_rank > 0
+    assert built == [report.reduction.effective_rank] * calls
 
 
 def test_verdict_invariant_under_rational_isomorphism():
