@@ -6,7 +6,8 @@ The catalog of isotropy groups is built without scanning lattice vectors:
 2. Close that family under intersection.  Every fixed lattice of every
    isotropy group is such an intersection, and conversely the pointwise
    stabilizer of any space in the closure is an isotropy group, so the
-   closure is exactly the family of isotropy fixed spaces.
+   closure is exactly the family of isotropy fixed spaces.  The closure
+   is G-stable, so it is explored up to conjugacy.
 3. Sweep the closure by conjugation orbits.  G permutes the closure, and
    the stabilizer of gW is g G_W g^-1, so each orbit costs one pointwise
    stabilizer, read off the keys of step 1, and one fixed lattice; the
@@ -26,12 +27,39 @@ by the canonical echelon form over F_p of its annihilator: the row space
 of g - I for one element (``FiniteMatrixGroup.fixed_key``), and for a
 meet the sum of the two annihilators (``intlinalg.rref_mod``).
 
-Step 2 adds the cyclic keys one at a time, largest rank first.  The meet
-closure of a closed family C and one more space b = Fix(g) is C together
-with every c ∧ b for c in C, so each key not yet in the closure is met
-with every key closed so far.  The closure is seeded with the whole
-lattice, key (), whose meet with b is b itself.  Steps 1 and 2 do no
-integer arithmetic.
+Step 2 explores the closure one conjugation orbit at a time, never space
+by space; the orbits are found and swept (step 3) as the exploration
+reaches them.  Four facts make that enough.
+
+- Prime-power keys suffice.  Fix(g) is the meet of the fixed spaces of
+  g's prime-power parts, which are powers of g, so the meets of the
+  fixed spaces of the elements of prime-power order are the whole
+  closure.  The exploration starts at the whole lattice, key (), whose
+  meet with each prime-power key b is b itself, so every such key's
+  orbit is swept before any meet is computed.
+- Irreducible keys suffice after that.  A prime-power key b is reducible
+  when the cyclic spaces strictly above it meet to b: they are the
+  fixed spaces of the elements of G_b with another key, so b is
+  reducible exactly when their keys span key(b).  Each of those spaces
+  is a meet of prime-power spaces above b, so by descending dimension a
+  reducible key is a meet of irreducible ones, and these alone generate
+  the closure.  Conjugation keeps a key irreducible.
+- One meet per orbit of G_c.  G permutes the closure and
+  g (c ∧ b) = gc ∧ gb.  A space of the closure below a prime-power key
+  is c' ∧ b, for c' a meet of fewer irreducible keys and b irreducible.
+  Some g moves c' to its orbit's representative c, and some h in G_c
+  moves gb to the chosen point b' of its G_c-orbit; as hc = c,
+  hg (c' ∧ b) = c ∧ b'.  So each representative c meets one b per
+  G_c-orbit of irreducible keys.  It skips the b of G_c's own elements,
+  for then c ∧ b = c.  A meet whose key is not yet known starts a new
+  orbit, whose representative joins the queue.
+- G_c's orbits on keys.  x Fix(g) = Fix(x g x^-1), so conjugation
+  permutes the irreducible keys.  Each generator letter's permutation is
+  read off the conjugation tables of step 3; an element's is composed
+  along the BFS tree from its parent's, and G_c's orbits are collected
+  from the permutations of G_c's generators, so no key costs a product.
+
+Steps 1 and 2 do no integer arithmetic.
 
 Step 3 reads stabilizers off the keys.  An element g lies in G_W exactly
 when key(W) contains g's key.  If it does, Fix_p(g) contains Fix_p(G_W),
@@ -39,25 +67,36 @@ so H = <G_W, g> has Fix_p(H) = Fix_p(G_W); by the argument above Fix_Z(H)
 is a saturated sublattice of W of the same rank, hence W, and g fixes W.
 So G_W collects the elements of every cyclic key that key(W) contains.
 The test is that the rows of g's key vanish on a basis of the space
-key(W) annihilates, which is read off the echelon form.  Orbits move keys:
-the annihilator of gW is the annihilator of W times g^-1, so key(gW) is
-the echelon form of the rows of key(W) times g^-1.  Integer arithmetic is
-one fixed lattice per orbit, W = Fix_Z(G_W) at the orbit's first key;
-every other member's basis is the Hermite form of B g^T, for B the basis
-of the member it was reached from.  g W stays saturated because g is
-unimodular.  Each integer basis is checked against its key's dimension
-under a ``TheoremViolation`` guard.  The sweep (:func:`isotropy_orbits`)
-hands out each orbit's members as pairs (sorted element indices, Hermite
-basis) and keeps neither once the orbit is done.  The catalog lets the
-member with the least basis represent the class; a caller that reports
-the fixed lattices in other coordinates passes a ``lift`` for the bases,
-and the least lifted basis represents the class instead.
+key(W) annihilates, which is read off the echelon form.  The orbit of W
+is walked through the generators.  The image gW has stabilizer
+g G_W g^-1, one table lookup per element, and a closure space and its
+stabilizer determine each other: W is the fixed space of G_W, so two
+spaces with one stabilizer are one space.  So gW is a new member exactly
+when its sorted stabilizer is new, and only then is its key moved: the
+annihilator of gW is the annihilator of W times g^-1, so key(gW) is the
+echelon form of the rows of key(W) times g^-1.  An orbit moves one key
+per member, not one per member and generator.  A key reached with two
+stabilizers, or a stabilizer with two keys, raises ``TheoremViolation``.
+Integer arithmetic is one fixed lattice per orbit, W = Fix_Z(G_W) at the
+orbit's first key; every other member's basis is the Hermite form of
+B g^T, for B the basis of the member it was reached from.  g W stays
+saturated because g is unimodular.  Each integer basis is checked
+against its key's dimension under a ``TheoremViolation`` guard.  The
+sweep (:func:`isotropy_orbits`) hands out each orbit's members as pairs
+(sorted element indices, Hermite basis) and keeps only their keys and
+stabilizers once the orbit is done.  The catalog lets the member with
+the least basis represent the class; a caller that reports the fixed
+lattices in other coordinates passes a ``lift`` for the bases, and the
+least lifted basis represents the class instead.  The whole closure is
+explored, and the orbit index lists every member.  References: Holt,
+Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 4.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product as iter_product
 from operator import mul
 
@@ -65,6 +104,7 @@ from .errors import NotIsotropy, TheoremViolation
 from .groups import (
     FiniteMatrixGroup,
     Subgroup,
+    _prime_divisors,
     element_order_histogram,
     is_perfect,
 )
@@ -176,8 +216,10 @@ def isotropy_orbits(G: FiniteMatrixGroup) -> Iterator[tuple[Subgroup, list[tuple
     n = G.lattice.rank
     p = G.prime
 
-    # 1. distinct cyclic fixed spaces by key, each with the elements whose key it is
+    # 1. distinct cyclic fixed spaces by key, each with the elements whose key it
+    # is, and the keys of elements of prime-power order, each with the first
     cyclic: dict[tuple, list[int]] = {}
+    prime_power: dict[tuple, int] = {}
     for i in range(G.order):
         key = G.fixed_key(i)
         if not key and i != G.identity_index:
@@ -185,27 +227,30 @@ def isotropy_orbits(G: FiniteMatrixGroup) -> Iterator[tuple[Subgroup, list[tuple
             # is torsion-free for odd p, and for p = 2 (|G| odd) holds only involutions
             raise TheoremViolation("a nonidentity element reduces to the identity mod p")
         cyclic.setdefault(key, []).append(i)
+        if _is_prime_power(G.element_order(i)):
+            prime_power.setdefault(key, i)
 
-    # 2. meet closure over F_p, seeded with the whole lattice, one cyclic key at a time
-    closure = {()}
-    for bkey in sorted(cyclic, key=lambda k: (len(k), k)):
-        if bkey not in closure:
-            closure.update([rref_mod(bkey, p, ckey) for ckey in closure])
-
-    # 3. one stabilizer and one fixed lattice per orbit.  g fixes W exactly when
-    # g's key vanishes on the space key(W) annihilates; the image of W under a
-    # generator g is keyed by key(W) g^-1, has the basis B g^T, and is
-    # stabilized by the conjugate of W's stabilizer by g.
-    candidates = [(_pivot_mask(ck), ck, members) for ck, members in cyclic.items()]
     # conjugation tables as lists, so the orbit index shares their int objects
-    gens = [
-        (G.element(G.inv(g)).transpose(), G.element(g).transpose(), [G.conj(g, i) for i in range(G.order)])
-        for g in G.generator_indices
-    ]
-    seen: set[tuple] = set()
-    for key in sorted(closure):
-        if key in seen:
-            continue
+    conj_by = {g: [G.conj(g, i) for i in range(G.order)] for g in G.generator_indices}
+    gens = [(G.element(G.inv(g)).transpose(), G.element(g).transpose(), conj_by[g]) for g in G.generator_indices]
+
+    # 3. the sweep of one orbit: one stabilizer and one fixed lattice.  g fixes W
+    # exactly when g's key vanishes on the space key(W) annihilates; the image of
+    # W under a generator g is keyed by key(W) g^-1, has the basis B g^T, and is
+    # stabilized by the conjugate of W's stabilizer by g.  A space and its
+    # stabilizer determine each other, so the conjugated stabilizer tells
+    # whether the image is a new member.
+    candidates = [(_pivot_mask(ck), ck, members) for ck, members in cyclic.items()]
+    stabilizers: dict[tuple, tuple[int, ...]] = {}  # key -> sorted stabilizer
+    spaces: dict[tuple[int, ...], tuple] = {}  # sorted stabilizer -> key
+
+    def record(key: tuple, members: tuple[int, ...]) -> None:
+        if stabilizers.setdefault(key, members) != members:
+            raise TheoremViolation("a closure key reached with two stabilizers")
+        if spaces.setdefault(members, key) != key:
+            raise TheoremViolation("a stabilizer reached with two closure keys")
+
+    def sweep(key: tuple) -> tuple[Subgroup, list[tuple[tuple[int, ...], IntMatrix]]]:
         pivots, fixed = _pivot_mask(key), _annihilated(key, n)
         # a contained row leads at a pivot of key(W); filtering on that first
         # measured 1.4-3x faster on sym7_u7 and alt7_u7 than testing every key
@@ -214,18 +259,96 @@ def isotropy_orbits(G: FiniteMatrixGroup) -> Iterator[tuple[Subgroup, list[tuple
             if ck_pivots | pivots == pivots and not any(sum(map(mul, row, w)) % p for row in ck for w in fixed)
             for i in members
         ])
-        seen.add(key)
+        record(key, root.indices)
         orbit = [(key, root.indices, _checked_basis(fixed_lattice(root), key, n))]
         for space, indices, basis in orbit:
             for inv_t, t, conj in gens:
-                image = rref_mod((inv_t.apply(r) for r in space), p)
-                if image not in seen:
-                    if image not in closure:
-                        raise TheoremViolation("a generator moves a closure space out of the closure")
-                    seen.add(image)
-                    members = tuple(sorted([conj[i] for i in indices]))
+                members = tuple(sorted([conj[i] for i in indices]))
+                if members not in spaces:
+                    image = rref_mod((inv_t.apply(r) for r in space), p)
+                    record(image, members)
                     orbit.append((image, members, _checked_basis(hnf_basis(basis * t), image, n)))
-        yield root, [(indices, basis) for _, indices, basis in orbit]
+        return root, [(indices, basis) for _, indices, basis in orbit]
+
+    # 2. the whole lattice, then its meets with the prime-power keys, which are
+    # the keys themselves; a key's stabilizer tells whether it is irreducible
+    root, orbit = sweep(())
+    yield root, orbit
+    queue: list[tuple[tuple, Subgroup]] = []
+    irreducible: set[tuple] = set()
+    for key in prime_power:
+        if key not in stabilizers:
+            root, orbit = sweep(key)
+            queue.append((key, root))
+            yield root, orbit
+            if not _spanned(key, dict.fromkeys(map(G.fixed_key, root.indices)), p):
+                irreducible.update(spaces[indices] for indices, _ in orbit)
+
+    # G permutes the irreducible keys by conjugation, x Fix(g) = Fix(x g x^-1):
+    # one permutation per generator letter, read off the tables, composed
+    # along the BFS tree, x = g_k y for k and y the letter and parent of x
+    meetable = [(key, i) for key, i in prime_power.items() if key in irreducible]
+    number = {key: b for b, (key, _) in enumerate(meetable)}
+    by_letter = [[number[G.fixed_key(conj_by[row[0]][i])] for _, i in meetable] for row in G.left]
+    perms = {G.identity_index: list(range(len(meetable)))}
+
+    def perm(x: int) -> list[int]:
+        path, y = [], x
+        while y not in perms:
+            path.append(y)
+            y = G._parent[y]
+        for y in reversed(path):
+            letter = by_letter[G._letter[y]]
+            perms[y] = [letter[b] for b in perms[G._parent[y]]]
+        return perms[x]
+
+    # c ∧ hb = h (c ∧ b) for h in G_c, so c meets one key per G_c-orbit, and
+    # none of G_c's own, since then c ∧ b = c
+    for ckey, stabilizer in queue:
+        for b in _orbit_representatives([perm(x) for x in stabilizer.generating_set()], len(meetable)):
+            bkey, i = meetable[b]
+            if i not in stabilizer:
+                meet = rref_mod(bkey, p, ckey)
+                if meet not in stabilizers:
+                    root, orbit = sweep(meet)
+                    queue.append((meet, root))
+                    yield root, orbit
+
+
+def _spanned(key: tuple[bytes, ...], others, p: int) -> bool:
+    """Whether the reduced echelon forms ``others`` other than ``key``
+    itself, all inside key's row space, span it."""
+    span: tuple[bytes, ...] = ()
+    for other in others:
+        if other != key:
+            span = rref_mod(other, p, span)
+            if len(span) == len(key):
+                return True
+    return False
+
+
+def _orbit_representatives(perms: list[list[int]], size: int) -> list[int]:
+    """The least point of each orbit of the group the permutations of
+    range(size) generate."""
+    reps: list[int] = []
+    seen = bytearray(size)
+    for b in range(size):
+        if not seen[b]:
+            reps.append(b)
+            seen[b] = 1
+            todo = [b]
+            for x in todo:
+                for s in perms:
+                    if not seen[s[x]]:
+                        seen[s[x]] = 1
+                        todo.append(s[x])
+    return reps
+
+
+@cache
+def _is_prime_power(order: int) -> bool:
+    """order has exactly one prime divisor."""
+    return len(list(_prime_divisors(order))) == 1
 
 
 def _annihilated(key: tuple[bytes, ...], n: int) -> list[list[int]]:
@@ -259,7 +382,8 @@ def _shell(s: int, k: int):
             yield c
 
 
-def witness_vector(G: FiniteMatrixGroup, h: Subgroup, basis: IntMatrix | None = None) -> tuple[int, ...]:
+def witness_vector(G: FiniteMatrixGroup | Callable[[], FiniteMatrixGroup], h: Subgroup,
+                   basis: IntMatrix | None = None) -> tuple[int, ...]:
     """Integer vector m with stabilizer exactly h.
 
     h is a subgroup of G or of another group on G's Cayley table, as the
@@ -274,22 +398,29 @@ def witness_vector(G: FiniteMatrixGroup, h: Subgroup, basis: IntMatrix | None = 
     cannot be covered by them, so the scan terminates by side |G| at the
     latest.  Rejectors are tried by their moved ranks in h's parent,
     likeliest fixers first; the order never changes which candidate wins.
+
+    ``G`` may also be a function that builds G, as the r-fold sum's group
+    is built (``obstruction.copies_verdict``).  It is called only when the
+    scan needs G's matrices: when no basis is given, or when some element
+    lies outside h.  When h is the whole group, nothing rejects a
+    candidate, and the first one, 0, is the witness.
     """
-    if h.parent.left is not G.left:
+    parent = h.parent
+    others = sorted((i for i in range(parent.order) if i not in h), key=lambda i: (parent.moved_rank(i), i))
+    if callable(G) and (others or basis is None):
+        G = G()
+    if not callable(G) and parent.left is not G.left:
         raise ValueError("subgroup of a group with another Cayley table")
     if basis is None:
         basis = fixed_lattice(Subgroup(G, h.indices))
-    k = basis.rows
+    k, n = basis.rows, basis.cols
     rows = [basis.row(r) for r in range(k)]
-    moved_rank = h.parent.moved_rank
-    others = sorted((i for i in range(G.order) if i not in h), key=lambda i: (moved_rank(i), i))
     other_mats = [G.element(i) for i in others]
     # isotropy precondition: h must be the exact stabilizer of its fixed space
     for g in other_mats:
         if all(g.apply(row) == row for row in rows):
             raise NotIsotropy("subgroup is not the full stabilizer of its fixed lattice")
-    n = G.lattice.rank
-    for s in range(0, G.order + 1):
+    for s in range(0, parent.order + 1):
         for c in _shell(s, k):
             m = tuple(sum(c[r] * rows[r][j] for r in range(k)) for j in range(n))
             if all(g.apply(m) != m for g in other_mats):

@@ -55,8 +55,10 @@ The condition rows read subgroups on the base's Cayley table, so their
 commutator subgroups, cosets and abelian invariants are the base's.  Only
 the witness scan runs at rank r n: a vector (m_1, ..., m_r) can have
 stabilizer H although no m_i does, so the sum's witness is not a lift.
-Its group is built on the base's table, and only once some class fails
-condition A; with r = 1 and L^G = 0 it is the base's group itself.
+Its group is built on the base's table, and only once a class other than
+the whole group fails condition A: the whole group's witness is 0, which
+no element rejects.  With r = 1 and L^G = 0 it is the base's group
+itself.
 """
 
 from __future__ import annotations
@@ -244,7 +246,7 @@ def _decide(name: str, rank: int, fixed_rank: int, catalog: IsotropyCatalog, cop
     ``copies`` copies of its own lattice.  The catalog's fixed spaces are
     in the coordinates of the effective reduction, and ``witness_group()``
     is the group acting there on the catalog group's table, asked for only
-    when some class fails condition A.
+    when a class other than the whole group fails condition A.
     """
     effective_rank = rank - fixed_rank
     trivial_action = effective_rank == 0
@@ -254,7 +256,7 @@ def _decide(name: str, rank: int, fixed_rank: int, catalog: IsotropyCatalog, cop
         if not row.perfect_mod_bireflections:
             # cite only the first failing class
             cl = catalog.classes[at]
-            rows[at] = replace(row, witness=witness_vector(witness_group(), cl.subgroup, cl.fixed_space))
+            rows[at] = replace(row, witness=witness_vector(witness_group, cl.subgroup, cl.fixed_space))
             break
     rows = tuple(rows)
     condition_a = all(r.perfect_mod_bireflections for r in rows)
@@ -292,8 +294,9 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     quotient's fixed lattice.  The least lifted basis represents each
     class.  The rows run on the base's subgroups, and the sum's
     bireflections are the elements with r rank(g - I) <= 2.  The sum's
-    element matrices are built only for the witness scan, and never when
-    the sum is the input itself (r = 1 and L^G = 0).
+    element matrices are built only for a witness scan that has an element
+    to reject, and never when the sum is the input itself (r = 1 and
+    L^G = 0).
     """
     if r < 1:
         raise ValueError("copy count must be at least 1")

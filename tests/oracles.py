@@ -10,7 +10,8 @@ orbit-verify enumeration is redone with every product multiplied out
 as a Laurent polynomial before it is read in orbit coordinates, group
 closures are redone breadth-first with plain ``IntMatrix`` products, the
 isotropy catalog's meet closure is redone with one integer kernel per
-pair of spaces, minimal isotropy classes are found by conjugating
+pair of spaces, the catalog itself is redone from its whole meet closure
+over F_p, swept space by space, minimal isotropy classes are found by conjugating
 matrices, generated subgroups are closed by numpy matrix products
 looked up by value, and the ``copies`` report is redone on the r-fold sum
 itself, its group materialized, reduced and catalogued at rank r n.
@@ -18,23 +19,32 @@ itself, its group materialized, reduced and catalogued at rank r n.
 
 from collections import Counter, deque
 from itertools import product as iter_product
-from operator import add
+from operator import add, mul
 
 import numpy as np
 from sympy import primefactors
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from multinv.groups import FiniteMatrixGroup, GLattice, block_diagonal, close, induced_group
+from multinv.groups import FiniteMatrixGroup, GLattice, Subgroup, block_diagonal, close, induced_group
 from multinv.intlinalg import (
     IntMatrix,
     common_fixed_lattice,
     hnf_basis,
     kernel_lattice,
+    rref_mod,
     solve_echelon,
     sparse_echelon,
     unimodular_inverse,
 )
-from multinv.isotropy import enumerate_isotropy_groups
+from multinv.isotropy import (
+    IsotropyCatalog,
+    IsotropyClass,
+    _annihilated,
+    _checked_basis,
+    _pivot_mask,
+    enumerate_isotropy_groups,
+    fixed_lattice,
+)
 from multinv.obstruction import _decide, direct_sum_copies, effective_reduction
 from multinv.orbit_algebra import (
     DecompositionCertificate,
@@ -337,6 +347,67 @@ def integer_meet_closure(G):
         closure.add(b)
         closure.update(meets)
     return closure
+
+
+def closure_catalog(G, lift=None):
+    """The isotropy catalog from the whole meet closure over F_p: every
+    cyclic key met with every key closed so far, one key at a time, then
+    the closure swept in key order, one stabilizer scan and one fixed
+    lattice per orbit, every member's key moved by every generator.  The
+    classes, representatives and orbit index are chosen as
+    ``enumerate_isotropy_groups`` chooses them."""
+    n, p = G.lattice.rank, G.prime
+    cyclic = {}
+    for i in range(G.order):
+        cyclic.setdefault(G.fixed_key(i), []).append(i)
+    closure = {()}
+    for bkey in sorted(cyclic, key=lambda k: (len(k), k)):
+        if bkey not in closure:
+            closure.update([rref_mod(bkey, p, ckey) for ckey in closure])
+    candidates = [(_pivot_mask(ck), ck, members) for ck, members in cyclic.items()]
+    gens = [
+        (G.element(G.inv(g)).transpose(), G.element(g).transpose(), [G.conj(g, i) for i in range(G.order)])
+        for g in G.generator_indices
+    ]
+    classes, orbit_index, seen = [], {}, set()
+    for key in sorted(closure):
+        if key in seen:
+            continue
+        pivots, fixed = _pivot_mask(key), _annihilated(key, n)
+        root = tuple(sorted(
+            i for ck_pivots, ck, members in candidates
+            if ck_pivots | pivots == pivots and not any(sum(map(mul, row, w)) % p for row in ck for w in fixed)
+            for i in members
+        ))
+        seen.add(key)
+        orbit = [(key, root, _checked_basis(fixed_lattice(Subgroup(G, root)), key, n))]
+        for space, indices, basis in orbit:
+            for inv_t, t, conj in gens:
+                image = rref_mod((inv_t.apply(r) for r in space), p)
+                if image not in seen:
+                    assert image in closure, "a generator moves a closure space out of the closure"
+                    seen.add(image)
+                    members = tuple(sorted(conj[i] for i in indices))
+                    orbit.append((image, members, _checked_basis(hnf_basis(basis * t), image, n)))
+        members = [(indices, basis if lift is None else lift(basis)) for _, indices, basis in orbit]
+        indices, basis = min(members, key=lambda member: member[1].entries)
+        cl = IsotropyClass(Subgroup(G, indices), basis)
+        classes.append(cl)
+        for indices, _ in members:
+            assert indices not in orbit_index, "duplicate stabilizer"
+            orbit_index[indices] = cl
+    classes.sort(key=lambda cl: (-cl.order, cl.fixed_space.entries))
+    return IsotropyCatalog(G, tuple(classes), orbit_index)
+
+
+def catalog_summary(catalog):
+    """A catalog's classes in order, each as its representative's indices
+    and fixed space, and its orbit index as member tuple -> class position."""
+    at = {id(cl): k for k, cl in enumerate(catalog.classes)}
+    return (
+        [(cl.subgroup.indices, cl.fixed_space) for cl in catalog.classes],
+        {members: at[id(cl)] for members, cl in catalog._orbit_index.items()},
+    )
 
 
 def minimal_classes_oracle(G, classes):

@@ -381,6 +381,30 @@ class TestCopies:
         assert len(witness) == 12
         assert set(ranks) == {5}
 
+    @pytest.mark.parametrize("argv, built", [
+        (["copies", "builtin:sym7_u7", "--r", "3"], 0),
+        (["copies", "builtin:alt5_u5", "--r", "3"], 1),
+    ])
+    def test_builds_the_sum_group_only_for_a_witness_with_rejectors(self, argv, built, monkeypatch):
+        """sym7_u7's first class failing condition A is the whole group:
+        no element rejects a candidate, so its witness is 0 and the sum's
+        5,040 element matrices are not built.  alt5_u5's is a proper
+        subgroup, whose scan needs them."""
+        calls = []
+        real = obstruction.induced_group
+
+        def recorded(G, lattice):
+            calls.append(lattice.rank)
+            return real(G, lattice)
+
+        monkeypatch.setattr(obstruction, "induced_group", recorded)
+        code, out = run_cli([*argv, "--format", "json"])
+        assert code == 0
+        (witness,) = [c["witness"] for c in json.loads(out)["isotropy_classes"] if "witness" in c]
+        assert len(calls) == built
+        if not built:
+            assert set(witness) == {0}
+
     def test_forty_copies_within_budget(self):
         """The rank-320 sum of the icosian: 12.6 s while the catalog ran on
         the sum, well under a second as a lift of the base's."""

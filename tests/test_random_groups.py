@@ -25,7 +25,7 @@ from multinv.obstruction import (
 from multinv.reflections import moved_rank_subgroup
 
 from helpers import conjugated_lattice, random_unimodular
-from oracles import check_closure, difference_rank, stabilizer_census
+from oracles import catalog_summary, check_closure, closure_catalog, difference_rank, stabilizer_census
 
 
 def random_signed_perm(n, rng):
@@ -116,3 +116,18 @@ def test_rank_sum_on_random_groups():
         moved = difference_rank(h.matrices())
         assert fixed_lattice(h).rows == n - moved
         assert moved_rank_subgroup(h) == moved
+
+
+def test_catalog_equals_the_closure_sweep_on_random_groups():
+    """The catalog explored up to conjugacy equals the one swept from the
+    whole meet closure: classes, order, representatives, fixed spaces and
+    orbit index, on 200 groups of rank 2 to 4 and 20 of rank 5, every
+    other one conjugated out of its signed coordinates."""
+    rng = random.Random(0x5EED)
+    for k in range(220):
+        n = rng.choice([2, 3, 4]) if k < 200 else 5
+        lat = random_signed_perm_lattice(n, rng)
+        if k % 2:
+            lat = conjugated_lattice(lat, random_unimodular(n, rng))
+        group = close(lat)
+        assert catalog_summary(enumerate_isotropy_groups(group)) == catalog_summary(closure_catalog(group)), k
