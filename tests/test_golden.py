@@ -37,9 +37,11 @@ for _name in ("root_a3", "sym4_u4", "signed_root_s5"):
     CASES[f"witness_conj_{_name}"] = ["witness", f"conj_{_name}.json"]
 for _name in ("rank3_order6", "sym3_u3", "root_a2", "signed_root_s5"):
     CASES[f"copies3_{_name}"] = ["copies", f"builtin:{_name}", "--r", "3"]
-# the rank-16 and rank-24 icosian sums, a sum with a fixed part to reduce
-# away (alt5_u5), and conjugated bases
+# the rank-16 and rank-24 icosian sums, sums with a fixed part to reduce
+# away whose witness is scanned against rejectors (alt5_u5, alt6_u6), and
+# conjugated bases
 for _r, _input in ((2, "builtin:icosian"), (3, "builtin:icosian"), (3, "builtin:alt5_u5"),
+                   (2, "builtin:alt6_u6"), (3, "builtin:alt6_u6"),
                    (3, "conj_signed_root_s5.json"), (2, "conj_alt6_u6.json")):
     _stem = _input.removeprefix("builtin:").removesuffix(".json")
     CASES[f"copies{_r}_{_stem}"] = ["copies", _input, "--r", str(_r)]
