@@ -289,31 +289,6 @@ def _left_product(rows, x: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def induced_group(G: FiniteMatrixGroup, lattice: GLattice) -> FiniteMatrixGroup:
-    """G acting through ``lattice``, whose generators are the images of G's
-    generators, position by position, under a faithful representation.
-
-    A faithful image has the same Cayley graph, so the table, the words
-    and the BFS tree carry over: each element's matrix is its letter's
-    generator times its parent's matrix, one product per element and no
-    second closure.  The image keeps G's table object, so an index names
-    the same element in both groups and a subgroup of G reads as one of
-    the image (``isotropy.witness_vector``).  Raises
-    :class:`TheoremViolation` if two elements share an image.
-    """
-    if len(lattice.generators) != len(G.lattice.generators):
-        raise ValueError("generator lists have different lengths")
-    n = lattice.rank
-    gens = [_sparse_rows(lattice.generators[p]) for p in _table_rows(G.lattice.generators)]
-    images = [IntMatrix.identity(n).entries] * G.order
-    for x in range(1, G.order):
-        images[x] = _left_product(gens[G._letter[x]], images[G._parent[x]], n)
-    if len(set(images)) != G.order:
-        raise TheoremViolation("the representation is not faithful")
-    elements = [IntMatrix(n, n, entries) for entries in images]
-    return FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter)
-
-
 def block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:
     """Blocks placed along the diagonal; they need not be square."""
     cols = sum(b.cols for b in blocks)

@@ -382,48 +382,53 @@ def _shell(s: int, k: int):
             yield c
 
 
-def witness_vector(G: FiniteMatrixGroup | Callable[[], FiniteMatrixGroup], h: Subgroup,
-                   basis: IntMatrix | None = None) -> tuple[int, ...]:
-    """Integer vector m with stabilizer exactly h.
+def witness_vector(G: FiniteMatrixGroup, h: Subgroup, basis: IntMatrix | None = None) -> tuple[int, ...]:
+    """Integer vector m with stabilizer exactly h, a subgroup of G.
 
-    h is a subgroup of G or of another group on G's Cayley table, as the
-    base group is for the r-fold sum; raises ``ValueError`` otherwise.
     Scans integer combinations of the saturated Hermite basis of h's fixed
-    lattice in G's coordinates over coefficient boxes [0, s]^k of growing
-    side s, lexicographically inside each shell.  ``basis`` is that basis
-    when the caller holds it, as an isotropy class does in its
-    ``fixed_space`` (a Hermite basis is canonical); otherwise it is
-    computed from h.  A witness must only avoid at most |G| proper
-    subspaces of the fixed space, and a box of side exceeding that count
-    cannot be covered by them, so the scan terminates by side |G| at the
-    latest.  Rejectors are tried by their moved ranks in h's parent,
-    likeliest fixers first; the order never changes which candidate wins.
+    lattice over coefficient boxes [0, s]^k of growing side s,
+    lexicographically inside each shell.  ``basis`` is that basis when the
+    caller holds it, as an isotropy class does in its ``fixed_space`` (a
+    Hermite basis is canonical); otherwise it is computed from h.  A
+    witness must only avoid at most |G| proper subspaces of the fixed
+    space, and a box of side exceeding that count cannot be covered by
+    them, so the scan terminates by side |G| at the latest.  Rejectors are
+    tried by their moved ranks, likeliest fixers first; the order never
+    changes which candidate wins.  When h is the whole group, nothing
+    rejects a candidate, and the first one, 0, is the witness.
 
-    ``G`` may also be a function that builds G, as the r-fold sum's group
-    is built (``obstruction.copies_verdict``).  It is called only when the
-    scan needs G's matrices: when no basis is given, or when some element
-    lies outside h.  When h is the whole group, nothing rejects a
-    candidate, and the first one, 0, is the witness.
+    The basis may have r n columns for n = rank L and any r >= 1: it then
+    lies in the r-fold sum L^r, on which G acts through x -> diag(x, ..., x),
+    and each element is applied block by block, so no matrix of rank r n
+    is built.  Raises ``ValueError`` if h is not a subgroup of G itself or
+    the basis width is not a multiple of n.
     """
-    parent = h.parent
-    others = sorted((i for i in range(parent.order) if i not in h), key=lambda i: (parent.moved_rank(i), i))
-    if callable(G) and (others or basis is None):
-        G = G()
-    if not callable(G) and parent.left is not G.left:
-        raise ValueError("subgroup of a group with another Cayley table")
+    if h.parent is not G:
+        raise ValueError("subgroup of another group")
     if basis is None:
-        basis = fixed_lattice(Subgroup(G, h.indices))
-    k, n = basis.rows, basis.cols
+        basis = fixed_lattice(h)
+    n, k, width = G.lattice.rank, basis.rows, basis.cols
+    if width % (n or 1) or bool(width) != bool(n):
+        raise ValueError("basis width is not a multiple of the lattice rank")
+    cuts = range(0, width, n or 1)
     rows = [basis.row(r) for r in range(k)]
+    others = sorted((i for i in range(G.order) if i not in h), key=lambda i: (G.moved_rank(i), i))
     other_mats = [G.element(i) for i in others]
     # isotropy precondition: h must be the exact stabilizer of its fixed space
     for g in other_mats:
-        if all(g.apply(row) == row for row in rows):
+        if all(g.apply(row[a : a + n]) == row[a : a + n] for row in rows for a in cuts):
             raise NotIsotropy("subgroup is not the full stabilizer of its fixed lattice")
-    for s in range(0, parent.order + 1):
+    for s in range(0, G.order + 1):
         for c in _shell(s, k):
-            m = tuple(sum(c[r] * rows[r][j] for r in range(k)) for j in range(n))
-            if all(g.apply(m) != m for g in other_mats):
+            m = tuple(sum(c[r] * rows[r][j] for r in range(k)) for j in range(width))
+            blocks = [m[a : a + n] for a in cuts]
+            for g in other_mats:
+                for b in blocks:
+                    if g.apply(b) != b:
+                        break
+                else:
+                    break  # g fixes every block of m
+            else:
                 return m
     raise TheoremViolation("witness scan exhausted its proven bound")
 

@@ -55,10 +55,15 @@ The condition rows read subgroups on the base's Cayley table, so their
 commutator subgroups, cosets and abelian invariants are the base's.  Only
 the witness scan runs at rank r n: a vector (m_1, ..., m_r) can have
 stabilizer H although no m_i does, so the sum's witness is not a lift.
-Its group is built on the base's table, and only once a class other than
-the whole group fails condition A: the whole group's witness is 0, which
-no element rejects.  With r = 1 and L^G = 0 it is the base's group
-itself.
+It is scanned in L^r with the base's matrices, one block of n
+coordinates at a time, and no group on the sum is built.  An element g
+fixes a vector of L^r / (L^r)^G exactly when it fixes a preimage w: if
+g w = w + u with u in (L^r)^G, then g^k w = w + k u, and g has finite
+order, so u = 0.  So the scan runs over P = B p, for B the class's
+reduced basis and p the rows of v^-1 past the fixed part, v the Smith
+transform of (L^r)^G.  c P and c B have one stabilizer, the coefficients
+c come in the same order, and the reported witness is c B, the tail of
+(c P) v.  With L^G = 0, P is B itself.
 """
 
 from __future__ import annotations
@@ -69,16 +74,15 @@ from dataclasses import dataclass, replace
 from .errors import GeneratorMismatch, TheoremViolation
 from .groups import (
     DEFAULT_CAP,
-    FiniteMatrixGroup,
     GLattice,
     abelian_invariants,
     block_diagonal,
     close,
     commutator_subgroup,
     coset_orders,
-    induced_group,
 )
-from .intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, induced_on_quotient, quotient_transform
+from .intlinalg import (IntMatrix, common_fixed_lattice, hnf_basis, induced_on_quotient, quotient_transform,
+                        unimodular_inverse)
 from .isotropy import IsotropyCatalog, IsotropyClass, enumerate_isotropy_groups, witness_vector
 from .reflections import bireflection_subgroup
 
@@ -240,13 +244,13 @@ def check_necessary_conditions(lat: GLattice, cap: int = DEFAULT_CAP) -> Obstruc
 
 
 def _decide(name: str, rank: int, fixed_rank: int, catalog: IsotropyCatalog, copies: int,
-            witness_group: Callable[[], FiniteMatrixGroup]) -> ObstructionReport:
+            witness: Callable[[IsotropyClass], tuple[int, ...]]) -> ObstructionReport:
     """Condition rows and verdict for a lattice of ``rank`` with a fixed
     part of ``fixed_rank``, on which the catalog's group acts through
     ``copies`` copies of its own lattice.  The catalog's fixed spaces are
-    in the coordinates of the effective reduction, and ``witness_group()``
-    is the group acting there on the catalog group's table, asked for only
-    when a class other than the whole group fails condition A.
+    in the coordinates of the effective reduction, and ``witness`` gives
+    a vector there whose stabilizer is a class's group; it is asked only
+    for the first class that fails condition A.
     """
     effective_rank = rank - fixed_rank
     trivial_action = effective_rank == 0
@@ -255,8 +259,7 @@ def _decide(name: str, rank: int, fixed_rank: int, catalog: IsotropyCatalog, cop
     for at, row in enumerate(rows):
         if not row.perfect_mod_bireflections:
             # cite only the first failing class
-            cl = catalog.classes[at]
-            rows[at] = replace(row, witness=witness_vector(witness_group, cl.subgroup, cl.fixed_space))
+            rows[at] = replace(row, witness=witness(catalog.classes[at]))
             break
     rows = tuple(rows)
     condition_a = all(r.perfect_mod_bireflections for r in rows)
@@ -293,28 +296,35 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     a saturated fixed lattice containing the fixed part maps onto the
     quotient's fixed lattice.  The least lifted basis represents each
     class.  The rows run on the base's subgroups, and the sum's
-    bireflections are the elements with r rank(g - I) <= 2.  The sum's
-    element matrices are built only for a witness scan that has an element
-    to reject, and never when the sum is the input itself (r = 1 and
-    L^G = 0).
+    bireflections are the elements with r rank(g - I) <= 2.  The witness
+    of the first class failing condition A is scanned over preimages in
+    L^r of its reduced basis, with the base's matrices block by block:
+    an element fixes a vector of the quotient exactly when it fixes a
+    preimage, since it has finite order.  The same Smith transform gives
+    the preimages and carries the witness back to reduced coordinates.
     """
     if r < 1:
         raise ValueError("copy count must be at least 1")
     G = close(lat, cap)
     n = lat.rank
     fixed = block_diagonal([common_fixed_lattice(lat.generators, n)] * r)  # (L^r)^G = (L^G)^r
-    lift = None if r == 1 and not fixed.rows else _lift_to_copies(fixed, r)
+    f = fixed.rows
+    # a trivial action fixes all of L^r, whose Hermite basis I is its own
+    # Smith transform; a Smith form of a large identity costs n^3 steps
+    v = None if not f else fixed if f == r * n else quotient_transform(fixed)
+    lift = None if r == 1 and not f else _lift_to_copies(v, f, r)
 
-    def sum_group() -> FiniteMatrixGroup:
-        if lift is None:
-            return G  # the sum is the input itself
-        gens = [block_diagonal([g] * r) for g in lat.generators]
-        if fixed.rows:
-            gens = induced_on_quotient(fixed, gens)
-        return induced_group(G, GLattice(r * n - fixed.rows, gens, _sum_name(lat, r)))
+    def witness(cl: IsotropyClass) -> tuple[int, ...]:
+        if not f:
+            return witness_vector(G, cl.subgroup, cl.fixed_space)
+        # scan preimages in L^r: the rows of v^-1 past the fixed part
+        # complete it, and x v has the reduced coordinates of x in its tail
+        complement = IntMatrix(r * n - f, r * n, unimodular_inverse(v).entries[f * r * n :])
+        m = witness_vector(G, cl.subgroup, cl.fixed_space * complement)
+        return (IntMatrix(1, r * n, m) * v).entries[f:]
 
     catalog = enumerate_isotropy_groups(G, lift)
-    report = _decide(_sum_name(lat, r), r * n, fixed.rows, catalog, r, sum_group)
+    report = _decide(_sum_name(lat, r), r * n, f, catalog, r, witness)
     if r >= 3 and not report.reduction.trivial_action and report.verdict != OBSTRUCTED:
         raise TheoremViolation(
             f"{r} copies of a nontrivial action must be obstructed, got {report.verdict}"
@@ -322,18 +332,16 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     return report
 
 
-def _lift_to_copies(fixed: IntMatrix, r: int) -> Callable[[IntMatrix], IntMatrix]:
+def _lift_to_copies(v: IntMatrix | None, f: int, r: int) -> Callable[[IntMatrix], IntMatrix]:
     """The map from the Hermite basis B of a base fixed lattice to the
     Hermite basis of the same subgroup's fixed lattice on the r-fold sum,
-    in the coordinates of the sum's effective reduction; ``fixed`` is the
-    basis of the sum's fixed part."""
-    if not fixed.rows:
+    in the coordinates of the sum's effective reduction; ``v`` is the
+    Smith transform of the sum's fixed part, of rank ``f``, and None when
+    f = 0."""
+    if v is None:
         return lambda basis: block_diagonal([basis] * r)  # already in Hermite form
-    if fixed.rows == fixed.cols:
-        return lambda basis: IntMatrix(0, 0, ())  # a trivial action reduces to rank 0
-    total, f = fixed.cols, fixed.rows
+    total = v.rows
     n = total // r
-    v = quotient_transform(fixed)
     # diag(B, ..., B) v stacks the products B v_i, for v_i the i-th block of n rows
     blocks = [
         IntMatrix(n, total - f, [v.entry(i * n + a, j) for a in range(n) for j in range(f, total)])

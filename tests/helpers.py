@@ -66,3 +66,21 @@ def conjugated_lattice(lat, t):
 
     tinv = unimodular_inverse(t)
     return GLattice(lat.rank, [t * g * tinv for g in lat.generators], lat.name + "~conj")
+
+
+def random_signed_perm(n, rng):
+    image = list(range(n))
+    rng.shuffle(image)
+    ent = [0] * (n * n)
+    for j, i in enumerate(image):
+        ent[i * n + j] = rng.choice([-1, 1])
+    return IntMatrix(n, n, ent)
+
+
+def random_signed_perm_lattice(n, rng, max_gens=2):
+    """A lattice on 1 to ``max_gens`` random signed permutation matrices:
+    such matrices always generate a finite group."""
+    from multinv.groups import GLattice
+
+    gens = [random_signed_perm(n, rng) for _ in range(rng.randint(1, max_gens))]
+    return GLattice(n, gens, "fuzz")

@@ -14,7 +14,8 @@ pair of spaces, the catalog itself is redone from its whole meet closure
 over F_p, swept space by space, minimal isotropy classes are found by conjugating
 matrices, generated subgroups are closed by numpy matrix products
 looked up by value, and the ``copies`` report is redone on the r-fold sum
-itself, its group materialized, reduced and catalogued at rank r n.
+itself, its group materialized, carried to the reduction along the base's
+BFS tree with plain ``IntMatrix`` products, and catalogued at rank r n.
 """
 
 from collections import Counter, deque
@@ -25,7 +26,8 @@ import numpy as np
 from sympy import primefactors
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from multinv.groups import FiniteMatrixGroup, GLattice, Subgroup, block_diagonal, close, induced_group
+from multinv.errors import TheoremViolation
+from multinv.groups import FiniteMatrixGroup, GLattice, Subgroup, block_diagonal, close
 from multinv.intlinalg import (
     IntMatrix,
     common_fixed_lattice,
@@ -44,6 +46,7 @@ from multinv.isotropy import (
     _pivot_mask,
     enumerate_isotropy_groups,
     fixed_lattice,
+    witness_vector,
 )
 from multinv.obstruction import _decide, direct_sum_copies, effective_reduction
 from multinv.orbit_algebra import (
@@ -481,6 +484,30 @@ def commutator_seed(G, indices):
     return seed
 
 
+def induced_group(G, lattice):
+    """G acting through ``lattice``, whose generators are the images of G's
+    generators, position by position, under a faithful representation.
+
+    A faithful image has the same Cayley graph, so the table, the words
+    and the BFS tree carry over: each element's matrix is its letter's
+    generator times its parent's matrix, one ``IntMatrix`` product per
+    element and no second closure.  Raises ``TheoremViolation`` if two
+    elements share an image.
+    """
+    if len(lattice.generators) != len(G.lattice.generators):
+        raise ValueError("generator lists have different lengths")
+    first = {}  # one table row per distinct generator, at its first position
+    for p, g in enumerate(G.lattice.generators):
+        first.setdefault(g, p)
+    gens = [lattice.generators[p] for p in first.values()]
+    images = [IntMatrix.identity(lattice.rank)] * G.order
+    for x in range(1, G.order):
+        images[x] = gens[G._letter[x]] * images[G._parent[x]]
+    if len(set(images)) != G.order:
+        raise TheoremViolation("the representation is not faithful")
+    return FiniteMatrixGroup(lattice, images, G.left, G._parent, G._letter)
+
+
 def diagonal_group(G, lattice):
     """G acting on the r-fold direct sum of its lattice through
     x -> diag(x, ..., x); ``lattice`` is that sum, whose generators are
@@ -509,4 +536,6 @@ def materialized_copies_report(lat, r):
     if reduced is not total:
         G = induced_group(G, reduced)
     catalog = enumerate_isotropy_groups(G)
-    return _decide(total.name, total.rank, total.rank - reduced.rank, catalog, 1, lambda: G), catalog
+    report = _decide(total.name, total.rank, total.rank - reduced.rank, catalog, 1,
+                     lambda cl: witness_vector(G, cl.subgroup, cl.fixed_space))
+    return report, catalog

@@ -15,6 +15,7 @@ from multinv.catalog import builtin, serialize_group_definition
 from multinv.cli import run
 from multinv.errors import CapExceeded, InfiniteGroup, InfiniteOrderElement
 from multinv.groups import DEFAULT_CAP, GLattice, block_diagonal, close
+from multinv.intlinalg import IntMatrix
 
 from helpers import random_unimodular, unipotent
 
@@ -381,29 +382,49 @@ class TestCopies:
         assert len(witness) == 12
         assert set(ranks) == {5}
 
-    @pytest.mark.parametrize("argv, built", [
-        (["copies", "builtin:sym7_u7", "--r", "3"], 0),
-        (["copies", "builtin:alt5_u5", "--r", "3"], 1),
-    ])
-    def test_builds_the_sum_group_only_for_a_witness_with_rejectors(self, argv, built, monkeypatch):
-        """sym7_u7's first class failing condition A is the whole group:
-        no element rejects a candidate, so its witness is 0 and the sum's
-        5,040 element matrices are not built.  alt5_u5's is a proper
-        subgroup, whose scan needs them."""
-        calls = []
-        real = obstruction.induced_group
+    @pytest.mark.parametrize("argv", [
+        ["copies", "builtin:alt5_u5", "--r", "3"],
+        ["copies", "builtin:alt6_u6", "--r", "3"],
+        ["copies", "builtin:sym7_u7", "--r", "3"],
+        ["copies", "conj_alt6_u6.json", "--r", "2"],
+        ["analyze", "rank3_order6+1.json"],
+        ["witness", "builtin:alt5_u5"],
+    ], ids=["alt5_u5-r3", "alt6_u6-r3", "sym7_u7-r3", "conj_alt6_u6-r2", "rank3_order6+1", "witness-alt5_u5"])
+    def test_builds_one_group_and_no_sum_matrix(self, argv, tmp_path, monkeypatch):
+        """Each command closes the input's group and builds no other.  The
+        sum's witness, and the witness of a lattice with a fixed part, are
+        scanned with the input's matrices block by block, so no matrix
+        above the input's rank is applied.  alt5_u5, alt6_u6 and the
+        conjugated alt6_u6 scan a reduced sum against rejectors; sym7_u7
+        and the padded rank3_order6 fail condition A on the whole group."""
+        base = builtin("rank3_order6")
+        padded = GLattice(4, [block_diagonal([g, IntMatrix.identity(1)]) for g in base.generators], "rank3_order6+1")
+        (tmp_path / "rank3_order6+1.json").write_text(serialize_group_definition(padded))
+        golden = Path(__file__).resolve().parent / "golden"
+        (tmp_path / "conj_alt6_u6.json").write_bytes((golden / "conj_alt6_u6.json").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        built, applied = [], set()
+        init, apply = groups.FiniteMatrixGroup.__init__, intlinalg.IntMatrix.apply
 
-        def recorded(G, lattice):
-            calls.append(lattice.rank)
-            return real(G, lattice)
+        def recorded_init(G, lattice, *args):
+            built.append(lattice.rank)
+            init(G, lattice, *args)
 
-        monkeypatch.setattr(obstruction, "induced_group", recorded)
+        def recorded_apply(g, vec):
+            applied.add(g.cols)
+            return apply(g, vec)
+
+        monkeypatch.setattr(groups.FiniteMatrixGroup, "__init__", recorded_init)
+        monkeypatch.setattr(intlinalg.IntMatrix, "apply", recorded_apply)
         code, out = run_cli([*argv, "--format", "json"])
         assert code == 0
-        (witness,) = [c["witness"] for c in json.loads(out)["isotropy_classes"] if "witness" in c]
-        assert len(calls) == built
-        if not built:
-            assert set(witness) == {0}
+        (rank,) = built
+        assert max(applied, default=0) <= rank
+        if argv[0] != "witness":
+            (witness,) = [c["witness"] for c in json.loads(out)["isotropy_classes"] if "witness" in c]
+            assert len(witness) > rank or argv[0] == "analyze"
+            whole_group_fails = "sym7_u7" in argv[1] or "rank3_order6" in argv[1]
+            assert any(witness) != whole_group_fails  # the whole group's witness is 0
 
     def test_forty_copies_within_budget(self):
         """The rank-320 sum of the icosian: 12.6 s while the catalog ran on

@@ -19,7 +19,6 @@ from multinv.groups import (
     commutator_subgroup,
     element_order_histogram,
     full_subgroup,
-    induced_group,
     intersect_subgroups,
     is_perfect,
     subgroup_generated,
@@ -39,6 +38,7 @@ from oracles import (
     commutator_seed,
     diagonal_group,
     difference_rank,
+    induced_group,
     subgroup_oracle,
     sympy_abelianization,
 )

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from pathlib import Path
 
@@ -14,12 +15,11 @@ from multinv.groups import (
     block_diagonal,
     close,
     full_subgroup,
-    induced_group,
     intersect_subgroups,
     subgroup_generated,
     trivial_subgroup,
 )
-from multinv.intlinalg import IntMatrix, common_fixed_lattice, hnf_basis
+from multinv.intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, quotient_transform
 from multinv.obstruction import _lift_to_copies, direct_sum_copies
 from multinv.isotropy import (
     check_fpf_constraints,
@@ -32,11 +32,13 @@ from multinv.isotropy import (
     witness_vector,
 )
 
-from helpers import cycle, diag, transposition
+from helpers import cycle, diag, random_signed_perm_lattice, transposition
 from oracles import (
     catalog_summary,
     closure_catalog,
+    diagonal_group,
     integer_meet_closure,
+    materialized_copies_report,
     minimal_classes_oracle,
     stabilizer_census,
 )
@@ -141,22 +143,37 @@ class TestWitness:
         with pytest.raises(NotIsotropy):
             witness_vector(g, trivial_subgroup(g), fixed_lattice(full_subgroup(g)))
 
-    def test_reads_a_subgroup_of_a_group_on_the_same_table(self):
-        """A subgroup of G names the elements of every group built on G's
-        table, such as G on two copies of its lattice."""
-        g = sym_u(3)
-        image = induced_group(g, direct_sum_copies(g.lattice, 2))
-        h = subgroup_generated(g, [g.index_of(transposition(0, 1, 3))])
-        m = witness_vector(image, h)
-        assert m == witness_vector(image, Subgroup(image, h.indices)) == (0, 0, 0, 0, 0, 1)
-        assert isotropy_group_of(image, m).indices == h.indices
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_scans_a_sum_block_by_block(self, r):
+        """A basis of r n columns lies in the r-fold sum: G applied block
+        by block gives the witness that the sum's own group, every element
+        placed r times along the diagonal, gives for the same basis."""
+        rng = random.Random(0x5EED + r)
+        lattices = [builtin(name) for name in ("sym3_u3", "alt5_u5", "signed_root_s5")]
+        lattices += [random_signed_perm_lattice(rng.randint(2, 4), rng) for _ in range(50)]
+        for lat in lattices:
+            G = close(lat)
+            D = diagonal_group(G, direct_sum_copies(lat, r))
+            for cl in enumerate_isotropy_groups(G).classes:
+                basis = block_diagonal([cl.fixed_space] * r)
+                m = witness_vector(G, cl.subgroup, basis)
+                assert m == witness_vector(D, Subgroup(D, cl.subgroup.indices), basis), (lat.name, cl.order)
+                assert isotropy_group_of(D, m).indices == cl.subgroup.indices
 
     def test_rejects_a_subgroup_of_a_group_with_another_table(self):
         g = sym_u(3)
-        # the same matrices closed a second time still make another table
+        # the same matrices closed a second time still make another group
         for h in (full_subgroup(sym_u(3)), trivial_subgroup(neg_identity(3))):
-            with pytest.raises(ValueError, match="another Cayley table"):
+            with pytest.raises(ValueError, match="subgroup of another group"):
                 witness_vector(g, h)
+        # the sum's group on G's table is another group too
+        image = diagonal_group(g, direct_sum_copies(g.lattice, 2))
+        with pytest.raises(ValueError, match="subgroup of another group"):
+            witness_vector(image, full_subgroup(g))
+        # a basis whose width is not a multiple of the rank
+        for cols in (0, 2, 4, 7):
+            with pytest.raises(ValueError, match="not a multiple of the lattice rank"):
+                witness_vector(g, trivial_subgroup(g), IntMatrix.identity(cols))
 
 
 @pytest.mark.parametrize(
@@ -166,8 +183,10 @@ class TestWitness:
 )
 def test_witnesses_scan_the_class_bases(argv, monkeypatch):
     """Every witness the CLI prints is scanned over its class's
-    ``fixed_space``, so no witness computes an integer kernel; a basis
-    computed afresh from the subgroup gives the same vector."""
+    ``fixed_space``, or for ``copies`` over its preimage in the sum, so no
+    witness computes an integer kernel.  A basis computed afresh from the
+    subgroup gives the same vector, and the sum's witness is the one the
+    sum's own group, materialized at rank r n, gives."""
     inside, kernels, fresh = [], [], []
     kernel = intlinalg.kernel_lattice
 
@@ -182,17 +201,26 @@ def test_witnesses_scan_the_class_bases(argv, monkeypatch):
             m = witness_vector(G, h, basis)
         finally:
             inside.pop()
-        before = len(kernels)
-        assert witness_vector(G, h) == m
-        fresh.append(len(kernels) - before)
+        if argv[0] != "copies":
+            before = len(kernels)
+            assert witness_vector(G, h) == m
+            fresh.append(len(kernels) - before)
         return m
 
     monkeypatch.setattr(intlinalg, "kernel_lattice", counted_kernel)
     module = cli if argv[0] == "witness" else obstruction
     monkeypatch.setattr(module, "witness_vector", recorded_witness)
-    assert cli.run(argv, io.StringIO()) == 0
+    out = io.StringIO()
+    assert cli.run([*argv, "--format", "json"], out) == 0
     assert kernels.count(True) == 0
-    assert sum(fresh) > 0  # the counter sees the kernels a fresh basis costs
+    if argv[0] == "copies":
+        (printed,) = [c["witness"] for c in json.loads(out.getvalue())["isotropy_classes"] if "witness" in c]
+        monkeypatch.undo()
+        expected, _ = materialized_copies_report(builtin(argv[1].removeprefix("builtin:")), int(argv[3]))
+        (witness,) = [row.witness for row in expected.classes if row.witness is not None]
+        assert tuple(printed) == witness
+    else:
+        assert sum(fresh) > 0  # the counter sees the kernels a fresh basis costs
 
 
 class TestMinimalNontrivial:
@@ -456,7 +484,8 @@ def test_copies_lift_equals_the_closure_sweep(name, r):
     representatives are the members with the least lifted basis."""
     G = _group(name)
     n = G.lattice.rank
-    lift = _lift_to_copies(block_diagonal([common_fixed_lattice(G.lattice.generators, n)] * r), r)
+    fixed = block_diagonal([common_fixed_lattice(G.lattice.generators, n)] * r)
+    lift = _lift_to_copies(quotient_transform(fixed) if fixed.rows else None, fixed.rows, r)
     assert catalog_summary(enumerate_isotropy_groups(G, lift)) == catalog_summary(closure_catalog(G, lift))
 
 

@@ -265,27 +265,6 @@ def test_one_copy_is_the_lattice(name):
     assert copies_verdict(lat, 1) == materialized_copies_report(lat, 1)[0]
 
 
-@pytest.mark.parametrize("name, calls", [("sym7_u7", 0), ("rank3_order6+1", 0)])
-def test_the_reduced_witness_group_is_built_lazily(name, calls, monkeypatch):
-    """sym7_u7 has a fixed part but passes condition A, so no group on its
-    reduction is built.  The padded rank3_order6 fails A on the whole
-    group, whose witness 0 no element rejects, so none is built either.
-    A proper subgroup failing A builds one: three copies of alt5_u5 in
-    ``test_cli``."""
-    built = []
-    real = obstruction.induced_group
-
-    def recorded(G, lattice):
-        built.append(lattice.rank)
-        return real(G, lattice)
-
-    monkeypatch.setattr(obstruction, "induced_group", recorded)
-    report = check_necessary_conditions(_copies_base(name))
-    assert report.reduction.fixed_rank > 0
-    assert report.condition_a == (name == "sym7_u7")
-    assert built == [report.reduction.effective_rank] * calls
-
-
 def test_verdict_invariant_under_rational_isomorphism():
     u3 = sym_u_lattice(3)
     root = root_lattice_action(3)

@@ -8,7 +8,6 @@ unimodular conjugation then destroys all coordinate niceness.
 import random
 
 from multinv.groups import (
-    GLattice,
     Subgroup,
     are_conjugate_subgroups,
     close,
@@ -24,22 +23,8 @@ from multinv.obstruction import (
 )
 from multinv.reflections import moved_rank_subgroup
 
-from helpers import conjugated_lattice, random_unimodular
+from helpers import conjugated_lattice, random_signed_perm_lattice, random_unimodular
 from oracles import catalog_summary, check_closure, closure_catalog, difference_rank, stabilizer_census
-
-
-def random_signed_perm(n, rng):
-    image = list(range(n))
-    rng.shuffle(image)
-    ent = [0] * (n * n)
-    for j, i in enumerate(image):
-        ent[i * n + j] = rng.choice([-1, 1])
-    return IntMatrix(n, n, ent)
-
-
-def random_signed_perm_lattice(n, rng, max_gens=2):
-    gens = [random_signed_perm(n, rng) for _ in range(rng.randint(1, max_gens))]
-    return GLattice(n, gens, "fuzz")
 
 
 def test_census_equality_on_random_signed_groups():
