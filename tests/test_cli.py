@@ -426,6 +426,28 @@ class TestCopies:
             whole_group_fails = "sym7_u7" in argv[1] or "rank3_order6" in argv[1]
             assert any(witness) != whole_group_fails  # the whole group's witness is 0
 
+    @pytest.mark.parametrize("argv, built", [
+        (["copies", "builtin:sym7_u7", "--r", "3"], 0),
+    ])
+    def test_builds_the_sum_group_only_for_a_witness_with_rejectors(self, argv, built, monkeypatch):
+        """sym7_u7's first class failing condition A is the whole group:
+        no element rejects a candidate, so its witness on the reduced sum,
+        three copies of the rank-6 reduction, is 0.  No group beside the
+        input's is built for it."""
+        ranks = []
+        init = groups.FiniteMatrixGroup.__init__
+
+        def recorded(G, lattice, *args):
+            ranks.append(lattice.rank)
+            init(G, lattice, *args)
+
+        monkeypatch.setattr(groups.FiniteMatrixGroup, "__init__", recorded)
+        code, out = run_cli([*argv, "--format", "json"])
+        assert code == 0
+        (witness,) = [c["witness"] for c in json.loads(out)["isotropy_classes"] if "witness" in c]
+        assert ranks == [7] + [18] * built
+        assert len(witness) == 18 and set(witness) == {0}
+
     def test_forty_copies_within_budget(self):
         """The rank-320 sum of the icosian: 12.6 s while the catalog ran on
         the sum, well under a second as a lift of the base's."""

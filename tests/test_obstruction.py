@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from multinv import obstruction
+from multinv import groups, obstruction
 from multinv.catalog import DEFAULT_BUILTINS, builtin, parse_group_definition
 from multinv.errors import CapExceeded, GeneratorMismatch, InfiniteGroup
 from multinv.groups import GLattice, block_diagonal, close
@@ -263,6 +263,27 @@ def test_one_copy_is_the_lattice(name):
     effective reduction's group, catalogued at rank n - rank L^G."""
     lat = _copies_base(name)
     assert copies_verdict(lat, 1) == materialized_copies_report(lat, 1)[0]
+
+
+@pytest.mark.parametrize("name, calls", [("sym7_u7", 0), ("rank3_order6+1", 0)])
+def test_the_reduced_witness_group_is_built_lazily(name, calls, monkeypatch):
+    """No group on the effective reduction is built: the input's group
+    scans the reduced witness.  sym7_u7 has a fixed part but passes
+    condition A; the padded rank3_order6 fails A on the whole group,
+    whose witness is 0.  Either way the input's group is the only one."""
+    built = []
+    real = groups.FiniteMatrixGroup.__init__
+
+    def recorded(G, lattice, *args):
+        built.append(lattice.rank)
+        real(G, lattice, *args)
+
+    monkeypatch.setattr(groups.FiniteMatrixGroup, "__init__", recorded)
+    lat = _copies_base(name)
+    report = check_necessary_conditions(lat)
+    assert report.reduction.fixed_rank > 0
+    assert report.condition_a == (name == "sym7_u7")
+    assert built == [lat.rank] + [report.reduction.effective_rank] * calls
 
 
 def test_verdict_invariant_under_rational_isomorphism():
