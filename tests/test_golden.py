@@ -5,8 +5,9 @@ with the file under ``tests/golden/``.  Outputs too large to keep as text
 are stored as the SHA-256 digest of the same rendering, in a ``.sha256``
 file.  The ``conj_*.json`` definitions there are builtins conjugated by
 the unimodular matrix named in their metadata, so the catalog also runs
-outside plain coordinates; every case runs from that directory, so the
-recorded ``input`` field is a bare file name.  To re-record after an
+outside plain coordinates, and ``trivial3.json`` is the trivial action
+on rank 3; every case runs from that directory, so the recorded
+``input`` field is a bare file name.  To re-record after an
 intended output change:
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -45,6 +46,9 @@ for _r, _input in ((2, "builtin:icosian"), (3, "builtin:icosian"), (3, "builtin:
                    (3, "conj_signed_root_s5.json"), (2, "conj_alt6_u6.json")):
     _stem = _input.removeprefix("builtin:").removesuffix(".json")
     CASES[f"copies{_r}_{_stem}"] = ["copies", _input, "--r", str(_r)]
+# a trivial action: the fixed part is the whole lattice, once and three times
+CASES["analyze_trivial3"] = ["analyze", "trivial3.json"]
+CASES["copies3_trivial3"] = ["copies", "trivial3.json", "--r", "3"]
 for _preset, _rank, _bound in (("diag_sl", 2, 4), ("diag_sl", 3, 3), ("alt_laurent", 3, 3)):
     CASES[f"orbit_{_preset}_r{_rank}_b{_bound}"] = [
         "orbit", "verify", _preset, "--rank", str(_rank), "--bound", str(_bound),

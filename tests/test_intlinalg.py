@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -7,6 +8,7 @@ from sympy import GF, ZZ, Matrix
 from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors, smith_normal_form
 
+from multinv.groups import block_diagonal
 from multinv.intlinalg import (
     IntMatrix,
     hnf,
@@ -208,6 +210,38 @@ def test_snf_contract_random():
             for j in range(dec.s.cols)
             if i != j
         )
+
+
+def _snf_transform_inputs():
+    """A fixed seeded set of 500 matrices: 400 with entries from a small
+    set of units, zeros and primes, and 100 saturated Hermite bases (the
+    kernels of random relations, the whole lattice among them) placed 1-3
+    times along a diagonal, like the fixed parts of r-fold sums."""
+    rng = random.Random(0x5A17)
+    values = (0, 1, -1, 2, -2, 3, 5, -7, 12)
+    out = []
+    for _ in range(400):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        out.append(IntMatrix(r, c, [rng.choice(values) for _ in range(r * c)]))
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        k = rng.randint(0, n)
+        basis = kernel_lattice(IntMatrix(k, n, [rng.choice(values) for _ in range(k * n)]))
+        out.append(block_diagonal([basis] * rng.randint(1, 3)))
+    return out
+
+
+# SHA-256 of every (u, s, v) that snf returns on _snf_transform_inputs();
+# the goldens see v only through witness coordinates
+SNF_TRANSFORM_DIGEST = "0b66644fa675148181253a9ab184adaa0e474561850b00253e017aaa436ad82d"
+
+
+def test_snf_transforms_are_unchanged():
+    h = hashlib.sha256()
+    for a in _snf_transform_inputs():
+        dec = snf(a)
+        h.update(repr((a.rows, a.cols, dec.u.entries, dec.s.entries, dec.v.entries)).encode())
+    assert h.hexdigest() == SNF_TRANSFORM_DIGEST
 
 
 def test_hnf_contract_random():
