@@ -50,7 +50,6 @@ from .intlinalg import (
     SmithDecomposition,
     hnf,
     hnf_basis,
-    induced_on_quotient,
     kernel_lattice,
     lattice_quotient_invariants,
     rank,

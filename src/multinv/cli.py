@@ -15,8 +15,8 @@ All output is deterministic; ``--seed-free`` is accepted for scripting
 symmetry but changes nothing because no code path uses randomness.
 Exit codes: 0 success, 2 parse/validation problems, 3 closure cap
 exceeded or group proved infinite (two distinct elements agree mod 3,
-found long before the cap), 70 internal error (a bug; the message names
-the exception).
+or an element g has |tr g| > n, its rank; either is found long before
+the cap), 70 internal error (a bug; the message names the exception).
 ``batch`` exits 3 if any file exceeded the cap, else 2 if any file had an
 input error, else 0.  Exit code 1 is never used.
 """

@@ -15,8 +15,12 @@ Normal forms follow the usual conventions:
   two-sided, so it keeps its own elimination.
 
 Returned lattice bases are always in Hermite form, so equal sublattices
-compare equal entry-by-entry.  ``rref_mod`` is the one computation over a
-finite field: the canonical reduced echelon form of a row space over F_p.
+compare equal entry-by-entry.  ``quotient_transform`` completes a
+saturated basis to a basis of the ambient lattice; the induced action on
+the quotient by a fixed lattice is built from it in
+``obstruction.effective_reduction``.  ``rref_mod`` is the one computation
+over a finite field: the canonical reduced echelon form of a row space
+over F_p.
 """
 
 from __future__ import annotations
@@ -430,9 +434,13 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     column; the corner then strictly divides its old value, so the
     alternation ends after at most log(corner) rounds.  A divisibility
     sweep (add an offending row to the corner row and re-clear) repairs
-    the chain before the corner is frozen.  Intermediate entries still
-    overflow fixed-width integers readily, which is why everything is a
-    Python int.
+    the chain before the corner is frozen.  A unit corner ends both the
+    scan and the sweep: the scan stops at the first entry of absolute
+    value 1, the first least entry in row-major order that a full scan
+    picks, and 1 divides every entry.  So a stage with a unit pivot costs
+    its row and column, not its block, and the identity takes n^2 steps.
+    Intermediate entries still overflow fixed-width integers readily,
+    which is why everything is a Python int.
     """
     s = a.row_lists()
     rows, cols = a.rows, a.cols
@@ -459,22 +467,28 @@ def snf(a: IntMatrix) -> SmithDecomposition:
             for row in m:
                 row[j1], row[j2] = row[j2], row[j1]
 
+    def corner():  # the first least nonzero entry of the block, row-major
+        best = least = None
+        for i in range(t, rows):
+            si = s[i]
+            for j in range(t, cols):
+                val = abs(si[j])
+                if val and (least is None or val < best):
+                    best, least = val, (i, j)
+                    if val == 1:  # nothing is smaller
+                        return least
+        return least
+
     t = 0
     while t < min(rows, cols):
         dirty = True
         while dirty:
             dirty = False
             # move the smallest nonzero entry of the block to the corner
-            bi = bj = -1
-            babs = 0
-            for i in range(t, rows):
-                si = s[i]
-                for j in range(t, cols):
-                    val = si[j]
-                    if val and (bi == -1 or abs(val) < babs):
-                        bi, bj, babs = i, j, abs(val)
-            if bi == -1:
+            least = corner()
+            if least is None:
                 break
+            bi, bj = least
             if bi != t:
                 s[t], s[bi] = s[bi], s[t]
                 u[t], u[bi] = u[bi], u[t]
@@ -510,11 +524,10 @@ def snf(a: IntMatrix) -> SmithDecomposition:
                     dirty = True  # column t regained entries from column j
             if dirty:
                 continue
-            if any(s[i][t] for i in range(t + 1, rows)):
-                dirty = True
-                continue
-            # divisibility sweep over the untouched block
+            # divisibility sweep over the untouched block, which 1 divides
             pivot = s[t][t]
+            if pivot == 1:
+                break
             for i in range(t + 1, rows):
                 si = s[i]
                 if any(si[j] % pivot for j in range(t + 1, cols)):
@@ -630,32 +643,3 @@ def quotient_transform(sub_basis: IntMatrix) -> IntMatrix:
         raise ValueError("sub-basis is not saturated")
     return dec.v
 
-
-def induced_on_quotient(sub_basis: IntMatrix, mats: Sequence[IntMatrix]) -> list[IntMatrix]:
-    """Matrices of the induced action on ``Z^n / rowspan(sub_basis)``.
-
-    ``sub_basis`` must be a saturated basis whose span is fixed pointwise
-    by every matrix in ``mats``.  The basis is completed to a unimodular
-    basis of the ambient lattice via the Smith transforms
-    (:func:`quotient_transform`); in the completed coordinates each matrix
-    is block upper triangular with an identity block on the fixed part,
-    and the lower-right block is the quotient action.
-    """
-    n, k = sub_basis.cols, sub_basis.rows
-    if k == 0:
-        return list(mats)
-    v = quotient_transform(sub_basis)
-    p = unimodular_inverse(v)  # rows 0..k-1 of p span the sub-lattice
-    pt = p.transpose()
-    vt = v.transpose()  # equals inverse(p transpose)
-    out = []
-    for g in mats:
-        gt = vt * g * pt
-        for i in range(n):
-            for j in range(k):
-                expected = 1 if i == j else 0
-                if gt.entry(i, j) != expected:
-                    raise ValueError("matrix does not fix the sub-lattice pointwise")
-        q = n - k
-        out.append(IntMatrix(q, q, (gt.entry(k + i, k + j) for i in range(q) for j in range(q))))
-    return out

@@ -108,13 +108,7 @@ from .groups import (
     element_order_histogram,
     is_perfect,
 )
-from .intlinalg import (
-    IntMatrix,
-    common_fixed_lattice,
-    hnf_basis,
-    induced_on_quotient,
-    rref_mod,
-)
+from .intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, rref_mod
 
 
 def fixed_lattice(h: Subgroup) -> IntMatrix:
@@ -456,14 +450,14 @@ def _verify_quotient_fixed_point_free(G: FiniteMatrixGroup, cl: IsotropyClass) -
     n = G.lattice.rank
     if cl.fixed_rank == n:
         raise TheoremViolation("nontrivial isotropy group fixes the whole lattice")
-    mats = [G.element(i) for i in cl.subgroup.indices if i != G.identity_index]
-    induced = induced_on_quotient(cl.fixed_space, mats)
-    ident = IntMatrix.identity(n - cl.fixed_rank)
-    for q in induced:
-        if (q - ident).det() == 0:
-            raise TheoremViolation(
-                "minimal nontrivial isotropy group is not fixed-point-free on the quotient"
-            )
+    # g in H has finite order, so it fixes a vector of L / L^H exactly when it
+    # fixes a preimage w: g w = w + u with u in L^H gives g^k w = w + k u, so
+    # u = 0.  L^H is saturated and g fixes it, so g fixes more exactly when
+    # rank Fix(g) > rank L^H.
+    if any(G.moved_rank(i) < n - cl.fixed_rank for i in cl.subgroup.indices if i != G.identity_index):
+        raise TheoremViolation(
+            "minimal nontrivial isotropy group is not fixed-point-free on the quotient"
+        )
 
 
 # -- fixed-point-free recognition ------------------------------------------

@@ -81,8 +81,7 @@ from .groups import (
     commutator_subgroup,
     coset_orders,
 )
-from .intlinalg import (IntMatrix, common_fixed_lattice, hnf_basis, induced_on_quotient, quotient_transform,
-                        unimodular_inverse)
+from .intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, quotient_transform, unimodular_inverse
 from .isotropy import IsotropyCatalog, IsotropyClass, enumerate_isotropy_groups, witness_vector
 from .reflections import bireflection_subgroup
 
@@ -152,19 +151,31 @@ class ObstructionReport:
 def effective_reduction(lat: GLattice) -> GLattice:
     """The induced action on L / L^G; unchanged when already effective.
 
-    Generators that induce the identity are kept (dropping them would
-    change the declared generator pairing); the closed group is the same
-    either way because the induced action of the closure is faithful.  A
-    trivial action reduces to rank 0, with 0x0 generators.
+    The saturated basis of L^G is completed to a unimodular basis of L by
+    its Smith transform (:func:`intlinalg.quotient_transform`).  In the
+    completed coordinates each generator is block upper triangular with
+    an identity block on L^G, and the lower-right block is the induced
+    action.  Generators that induce the identity are kept (dropping them
+    would change the declared generator pairing); the closed group is the
+    same either way because the induced action of the closure is
+    faithful.  A trivial action reduces to rank 0, with 0x0 generators.
     """
-    fixed = common_fixed_lattice(lat.generators, lat.rank)
-    if fixed.rows == 0:
+    n = lat.rank
+    fixed = common_fixed_lattice(lat.generators, n)
+    k = fixed.rows
+    if not k:
         return lat
-    if fixed.rows == lat.rank:
-        induced = [IntMatrix.zeros(0, 0)] * len(lat.generators)
-    else:
-        induced = induced_on_quotient(fixed, list(lat.generators))
-    return GLattice(lat.rank - fixed.rows, induced, lat.name + "/effective")
+    v = quotient_transform(fixed)
+    pt = unimodular_inverse(v).transpose()  # columns 0..k-1 span L^G
+    vt = v.transpose()  # the inverse of pt
+    q = n - k
+    induced = []
+    for g in lat.generators:
+        gt = vt * g * pt
+        if any(gt.entry(i, j) != (i == j) for i in range(n) for j in range(k)):
+            raise TheoremViolation("a generator does not fix L^G pointwise")
+        induced.append(IntMatrix(q, q, (gt.entry(k + i, k + j) for i in range(q) for j in range(q))))
+    return GLattice(q, induced, lat.name + "/effective")
 
 
 def direct_sum_copies(lat: GLattice, r: int) -> GLattice:
@@ -309,10 +320,8 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     n = lat.rank
     fixed = block_diagonal([common_fixed_lattice(lat.generators, n)] * r)  # (L^r)^G = (L^G)^r
     f = fixed.rows
-    # a trivial action fixes all of L^r, whose Hermite basis I is its own
-    # Smith transform; a Smith form of a large identity costs n^3 steps
-    v = None if not f else fixed if f == r * n else quotient_transform(fixed)
-    lift = None if r == 1 and not f else _lift_to_copies(v, f, r)
+    v = quotient_transform(fixed) if f else None
+    lift = _lift_to_copies(v, f, r)
 
     def witness(cl: IsotropyClass) -> tuple[int, ...]:
         if not f:

@@ -12,7 +12,8 @@ closures are redone breadth-first with plain ``IntMatrix`` products, the
 isotropy catalog's meet closure is redone with one integer kernel per
 pair of spaces, the catalog itself is redone from its whole meet closure
 over F_p, swept space by space, minimal isotropy classes are found by conjugating
-matrices, generated subgroups are closed by numpy matrix products
+matrices, fixed points on a quotient L / L^H are read off the determinant
+of the induced matrix, generated subgroups are closed by numpy matrix products
 looked up by value, and the ``copies`` report is redone on the r-fold sum
 itself, its group materialized, carried to the reduction along the base's
 BFS tree with plain ``IntMatrix`` products, and catalogued at rank r n.
@@ -33,6 +34,7 @@ from multinv.intlinalg import (
     common_fixed_lattice,
     hnf_basis,
     kernel_lattice,
+    quotient_transform,
     rref_mod,
     solve_echelon,
     sparse_echelon,
@@ -432,6 +434,26 @@ def minimal_classes_oracle(G, classes):
         tuple(sorted(h)) for h in nontrivial
         if not any(len(o) < len(h) and conjugate_inside(o, h) for o in nontrivial)
     ]
+
+
+def fixes_quotient_vectors(G, indices, fixed_space):
+    """For each element index, whether the element fixes a nonzero vector
+    of L / W, for W the saturated lattice with basis ``fixed_space``, which
+    the elements fix pointwise: det(q - I) = 0 for q the induced matrix,
+    the lower-right block of the element in a basis of L that completes W
+    (the rows of v^-1, for v the Smith transform of W's basis)."""
+    n, k = fixed_space.cols, fixed_space.rows
+    v = quotient_transform(fixed_space)
+    vt, pt = v.transpose(), unimodular_inverse(v).transpose()
+    ident = IntMatrix.identity(n - k)
+    out = []
+    for i in indices:
+        g = vt * G.element(i) * pt
+        if any(g.entry(a, b) != (a == b) for a in range(n) for b in range(k)):
+            raise ValueError("an element does not fix the sub-lattice pointwise")
+        q = IntMatrix(n - k, n - k, [g.entry(a, b) for a in range(k, n) for b in range(k, n)])
+        out.append((q - ident).det() == 0)
+    return out
 
 
 def _by_value(G):

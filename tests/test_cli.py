@@ -459,6 +459,17 @@ class TestCopies:
         assert "verdict: Obstructed" in out
         assert elapsed < 3.0
 
+    def test_three_hundred_copies_of_a_fixed_part_within_budget(self):
+        """The rank-900 sum of sym3_u3 has a rank-300 fixed part: 5.9 s,
+        mostly its Smith form, while each unit corner still swept its block."""
+        start = time.monotonic()
+        code, out = run_cli(["copies", "builtin:sym3_u3", "--r", "300"])
+        elapsed = time.monotonic() - start
+        assert code == 0
+        assert "input: builtin:sym3_u3 (rank 900)" in out
+        assert "verdict: Obstructed" in out
+        assert elapsed < 3.0
+
 
 class TestOrbitVerify:
     def test_diag_sl_rank2(self):

@@ -37,6 +37,7 @@ from oracles import (
     catalog_summary,
     closure_catalog,
     diagonal_group,
+    fixes_quotient_vectors,
     integer_meet_closure,
     materialized_copies_report,
     minimal_classes_oracle,
@@ -465,6 +466,33 @@ UP_TO_5040 = DEFAULT_BUILTINS + (
     "diag_sl5", "diag_sl6", "diag_sl7", "diag_sl8",
 )
 CONJ_GOLDENS = ("conj_root_a3.json", "conj_sym4_u4.json", "conj_signed_root_s5.json", "conj_alt6_u6.json")
+
+
+@pytest.mark.parametrize(
+    "name", DEFAULT_BUILTINS + ("sym5_u5", "alt5_u5", "root_a4", "diag_sl5") + CONJ_GOLDENS,
+)
+def test_moved_ranks_decide_fixed_points_on_the_quotient(name):
+    """A nonidentity element of a nontrivial isotropy group H fixes a
+    nonzero vector of L / L^H exactly when it moves less than L^H's
+    complement, the test the minimal-class guard makes; checked against
+    the determinant of the induced matrix on minimal and non-minimal
+    classes alike."""
+    G = _group(name)
+    n = G.lattice.rank
+    for cl in enumerate_isotropy_groups(G).nontrivial_classes():
+        others = [i for i in cl.subgroup.indices if i != G.identity_index]
+        expected = fixes_quotient_vectors(G, others, cl.fixed_space)
+        assert [G.moved_rank(i) < n - cl.fixed_rank for i in others] == expected
+
+
+def test_quotient_guard_fires_on_a_non_minimal_class():
+    """S3 on U3 fixes the rank-1 all-ones line, and its transpositions fix
+    rank 2, so they fix vectors of the quotient."""
+    G = close(builtin("sym3_u3"))
+    (whole,) = [cl for cl in enumerate_isotropy_groups(G).classes if cl.order == 6]
+    assert whole.fixed_rank == 1
+    with pytest.raises(TheoremViolation, match="not fixed-point-free on the quotient"):
+        isotropy._verify_quotient_fixed_point_free(G, whole)
 
 
 @pytest.mark.parametrize("name", UP_TO_5040 + CONJ_GOLDENS)

@@ -63,15 +63,24 @@ def _in_basis(vec, n):
 
 class TestEffectiveReduction:
     def test_trivial_action(self):
-        lat = GLattice(2, [IntMatrix.identity(2)], "t")
+        lat = GLattice(2, [IntMatrix.identity(2)] * 2, "t")
         red = effective_reduction(lat)
         assert red.rank == 0
+        assert red.generators == (IntMatrix(0, 0, ()),) * 2
 
     def test_s3_reduces_to_rank_2(self):
         red = effective_reduction(sym_u_lattice(3))
         assert red.rank == 2
         # the reduced action is rationally isomorphic to the root action
         assert rationally_isomorphic(red, root_lattice_action(3))
+
+    def test_sign_block_reduces_to_an_involution_of_trace_minus_two(self):
+        # diag(-1, -1, 1) fixes span(e3); the quotient action is conjugate to -I
+        red = effective_reduction(GLattice(3, [IntMatrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])], "s"))
+        (q,) = red.generators
+        assert red.rank == q.rows == 2
+        assert not q.is_identity() and (q * q).is_identity()
+        assert q.trace() == -2
 
     def test_already_effective(self):
         assert effective_reduction(NEG3) is NEG3
