@@ -9,13 +9,15 @@ from sympy import GF, ZZ, Matrix
 from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors, smith_normal_form
 
-from multinv.groups import block_diagonal
+from multinv.groups import GLattice, block_diagonal
+from multinv.obstruction import effective_reduction
 from multinv.intlinalg import (
     IntMatrix,
     hnf,
     hnf_basis,
     kernel_lattice,
     lattice_quotient_invariants,
+    quotient_transform,
     rank,
     rref_mod,
     snf,
@@ -171,6 +173,22 @@ class TestUnimodularInverse:
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
             unimodular_inverse(M([[2, 0], [0, 1]]))
+
+
+class TestInducedOnQuotient:
+    """The induced action modulo a fixed sub-lattice: completed by
+    quotient_transform and read off in obstruction.effective_reduction."""
+
+    def test_empty_sub_is_identity_op(self):
+        # the completion of an empty sub-lattice is the identity change of basis
+        assert quotient_transform(IntMatrix(0, 2, ())).is_identity()
+        g = M([[0, -1], [1, 0]])  # order 4, fixes no nonzero vector
+        assert list(effective_reduction(GLattice(2, [g], "r")).generators) == [g]
+
+    def test_whole_lattice_leaves_rank_zero(self):
+        red = effective_reduction(GLattice(3, [IntMatrix.identity(3)] * 2, "t"))
+        assert red.rank == 0
+        assert list(red.generators) == [IntMatrix(0, 0, ())] * 2
 
 
 # -- randomized property suites (fixed seed) ---------------------------
