@@ -73,6 +73,9 @@ DIGEST_CASES["analyze_conj_alt6_u6"] = ["analyze", "conj_alt6_u6.json"]
 # rank-18 witness; icosian has no fixed part and a rank-80 sum
 DIGEST_CASES["copies_sym7_u7_r3"] = ["copies", "builtin:sym7_u7", "--r", "3"]
 DIGEST_CASES["copies_icosian_r10"] = ["copies", "builtin:icosian", "--r", "10"]
+# a conjugated lattice with a fixed part of rank 6: the witness is scanned
+# through the rows of v^-1 past the fixed part of a 36 x 36 Smith form
+DIGEST_CASES["copies_conj_alt6_u6_r6"] = ["copies", "conj_alt6_u6.json", "--r", "6"]
 
 
 def render(argv):
