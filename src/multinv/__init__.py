@@ -10,7 +10,6 @@ from .catalog import (
     GroupDefinition,
     builtin,
     parse_group_definition,
-    parse_group_file,
     serialize_group_definition,
 )
 from .errors import (
@@ -34,12 +33,10 @@ from .groups import (
     GLattice,
     Subgroup,
     abelianization,
-    are_conjugate_subgroups,
     close,
     commutator_subgroup,
     element_order_histogram,
     full_subgroup,
-    intersect_subgroups,
     is_perfect,
     subgroup_generated,
     trivial_subgroup,
@@ -54,7 +51,6 @@ from .intlinalg import (
     lattice_quotient_invariants,
     rank,
     snf,
-    unimodular_inverse,
 )
 from .isotropy import (
     FpfConstraintReport,
@@ -64,7 +60,6 @@ from .isotropy import (
     enumerate_isotropy_groups,
     fixed_lattice,
     is_fixed_point_free,
-    isotropy_group_of,
     minimal_nontrivial_isotropy,
     recognize_binary_icosahedral,
     witness_vector,
@@ -92,7 +87,6 @@ from .orbit_algebra import (
     elementary_symmetric,
     express_in_orbit_basis,
     is_invariant,
-    orbit_representative,
     orbit_sum,
     verify_free_decomposition,
 )

@@ -326,10 +326,6 @@ def parse_group_definition(data: bytes | str) -> GroupDefinition:
     return GroupDefinition(name or "unnamed", lattice, dict(metadata))
 
 
-def parse_group_file(data: bytes | str) -> GLattice:
-    return parse_group_definition(data).lattice
-
-
 def serialize_group_definition(lattice: GLattice, metadata: dict | None = None) -> str:
     doc = {
         "name": lattice.name,

@@ -77,7 +77,11 @@ def _load_lattice(source: str, cap: int) -> GLattice:
     path = Path(source)
     if not path.is_file():
         raise ValidationError(f"{source}: no such file")
-    return parse_group_definition(path.read_bytes()).lattice
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read: {exc.strerror}") from None
+    return parse_group_definition(data).lattice
 
 
 # -- obstruction report rendering -------------------------------------------

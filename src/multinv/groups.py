@@ -117,11 +117,6 @@ class FiniteMatrixGroup:
     def element(self, i: int) -> IntMatrix:
         return self.elements[i]
 
-    def index_of(self, m: IntMatrix) -> int:
-        if m not in self.elements:
-            raise KeyError("matrix is not a group element")
-        return self.elements.index(m)
-
     def mul(self, i: int, j: int) -> int:
         """Index of x_i x_j: follow i's word through the table from j."""
         left = self.left
@@ -394,12 +389,6 @@ def subgroup_generated(G: FiniteMatrixGroup, seed: Iterable[int]) -> Subgroup:
     return Subgroup(G, _greedy_generators(G, sorted(set(seed)))[1])
 
 
-def intersect_subgroups(h1: Subgroup, h2: Subgroup) -> Subgroup:
-    if h1.parent is not h2.parent:
-        raise ValueError("subgroups of different parents")
-    return Subgroup(h1.parent, h1._indexset & h2._indexset)
-
-
 def commutator_subgroup(h: Subgroup) -> Subgroup:
     """Normal closure in h of the commutators of a generating set.  Each
     queued element not yet in K extends K and queues its conjugates by h's
@@ -503,23 +492,3 @@ def element_order_histogram(g: FiniteMatrixGroup | Subgroup) -> dict[int, int]:
         parent, indices = g, range(g.order)
     hist = Counter(parent.element_order(i) for i in indices)
     return dict(sorted(hist.items()))
-
-
-def subgroup_invariant_key(h: Subgroup) -> tuple:
-    """Cheap conjugation-invariant fingerprint used to bucket subgroups."""
-    orders = Counter(h.parent.element_order(i) for i in h.indices)
-    moved = Counter(h.parent.moved_rank(i) for i in h.indices)
-    return (h.order, tuple(sorted(orders.items())), tuple(sorted(moved.items())))
-
-
-def are_conjugate_subgroups(G: FiniteMatrixGroup, h1: Subgroup, h2: Subgroup) -> bool:
-    """Brute-force test for g with g h1 g^-1 = h2."""
-    if h1.parent is not G or h2.parent is not G:
-        raise ValueError("subgroups do not belong to the given group")
-    if h1.indices == h2.indices:
-        return True
-    if subgroup_invariant_key(h1) != subgroup_invariant_key(h2):
-        return False
-    # equal orders: a conjugate inside h2 is all of h2
-    target = h2._indexset
-    return any(all(G.conj(g, i) in target for i in h1.indices) for g in range(G.order))

@@ -11,16 +11,17 @@ Normal forms follow the usual conventions:
   it.  ``hnf`` returns a row Hermite normal form: echelon shape, positive
   pivots, entries above each pivot reduced into ``[0, pivot)``.
 * ``snf`` returns a Smith decomposition ``U A V = S`` with nonnegative
-  diagonal and the divisibility chain ``d_i | d_{i+1}``.  It is
-  two-sided, so it keeps its own elimination.
+  diagonal and the divisibility chain ``d_i | d_{i+1}``, and ``V^-1``
+  built alongside ``V``.  It is two-sided, so it keeps its own
+  elimination.
 
 Returned lattice bases are always in Hermite form, so equal sublattices
 compare equal entry-by-entry.  ``quotient_transform`` completes a
-saturated basis to a basis of the ambient lattice; the induced action on
-the quotient by a fixed lattice is built from it in
-``obstruction.effective_reduction``.  ``rref_mod`` is the one computation
-over a finite field: the canonical reduced echelon form of a row space
-over F_p.
+saturated basis to a basis of the ambient lattice and returns the Smith
+transform with its inverse; the induced action on the quotient by a
+fixed lattice is built from the pair in ``obstruction.effective_reduction``.
+``rref_mod`` is the one computation over a finite field: the canonical
+reduced echelon form of a row space over F_p.
 """
 
 from __future__ import annotations
@@ -411,11 +412,13 @@ def rank(a: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Smith normal form ``u * a * v = s`` with unimodular ``u``, ``v``."""
+    """Smith normal form ``u * a * v = s`` with unimodular ``u``, ``v``,
+    and ``v_inv`` the inverse of ``v``."""
 
     u: IntMatrix
     s: IntMatrix
     v: IntMatrix
+    v_inv: IntMatrix
 
     def diagonal(self) -> tuple[int, ...]:
         k = min(self.s.rows, self.s.cols)
@@ -426,7 +429,7 @@ class SmithDecomposition:
 
 
 def snf(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with both transforms.
+    """Smith normal form with both transforms and the inverse of the right one.
 
     Per stage, the smallest nonzero entry of the working block moves to
     the corner, then the corner row and column are cleared by one
@@ -439,6 +442,9 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     value 1, the first least entry in row-major order that a full scan
     picks, and 1 divides every entry.  So a stage with a unit pivot costs
     its row and column, not its block, and the identity takes n^2 steps.
+    Each column operation on v applies its inverse to the matching rows
+    of v^-1 (a swap, or the adjugate of a determinant-1 combination), so
+    v^-1 comes with v and is never inverted afterwards.
     Intermediate entries still overflow fixed-width integers readily,
     which is why everything is a Python int.
     """
@@ -446,6 +452,7 @@ def snf(a: IntMatrix) -> SmithDecomposition:
     rows, cols = a.rows, a.cols
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    v_inv = [row[:] for row in v]
 
     def row_op(i, k, q):  # row_i -= q * row_k
         si, sk = s[i], s[k]
@@ -455,17 +462,19 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         for j in range(rows):
             ui[j] -= q * uk[j]
 
-    def combine_cols(j1, j2, a11, a12, a21, a22):
+    def combine_cols(j1, j2, a11, a12, a21, a22):  # a11 a22 - a12 a21 = 1
         for m in (s, v):
             for row in m:
                 p, q = row[j1], row[j2]
                 row[j1] = a11 * p + a12 * q
                 row[j2] = a21 * p + a22 * q
+        _combine_rows(v_inv, j1, j2, a22, -a21, -a12, a11)
 
     def swap_cols(j1, j2):
         for m in (s, v):
             for row in m:
                 row[j1], row[j2] = row[j2], row[j1]
+        v_inv[j1], v_inv[j2] = v_inv[j2], v_inv[j1]
 
     def corner():  # the first least nonzero entry of the block, row-major
         best = least = None
@@ -537,7 +546,10 @@ def snf(a: IntMatrix) -> SmithDecomposition:
         t += 1
 
     return SmithDecomposition(
-        IntMatrix.from_rows(u, rows), IntMatrix.from_rows(s, cols), IntMatrix.from_rows(v, cols)
+        IntMatrix.from_rows(u, rows),
+        IntMatrix.from_rows(s, cols),
+        IntMatrix.from_rows(v, cols),
+        IntMatrix.from_rows(v_inv, cols),
     )
 
 
@@ -619,20 +631,8 @@ def lattice_quotient_invariants(ambient_rank: int, sub_basis: IntMatrix) -> Quot
     return QuotientInvariants(factors, ambient_rank - len(factors))
 
 
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix.
-
-    The Hermite form of a unimodular matrix is the identity, so the left
-    transform is the inverse.
-    """
-    h, u = hnf(a)
-    if not h.is_identity():
-        raise ValueError("matrix is not unimodular")
-    return u
-
-
-def quotient_transform(sub_basis: IntMatrix) -> IntMatrix:
-    """The right Smith transform v of a saturated basis of k rows.
+def quotient_transform(sub_basis: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """The right Smith transform v of a saturated basis of k rows, and v^-1.
 
     The rows of v^-1 are a basis of the ambient lattice whose first k rows
     span ``rowspan(sub_basis)``, so the last n - k entries of the row
@@ -641,5 +641,5 @@ def quotient_transform(sub_basis: IntMatrix) -> IntMatrix:
     dec = snf(sub_basis)
     if dec.invariant_factors() != (1,) * sub_basis.rows:
         raise ValueError("sub-basis is not saturated")
-    return dec.v
+    return dec.v, dec.v_inv
 

@@ -118,17 +118,6 @@ def fixed_lattice(h: Subgroup) -> IntMatrix:
     return common_fixed_lattice([G.element(i) for i in h.generating_set()], G.lattice.rank)
 
 
-def isotropy_group_of(G: FiniteMatrixGroup, m) -> Subgroup:
-    """Exact pointwise stabilizer of the lattice vector m.
-
-    Applies every element's matrix on purpose: this is the brute-force
-    reference for the stabilizers the isotropy catalog reads off its keys,
-    and shares no code with them.
-    """
-    m = tuple(m)
-    return Subgroup(G, (i for i in range(G.order) if G.element(i).apply(m) == m))
-
-
 # -- catalog construction ------------------------------------------------
 
 
@@ -299,7 +288,7 @@ def isotropy_orbits(G: FiniteMatrixGroup) -> Iterator[tuple[Subgroup, list[tuple
     # c ∧ hb = h (c ∧ b) for h in G_c, so c meets one key per G_c-orbit, and
     # none of G_c's own, since then c ∧ b = c
     for ckey, stabilizer in queue:
-        for b in _orbit_representatives([perm(x) for x in stabilizer.generating_set()], len(meetable)):
+        for b in _least_orbit_points([perm(x) for x in stabilizer.generating_set()], len(meetable)):
             bkey, i = meetable[b]
             if i not in stabilizer:
                 meet = rref_mod(bkey, p, ckey)
@@ -321,7 +310,7 @@ def _spanned(key: tuple[bytes, ...], others, p: int) -> bool:
     return False
 
 
-def _orbit_representatives(perms: list[list[int]], size: int) -> list[int]:
+def _least_orbit_points(perms: list[list[int]], size: int) -> list[int]:
     """The least point of each orbit of the group the permutations of
     range(size) generate."""
     reps: list[int] = []

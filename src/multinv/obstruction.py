@@ -61,8 +61,9 @@ fixes a vector of L^r / (L^r)^G exactly when it fixes a preimage w: if
 g w = w + u with u in (L^r)^G, then g^k w = w + k u, and g has finite
 order, so u = 0.  So the scan runs over P = B p, for B the class's
 reduced basis and p the rows of v^-1 past the fixed part, v the Smith
-transform of (L^r)^G.  c P and c B have one stabilizer, the coefficients
-c come in the same order, and the reported witness is c B, the tail of
+transform of (L^r)^G; ``snf`` builds v^-1 with v, so nothing is
+inverted here.  c P and c B have one stabilizer, the coefficients c
+come in the same order, and the reported witness is c B, the tail of
 (c P) v.  With L^G = 0, P is B itself.
 """
 
@@ -81,7 +82,7 @@ from .groups import (
     commutator_subgroup,
     coset_orders,
 )
-from .intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, quotient_transform, unimodular_inverse
+from .intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, quotient_transform
 from .isotropy import IsotropyCatalog, IsotropyClass, enumerate_isotropy_groups, witness_vector
 from .reflections import bireflection_subgroup
 
@@ -152,21 +153,22 @@ def effective_reduction(lat: GLattice) -> GLattice:
     """The induced action on L / L^G; unchanged when already effective.
 
     The saturated basis of L^G is completed to a unimodular basis of L by
-    its Smith transform (:func:`intlinalg.quotient_transform`).  In the
-    completed coordinates each generator is block upper triangular with
-    an identity block on L^G, and the lower-right block is the induced
-    action.  Generators that induce the identity are kept (dropping them
-    would change the declared generator pairing); the closed group is the
-    same either way because the induced action of the closure is
-    faithful.  A trivial action reduces to rank 0, with 0x0 generators.
+    its Smith transform, which :func:`intlinalg.quotient_transform` returns
+    with its inverse.  In the completed coordinates each generator is
+    block upper triangular with an identity block on L^G, and the
+    lower-right block is the induced action.  Generators that induce the
+    identity are kept (dropping them would change the declared generator
+    pairing); the closed group is the same either way because the induced
+    action of the closure is faithful.  A trivial action reduces to rank
+    0, with 0x0 generators.
     """
     n = lat.rank
     fixed = common_fixed_lattice(lat.generators, n)
     k = fixed.rows
     if not k:
         return lat
-    v = quotient_transform(fixed)
-    pt = unimodular_inverse(v).transpose()  # columns 0..k-1 span L^G
+    v, v_inv = quotient_transform(fixed)
+    pt = v_inv.transpose()  # columns 0..k-1 span L^G
     vt = v.transpose()  # the inverse of pt
     q = n - k
     induced = []
@@ -320,7 +322,7 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     n = lat.rank
     fixed = block_diagonal([common_fixed_lattice(lat.generators, n)] * r)  # (L^r)^G = (L^G)^r
     f = fixed.rows
-    v = quotient_transform(fixed) if f else None
+    v, v_inv = quotient_transform(fixed) if f else (None, None)
     lift = _lift_to_copies(v, f, r)
 
     def witness(cl: IsotropyClass) -> tuple[int, ...]:
@@ -328,7 +330,7 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
             return witness_vector(G, cl.subgroup, cl.fixed_space)
         # scan preimages in L^r: the rows of v^-1 past the fixed part
         # complete it, and x v has the reduced coordinates of x in its tail
-        complement = IntMatrix(r * n - f, r * n, unimodular_inverse(v).entries[f * r * n :])
+        complement = IntMatrix(r * n - f, r * n, v_inv.entries[f * r * n :])
         m = witness_vector(G, cl.subgroup, cl.fixed_space * complement)
         return (IntMatrix(1, r * n, m) * v).entries[f:]
 

@@ -179,11 +179,6 @@ def orbit_of(G: FiniteMatrixGroup, m) -> list[tuple]:
     return sorted({G.element(i).apply(m) for i in range(G.order)}, reverse=True)
 
 
-def orbit_representative(G: FiniteMatrixGroup, m) -> tuple:
-    """Canonical (lexicographically greatest) member of the orbit of m."""
-    return orbit_of(G, m)[0]
-
-
 def orbit_sum(G: FiniteMatrixGroup, m) -> LaurentElement:
     """Sum of x^{m'} over the orbit of m; each coefficient is 1."""
     return LaurentElement(G.lattice.rank, {e: 1 for e in orbit_of(G, m)})

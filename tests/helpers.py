@@ -2,7 +2,9 @@
 
 import random
 
-from multinv.intlinalg import IntMatrix, unimodular_inverse
+from multinv.intlinalg import IntMatrix
+
+from oracles import unimodular_inverse
 
 
 def perm_matrix(image, n=None):

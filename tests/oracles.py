@@ -17,6 +17,13 @@ of the induced matrix, generated subgroups are closed by numpy matrix products
 looked up by value, and the ``copies`` report is redone on the r-fold sum
 itself, its group materialized, carried to the reduction along the base's
 BFS tree with plain ``IntMatrix`` products, and catalogued at rank r n.
+
+The brute-force references below the imports have no caller in the
+library: a unimodular inverse read off a Hermite form (the reference for
+the v^-1 that ``snf`` builds with v), an element's index by linear
+search, stabilizers by applying every element, subgroup meets and
+conjugacy by scanning index sets, the canonical orbit member, and a
+definition file's lattice.
 """
 
 from collections import Counter, deque
@@ -28,17 +35,18 @@ from sympy import primefactors
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from multinv.errors import TheoremViolation
+from multinv.catalog import parse_group_definition
 from multinv.groups import FiniteMatrixGroup, GLattice, Subgroup, block_diagonal, close
 from multinv.intlinalg import (
     IntMatrix,
     common_fixed_lattice,
+    hnf,
     hnf_basis,
     kernel_lattice,
     quotient_transform,
     rref_mod,
     solve_echelon,
     sparse_echelon,
-    unimodular_inverse,
 )
 from multinv.isotropy import (
     IsotropyCatalog,
@@ -60,6 +68,71 @@ from multinv.orbit_algebra import (
     express_in_orbit_basis,
     orbit_of,
 )
+
+
+def unimodular_inverse(a):
+    """Exact inverse of a unimodular integer matrix.
+
+    The Hermite form of a unimodular matrix is the identity, so the left
+    transform is the inverse.
+    """
+    h, u = hnf(a)
+    if not h.is_identity():
+        raise ValueError("matrix is not unimodular")
+    return u
+
+
+def index_of(G, m):
+    """Index of the matrix m among G's elements."""
+    if m not in G.elements:
+        raise KeyError("matrix is not a group element")
+    return G.elements.index(m)
+
+
+def isotropy_group_of(G, m):
+    """Exact pointwise stabilizer of the lattice vector m.
+
+    Applies every element's matrix on purpose: this is the brute-force
+    reference for the stabilizers the isotropy catalog reads off its keys,
+    and shares no code with them.
+    """
+    m = tuple(m)
+    return Subgroup(G, (i for i in range(G.order) if G.element(i).apply(m) == m))
+
+
+def intersect_subgroups(h1, h2):
+    if h1.parent is not h2.parent:
+        raise ValueError("subgroups of different parents")
+    return Subgroup(h1.parent, set(h1.indices) & set(h2.indices))
+
+
+def subgroup_invariant_key(h):
+    """Cheap conjugation-invariant fingerprint used to bucket subgroups."""
+    orders = Counter(h.parent.element_order(i) for i in h.indices)
+    moved = Counter(h.parent.moved_rank(i) for i in h.indices)
+    return (h.order, tuple(sorted(orders.items())), tuple(sorted(moved.items())))
+
+
+def are_conjugate_subgroups(G, h1, h2):
+    """Brute-force test for g with g h1 g^-1 = h2."""
+    if h1.parent is not G or h2.parent is not G:
+        raise ValueError("subgroups do not belong to the given group")
+    if h1.indices == h2.indices:
+        return True
+    if subgroup_invariant_key(h1) != subgroup_invariant_key(h2):
+        return False
+    # equal orders: a conjugate inside h2 is all of h2
+    return any(all(G.conj(g, i) in h2 for i in h1.indices) for g in range(G.order))
+
+
+def orbit_representative(G, m):
+    """Canonical (lexicographically greatest) member of the orbit of m."""
+    return orbit_of(G, m)[0]
+
+
+def parse_group_file(data):
+    """The lattice of a group definition file."""
+    return parse_group_definition(data).lattice
 
 
 def stabilizer_census(group):
@@ -443,7 +516,7 @@ def fixes_quotient_vectors(G, indices, fixed_space):
     the lower-right block of the element in a basis of L that completes W
     (the rows of v^-1, for v the Smith transform of W's basis)."""
     n, k = fixed_space.cols, fixed_space.rows
-    v = quotient_transform(fixed_space)
+    v, _ = quotient_transform(fixed_space)
     vt, pt = v.transpose(), unimodular_inverse(v).transpose()
     ident = IntMatrix.identity(n - k)
     out = []

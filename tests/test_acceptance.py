@@ -13,7 +13,6 @@ from multinv.catalog import DEFAULT_BUILTINS, builtin
 from multinv.groups import (
     GLattice,
     Subgroup,
-    are_conjugate_subgroups,
     close,
     element_order_histogram,
     full_subgroup,
@@ -45,7 +44,7 @@ from multinv.orbit_algebra import (
 from multinv.reflections import moved_rank, moved_rank_subgroup
 
 from helpers import conjugated_lattice, cycle, random_unimodular, transposition
-from oracles import difference_rank, sl2_f5_histogram_oracle, stabilizer_census
+from oracles import are_conjugate_subgroups, difference_rank, sl2_f5_histogram_oracle, stabilizer_census
 
 
 @contextmanager

@@ -7,7 +7,6 @@ from multinv.catalog import (
     builtin,
     builtin_order_factors,
     parse_group_definition,
-    parse_group_file,
     serialize_group_definition,
 )
 from multinv.errors import ParseError, UnknownBuiltin, ValidationError
@@ -15,7 +14,7 @@ from multinv.groups import close
 from multinv.intlinalg import IntMatrix
 from multinv.isotropy import is_fixed_point_free
 
-from oracles import sl2_f5_histogram_oracle
+from oracles import parse_group_file, sl2_f5_histogram_oracle
 
 
 EXPECTED_ORDERS = {

@@ -100,6 +100,20 @@ class TestExitCodes:
         code, out = run_cli(["analyze", "/nonexistent/group.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["analyze"], ["copies", "--r", "2"], ["witness"]])
+    def test_unreadable_file(self, argv, tmp_path, monkeypatch):
+        # patched, not chmod: a superuser reads a mode-000 file
+        path = tmp_path / "g.json"
+        path.write_text(serialize_group_definition(builtin("sym3_u3")))
+
+        def refuse(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        code, out = run_cli([argv[0], str(path), *argv[1:]])
+        assert code == 2
+        assert out == "error: cannot read: Permission denied\n"
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")

@@ -13,34 +13,37 @@ from multinv.groups import (
     GLattice,
     abelian_invariants,
     abelianization,
-    are_conjugate_subgroups,
     block_diagonal,
     close,
     commutator_subgroup,
     element_order_histogram,
     full_subgroup,
-    intersect_subgroups,
     is_perfect,
     subgroup_generated,
     trivial_subgroup,
 )
 from multinv.catalog import DEFAULT_BUILTINS, builtin, parse_group_definition
 from multinv.errors import InvalidGenerator, TheoremViolation
-from multinv.intlinalg import IntMatrix, common_fixed_lattice, snf, unimodular_inverse
-from multinv.isotropy import enumerate_isotropy_groups, isotropy_group_of, witness_vector
+from multinv.intlinalg import IntMatrix, common_fixed_lattice, snf
+from multinv.isotropy import enumerate_isotropy_groups, witness_vector
 from multinv.obstruction import direct_sum_copies, effective_reduction
 from multinv.reflections import bireflection_subgroup
 
 from helpers import conjugated_lattice, diag, random_unimodular, transposition, cycle, unipotent
 from oracles import (
+    are_conjugate_subgroups,
     check_closure,
     check_infinite_pair,
     commutator_seed,
     diagonal_group,
     difference_rank,
+    index_of,
     induced_group,
+    intersect_subgroups,
+    isotropy_group_of,
     subgroup_oracle,
     sympy_abelianization,
+    unimodular_inverse,
 )
 
 C4 = IntMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])  # order 4, rank 3
@@ -84,18 +87,18 @@ class TestSubgroups:
 
     def test_three_cycle(self):
         g = s3_group()
-        rot = g.index_of(cycle([0, 1, 2], 3))
+        rot = index_of(g, cycle([0, 1, 2], 3))
         assert subgroup_generated(g, [rot]).order == 3
 
     def test_square_of_order4(self):
         g = close(GLattice(3, [C4]))
-        sq = g.index_of(C4 * C4)
+        sq = index_of(g, C4 * C4)
         assert subgroup_generated(g, [sq]).order == 2
 
     def test_intersections(self):
         g = s3_group()
-        h = subgroup_generated(g, [g.index_of(transposition(0, 1, 3))])
-        k = subgroup_generated(g, [g.index_of(cycle([0, 1, 2], 3))])
+        h = subgroup_generated(g, [index_of(g, transposition(0, 1, 3))])
+        k = subgroup_generated(g, [index_of(g, cycle([0, 1, 2], 3))])
         assert intersect_subgroups(h, h) == h
         assert intersect_subgroups(h, trivial_subgroup(g)).is_trivial()
         assert intersect_subgroups(h, k).is_trivial()
@@ -169,19 +172,19 @@ class TestHistogram:
 class TestConjugacy:
     def test_self(self):
         g = s3_group()
-        h = subgroup_generated(g, [g.index_of(transposition(0, 1, 3))])
+        h = subgroup_generated(g, [index_of(g, transposition(0, 1, 3))])
         assert are_conjugate_subgroups(g, h, h)
 
     def test_transpositions_conjugate(self):
         g = s3_group()
-        h1 = subgroup_generated(g, [g.index_of(transposition(0, 1, 3))])
-        h2 = subgroup_generated(g, [g.index_of(transposition(0, 2, 3))])
+        h1 = subgroup_generated(g, [index_of(g, transposition(0, 1, 3))])
+        h2 = subgroup_generated(g, [index_of(g, transposition(0, 2, 3))])
         assert are_conjugate_subgroups(g, h1, h2)
 
     def test_different_orders(self):
         g = s3_group()
-        h1 = subgroup_generated(g, [g.index_of(transposition(0, 1, 3))])
-        h2 = subgroup_generated(g, [g.index_of(cycle([0, 1, 2], 3))])
+        h1 = subgroup_generated(g, [index_of(g, transposition(0, 1, 3))])
+        h2 = subgroup_generated(g, [index_of(g, cycle([0, 1, 2], 3))])
         assert not are_conjugate_subgroups(g, h1, h2)
 
 
@@ -331,16 +334,16 @@ def check_products(G, pairs):
     inverses = {}
     for i, j in pairs:
         product_ = mats[i] * mats[j]
-        assert G.mul(i, j) == G.index_of(product_), (i, j)
+        assert G.mul(i, j) == index_of(G, product_), (i, j)
         if i not in inverses:
             inverses[i] = unimodular_inverse(mats[i])
-        assert G.conj(i, j) == G.index_of(product_ * inverses[i]), (i, j)
+        assert G.conj(i, j) == index_of(G, product_ * inverses[i]), (i, j)
 
 
 def check_inverses_and_orders(G):
     ident = IntMatrix.identity(G.lattice.rank)
     for i, m in enumerate(G.elements):
-        assert G.inv(i) == G.index_of(unimodular_inverse(m)), i
+        assert G.inv(i) == index_of(G, unimodular_inverse(m)), i
         power, order = m, 1
         while power != ident:
             power, order = power * m, order + 1
@@ -351,7 +354,7 @@ def check_table(G):
     gens = list(dict.fromkeys(G.lattice.generators))
     assert len(G.left) == len(gens)
     for row, g in zip(G.left, gens):
-        assert list(row) == [G.index_of(g * m) for m in G.elements]
+        assert list(row) == [index_of(G, g * m) for m in G.elements]
 
 
 def check_stabilizer_masks(catalog, vectors):
@@ -376,7 +379,7 @@ def test_kernel_inverses_and_orders_match_matrices(kernel_group):
 def test_table_entries_are_left_products(kernel_group):
     G = kernel_group
     check_table(G)
-    assert G.generator_indices == tuple(sorted({G.index_of(g) for g in G.lattice.generators}))
+    assert G.generator_indices == tuple(sorted({index_of(G, g) for g in G.lattice.generators}))
 
 
 @pytest.fixture(scope="module")

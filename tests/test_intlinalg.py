@@ -23,10 +23,10 @@ from multinv.intlinalg import (
     snf,
     solve_echelon,
     sparse_echelon,
-    unimodular_inverse,
 )
 
 from helpers import random_unimodular
+from oracles import unimodular_inverse
 
 
 def M(rows):
@@ -181,7 +181,8 @@ class TestInducedOnQuotient:
 
     def test_empty_sub_is_identity_op(self):
         # the completion of an empty sub-lattice is the identity change of basis
-        assert quotient_transform(IntMatrix(0, 2, ())).is_identity()
+        v, v_inv = quotient_transform(IntMatrix(0, 2, ()))
+        assert v.is_identity() and v_inv.is_identity()
         g = M([[0, -1], [1, 0]])  # order 4, fixes no nonzero vector
         assert list(effective_reduction(GLattice(2, [g], "r")).generators) == [g]
 
@@ -202,6 +203,7 @@ def test_snf_contract_random():
         assert dec.u * a * dec.v == dec.s
         assert abs(dec.u.det()) == 1
         assert abs(dec.v.det()) == 1
+        assert unimodular_inverse(dec.v) == dec.v_inv  # the Hermite-form reference
         diag = dec.diagonal()
         assert all(d >= 0 for d in diag)
         for x, y in zip(diag, diag[1:]):
@@ -244,6 +246,7 @@ def test_snf_transforms_are_unchanged():
     h = hashlib.sha256()
     for a in _snf_transform_inputs():
         dec = snf(a)
+        assert (dec.v * dec.v_inv).is_identity()
         h.update(repr((a.rows, a.cols, dec.u.entries, dec.s.entries, dec.v.entries)).encode())
     assert h.hexdigest() == SNF_TRANSFORM_DIGEST
 

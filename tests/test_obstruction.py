@@ -5,9 +5,9 @@ import pytest
 
 from multinv import groups, obstruction
 from multinv.catalog import DEFAULT_BUILTINS, builtin, parse_group_definition
-from multinv.errors import CapExceeded, GeneratorMismatch, InfiniteGroup
+from multinv.errors import CapExceeded, GeneratorMismatch, InfiniteGroup, TheoremViolation
 from multinv.groups import GLattice, block_diagonal, close
-from multinv.intlinalg import IntMatrix
+from multinv.intlinalg import IntMatrix, common_fixed_lattice
 from multinv.obstruction import (
     INCONCLUSIVE,
     OBSTRUCTED,
@@ -88,6 +88,13 @@ class TestEffectiveReduction:
     def test_idempotent(self):
         red = effective_reduction(sym_u_lattice(4))
         assert effective_reduction(red) is red
+
+    def test_refuses_a_transform_that_does_not_complete_the_fixed_part(self, monkeypatch):
+        # the identity pair puts e_1 where (1, 1, 1) belongs, and the transposition moves e_1
+        ident = IntMatrix.identity(3)
+        monkeypatch.setattr(obstruction, "quotient_transform", lambda fixed: (ident, ident))
+        with pytest.raises(TheoremViolation, match="a generator does not fix L\\^G pointwise"):
+            effective_reduction(builtin("sym3_u3"))
 
 
 class TestRationalIsomorphism:
@@ -216,6 +223,13 @@ class TestCopies:
     def test_trivial_three_copies(self):
         rep = copies_verdict(GLattice(2, [IntMatrix.identity(2)], "t"), 3)
         assert rep.verdict == TRIVIALLY_CM
+
+    def test_refuses_a_lift_through_a_transform_that_is_not_the_fixed_parts(self):
+        # through the identity, (1, 1, 1) keeps rank 1 instead of vanishing modulo itself
+        lat = builtin("sym3_u3")
+        lift = obstruction._lift_to_copies(IntMatrix.identity(3), 1, 1)
+        with pytest.raises(TheoremViolation, match="a lifted fixed lattice's rank differs from its copies'"):
+            lift(common_fixed_lattice(lat.generators, 3))
 
 
 def _copies_base(name):

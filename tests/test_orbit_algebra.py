@@ -17,13 +17,12 @@ from multinv.orbit_algebra import (
     elementary_symmetric,
     express_in_orbit_basis,
     is_invariant,
-    orbit_representative,
     orbit_sum,
     verify_free_decomposition,
 )
 
 from helpers import cycle, diag, transposition
-from oracles import check_certificate, dense_free_decomposition, product_value
+from oracles import check_certificate, dense_free_decomposition, orbit_representative, product_value
 
 
 def neg_group(n):

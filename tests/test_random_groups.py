@@ -9,12 +9,11 @@ import random
 
 from multinv.groups import (
     Subgroup,
-    are_conjugate_subgroups,
     close,
     subgroup_generated,
 )
-from multinv.intlinalg import IntMatrix, unimodular_inverse
-from multinv.isotropy import enumerate_isotropy_groups, fixed_lattice, isotropy_group_of, witness_vector
+from multinv.intlinalg import IntMatrix
+from multinv.isotropy import enumerate_isotropy_groups, fixed_lattice, witness_vector
 from multinv.obstruction import (
     INCONCLUSIVE,
     OBSTRUCTED,
@@ -24,7 +23,16 @@ from multinv.obstruction import (
 from multinv.reflections import moved_rank_subgroup
 
 from helpers import conjugated_lattice, random_signed_perm_lattice, random_unimodular
-from oracles import catalog_summary, check_closure, closure_catalog, difference_rank, stabilizer_census
+from oracles import (
+    are_conjugate_subgroups,
+    catalog_summary,
+    check_closure,
+    closure_catalog,
+    difference_rank,
+    isotropy_group_of,
+    stabilizer_census,
+    unimodular_inverse,
+)
 
 
 def test_census_equality_on_random_signed_groups():
