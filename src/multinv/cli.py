@@ -77,6 +77,12 @@ def _load_lattice(source: str, cap: int) -> GLattice:
     path = Path(source)
     if not path.is_file():
         raise ValidationError(f"{source}: no such file")
+    return _read_lattice(path)
+
+
+def _read_lattice(path: Path) -> GLattice:
+    """The lattice of a definition file; a file that cannot be read is an
+    input problem, like one that does not parse."""
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -146,9 +152,8 @@ def _report_text(report: ObstructionReport, source: str) -> str:
     lines.append(f"condition A (isotropy perfect mod bireflections): {'PASS' if report.condition_a else 'FAIL'}")
     if not report.condition_a:
         row = next(r for r in report.classes if not r.perfect_mod_bireflections)
-        witness = _fmt_vector(row.witness) if row.witness is not None else "?"
         lines.append(
-            f"condition A fails at m = {witness}: "
+            f"condition A fails at m = {_fmt_vector(row.witness)}: "
             f"abelianization {_fmt_factors(row.abelianization)}, "
             f"bireflection image {_fmt_factors(row.bireflection_image)}"
         )
@@ -202,11 +207,10 @@ def _cmd_batch(args, out) -> int:
     capped = False
     for path in files:
         try:
-            definition = parse_group_definition(path.read_bytes())
-            report = check_necessary_conditions(definition.lattice, cap=args.cap)
-        except (OSError, ParseError, ValidationError, CapExceeded) as exc:
+            report = check_necessary_conditions(_read_lattice(path), cap=args.cap)
+        except (ParseError, ValidationError, CapExceeded) as exc:
             capped = capped or isinstance(exc, CapExceeded)
-            error = f"cannot read: {exc.strerror}" if isinstance(exc, OSError) else str(exc)
+            error = str(exc)
             counts["errors"] += 1
             reports.append({"file": path.name, "error": error})
             lines.append(f"{path.name}: ERROR {error}")

@@ -622,12 +622,9 @@ class QuotientInvariants(NamedTuple):
 
 def lattice_quotient_invariants(ambient_rank: int, sub_basis: IntMatrix) -> QuotientInvariants:
     """Invariant factors of ``Z^ambient / rowspan(sub_basis)``."""
-    if sub_basis.rows and sub_basis.cols != ambient_rank:
+    if sub_basis.cols != ambient_rank:
         raise ValueError("sub-basis rows do not live in the ambient lattice")
-    if sub_basis.rows == 0:
-        return QuotientInvariants((), ambient_rank)
-    dec = snf(sub_basis)
-    factors = dec.invariant_factors()
+    factors = snf(sub_basis).invariant_factors()
     return QuotientInvariants(factors, ambient_rank - len(factors))
 
 

@@ -44,10 +44,12 @@ of diag(x, ..., x) is r tr x).  Three facts carry the rest over.
    over Q (Maschke), so the quotient's fixed lattice of H has rank
    rank W - rank (L^r)^G, the image's rank; a saturated sublattice of the
    same rank is all of it.  Hence the sum's reduced fixed lattice of H is
-   the Hermite form of the last r n - rank (L^r)^G columns of B v, for B
-   a basis of W and v the Smith transform that completes (L^r)^G
-   (``intlinalg.quotient_transform``).  That fixed part is the block
-   copy of L^G's, so it needs no kernel at rank r n.
+   the Hermite form of B P, for B a basis of W and P the last
+   r n - rank (L^r)^G columns of the Smith transform v that completes
+   (L^r)^G (``intlinalg.quotient_transform``): x P holds the reduced
+   coordinates of x.  That fixed part is the block copy of L^G's, so it
+   needs no kernel at rank r n.  With L^G = 0, v is the identity and
+   B P is diag(B, ..., B), already in Hermite form.
 3. g is a bireflection of the sum exactly when r rank(g - I) <= 2; for
    r >= 3 only the identity is.
 
@@ -59,12 +61,12 @@ It is scanned in L^r with the base's matrices, one block of n
 coordinates at a time, and no group on the sum is built.  An element g
 fixes a vector of L^r / (L^r)^G exactly when it fixes a preimage w: if
 g w = w + u with u in (L^r)^G, then g^k w = w + k u, and g has finite
-order, so u = 0.  So the scan runs over P = B p, for B the class's
-reduced basis and p the rows of v^-1 past the fixed part, v the Smith
-transform of (L^r)^G; ``snf`` builds v^-1 with v, so nothing is
-inverted here.  c P and c B have one stabilizer, the coefficients c
-come in the same order, and the reported witness is c B, the tail of
-(c P) v.  With L^G = 0, P is B itself.
+order, so u = 0.  So the scan runs over B S, for B the class's reduced
+basis and S the rows of v^-1 past the fixed part, which give a preimage
+of each reduced vector; ``snf`` builds v^-1 with v, so nothing is
+inverted here.  c B S and c B have one stabilizer, the coefficients c
+come in the same order, and the reported witness is c B = (c B S) P.
+With L^G = 0, S and P are identities and the scan runs on B itself.
 """
 
 from __future__ import annotations
@@ -303,39 +305,39 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     rank n (module docstring).  The sum's group has the base's Cayley
     graph, and L and L^r have the same isotropy groups, with
     Fix_{L^r}(H) = Fix_L(H)^r.  Each member's fixed lattice is lifted to
-    the sum's reduced coordinates: the block copy of its basis when
-    L^G = 0, otherwise the Hermite form of the last columns of that copy
-    times the Smith transform of (L^r)^G = (L^G)^r, which is exact because
-    a saturated fixed lattice containing the fixed part maps onto the
-    quotient's fixed lattice.  The least lifted basis represents each
-    class.  The rows run on the base's subgroups, and the sum's
-    bireflections are the elements with r rank(g - I) <= 2.  The witness
-    of the first class failing condition A is scanned over preimages in
-    L^r of its reduced basis, with the base's matrices block by block:
-    an element fixes a vector of the quotient exactly when it fixes a
-    preimage, since it has finite order.  The same Smith transform gives
-    the preimages and carries the witness back to reduced coordinates.
+    the sum's reduced coordinates: the Hermite form of the block copy of
+    its basis times the last columns of the Smith transform of
+    (L^r)^G = (L^G)^r, which is exact because a saturated fixed lattice
+    containing the fixed part maps onto the quotient's fixed lattice.
+    The least lifted basis represents each class.  The rows run on the
+    base's subgroups, and the sum's bireflections are the elements with
+    r rank(g - I) <= 2.  The witness of the first class failing condition
+    A is scanned over preimages in L^r of its reduced basis, with the
+    base's matrices block by block: an element fixes a vector of the
+    quotient exactly when it fixes a preimage, since it has finite order.
+    The rows of the transform's inverse past the fixed part give the
+    preimages, and the transform's last columns carry the witness back to
+    reduced coordinates.
     """
     if r < 1:
         raise ValueError("copy count must be at least 1")
     G = close(lat, cap)
     n = lat.rank
     fixed = block_diagonal([common_fixed_lattice(lat.generators, n)] * r)  # (L^r)^G = (L^G)^r
-    f = fixed.rows
-    v, v_inv = quotient_transform(fixed) if f else (None, None)
-    lift = _lift_to_copies(v, f, r)
+    total, f = r * n, fixed.rows
+    v, v_inv = quotient_transform(fixed)
+    # x project has the reduced coordinates of x; the rows of section are
+    # preimages of the reduced basis, completing (L^r)^G
+    project = IntMatrix(total, total - f, (x for i in range(total) for x in v.row(i)[f:]))
+    section = IntMatrix(total - f, total, v_inv.entries[f * total :])
+    lift = _lift_to_copies(project, r)
 
     def witness(cl: IsotropyClass) -> tuple[int, ...]:
-        if not f:
-            return witness_vector(G, cl.subgroup, cl.fixed_space)
-        # scan preimages in L^r: the rows of v^-1 past the fixed part
-        # complete it, and x v has the reduced coordinates of x in its tail
-        complement = IntMatrix(r * n - f, r * n, v_inv.entries[f * r * n :])
-        m = witness_vector(G, cl.subgroup, cl.fixed_space * complement)
-        return (IntMatrix(1, r * n, m) * v).entries[f:]
+        m = witness_vector(G, cl.subgroup, cl.fixed_space * section)
+        return (IntMatrix(1, total, m) * project).entries
 
     catalog = enumerate_isotropy_groups(G, lift)
-    report = _decide(_sum_name(lat, r), r * n, f, catalog, r, witness)
+    report = _decide(_sum_name(lat, r), total, f, catalog, r, witness)
     if r >= 3 and not report.reduction.trivial_action and report.verdict != OBSTRUCTED:
         raise TheoremViolation(
             f"{r} copies of a nontrivial action must be obstructed, got {report.verdict}"
@@ -343,25 +345,20 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     return report
 
 
-def _lift_to_copies(v: IntMatrix | None, f: int, r: int) -> Callable[[IntMatrix], IntMatrix]:
+def _lift_to_copies(project: IntMatrix, r: int) -> Callable[[IntMatrix], IntMatrix]:
     """The map from the Hermite basis B of a base fixed lattice to the
     Hermite basis of the same subgroup's fixed lattice on the r-fold sum,
-    in the coordinates of the sum's effective reduction; ``v`` is the
-    Smith transform of the sum's fixed part, of rank ``f``, and None when
-    f = 0."""
-    if v is None:
-        return lambda basis: block_diagonal([basis] * r)  # already in Hermite form
-    total = v.rows
+    in the coordinates of the sum's effective reduction; ``project`` is the
+    r n x (r n - f) map to those coordinates, the columns past f of the
+    Smith transform of the sum's fixed part, of rank f."""
+    total, reduced = project.rows, project.cols
     n = total // r
-    # diag(B, ..., B) v stacks the products B v_i, for v_i the i-th block of n rows
-    blocks = [
-        IntMatrix(n, total - f, [v.entry(i * n + a, j) for a in range(n) for j in range(f, total)])
-        for i in range(r)
-    ]
+    # diag(B, ..., B) project stacks the products B p_i, for p_i the i-th block of n rows
+    blocks = [IntMatrix(n, reduced, project.entries[i * n * reduced : (i + 1) * n * reduced]) for i in range(r)]
 
     def lift(basis: IntMatrix) -> IntMatrix:
-        lifted = hnf_basis(IntMatrix.vstack([basis * w for w in blocks], cols=total - f))
-        if lifted.rows != r * basis.rows - f:
+        lifted = hnf_basis(IntMatrix.vstack([basis * p for p in blocks], cols=reduced))
+        if lifted.rows != r * basis.rows - (total - reduced):
             raise TheoremViolation("a lifted fixed lattice's rank differs from its copies' less the fixed part")
         return lifted
 

@@ -406,8 +406,10 @@ def test_rectangular_extremes():
 
 
 def test_quotient_invariants_rejects_wrong_width():
-    with pytest.raises(ValueError):
-        lattice_quotient_invariants(3, M([[1, 0]]))
+    # an empty sub-basis too: its width still names its ambient lattice
+    for sub in (M([[1, 0]]), IntMatrix(0, 2, ())):
+        with pytest.raises(ValueError, match="sub-basis rows do not live in the ambient lattice"):
+            lattice_quotient_invariants(3, sub)
 
 
 def test_det_matches_invariant_factor_product():

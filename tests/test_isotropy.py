@@ -446,13 +446,24 @@ def test_minimal_classes_match_brute_force(name):
     assert [h.indices for h in minimal_nontrivial_isotropy(G)] == expected
 
 
-def test_a_prime_dividing_the_order_is_caught():
-    """Over F_2, -I - I vanishes, so -I's key claims the whole lattice as
-    fixed; its integer fixed lattice is 0, and the rank guard fires."""
-    G = close(builtin("rank3_order2"))
-    assert G.prime == 3
-    G.prime = 2
-    with pytest.raises(TheoremViolation):
+@pytest.mark.parametrize(
+    "name, prime, match",
+    [
+        ("rank3_order2", 2, "a nonidentity element reduces to the identity mod p"),
+        ("root_a2", 3, "a fixed lattice's rank differs from its dimension mod p"),
+    ],
+    ids=["rank3_order2", "root_a2"],
+)
+def test_a_prime_dividing_the_order_is_caught(name, prime, match):
+    """A key computed modulo a prime that divides the group's order can
+    claim too much.  Over F_2, -I - I vanishes, so -I reduces to the
+    identity.  Over F_3, the 3-cycle's x^2 + x + 1 is (x - 1)^2, so its key
+    claims a line fixed although its integer fixed lattice is 0, and the
+    rank guard fires."""
+    G = close(builtin(name))
+    assert G.prime != prime
+    G.prime = prime
+    with pytest.raises(TheoremViolation, match=match):
         enumerate_isotropy_groups(G)
 
 
@@ -510,12 +521,21 @@ def test_catalog_equals_the_closure_sweep(name):
                                   "conj_alt6_u6.json"])
 def test_copies_lift_equals_the_closure_sweep(name, r):
     """The same holds for the catalog lifted to the r-fold sum, whose
-    representatives are the members with the least lifted basis."""
+    representatives are the members with the least lifted basis.  With no
+    fixed part the Smith transform is the identity, and each class's
+    lifted basis is the block copy diag(B, ..., B) of its base basis B."""
     G = _group(name)
-    n = G.lattice.rank
-    fixed = block_diagonal([common_fixed_lattice(G.lattice.generators, n)] * r)
-    lift = _lift_to_copies(quotient_transform(fixed)[0] if fixed.rows else None, fixed.rows, r)
-    assert catalog_summary(enumerate_isotropy_groups(G, lift)) == catalog_summary(closure_catalog(G, lift))
+    total = r * G.lattice.rank
+    fixed = block_diagonal([common_fixed_lattice(G.lattice.generators, G.lattice.rank)] * r)
+    f = fixed.rows
+    v = quotient_transform(fixed)[0]
+    lift = _lift_to_copies(IntMatrix(total, total - f, (x for i in range(total) for x in v.row(i)[f:])), r)
+    catalog = enumerate_isotropy_groups(G, lift)
+    assert catalog_summary(catalog) == catalog_summary(closure_catalog(G, lift))
+    assert (f == 0) == (name in ("root_a3", "signed_root_s5", "icosian"))
+    if f == 0:
+        for cl in catalog.classes:
+            assert cl.fixed_space == block_diagonal([fixed_lattice(cl.subgroup)] * r)
 
 
 @pytest.mark.parametrize("name, most", [("alt7_u7", 5000), ("sym7_u7", 4240), ("diag_sl8", 6000)])

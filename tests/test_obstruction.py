@@ -225,11 +225,19 @@ class TestCopies:
         assert rep.verdict == TRIVIALLY_CM
 
     def test_refuses_a_lift_through_a_transform_that_is_not_the_fixed_parts(self):
-        # through the identity, (1, 1, 1) keeps rank 1 instead of vanishing modulo itself
+        # through the identity's columns past f = 1, (1, 1, 1) keeps rank 1
+        # instead of vanishing modulo itself
         lat = builtin("sym3_u3")
-        lift = obstruction._lift_to_copies(IntMatrix.identity(3), 1, 1)
+        lift = obstruction._lift_to_copies(IntMatrix.from_rows([[0, 0], [1, 0], [0, 1]]), 1)
         with pytest.raises(TheoremViolation, match="a lifted fixed lattice's rank differs from its copies'"):
             lift(common_fixed_lattice(lat.generators, 3))
+
+    def test_refuses_three_copies_that_are_not_obstructed(self, monkeypatch):
+        # every element counted as a bireflection of the sum leaves each row
+        # perfect modulo bireflections, so condition A holds
+        monkeypatch.setattr(obstruction, "bireflection_subgroup", lambda h, copies=1: h)
+        with pytest.raises(TheoremViolation, match="3 copies of a nontrivial action must be obstructed, got Inconclusive"):
+            copies_verdict(builtin("sym3_u3"), 3)
 
 
 def _copies_base(name):
