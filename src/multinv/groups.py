@@ -27,6 +27,16 @@ coset representative r and a generator s giving the coset of r s when r s
 is new.  Each new element costs one product and K is never visited again;
 greedy generating sets and normal closures take one step per kept
 generator.
+
+A finite group's order is known before it is listed.  G permutes X, the
+union of the orbits of the unit vectors e_1, ..., e_n, faithfully, so
+:func:`schreier_sims_order` gets |G| from the generators' permutations of
+X (Sims 1970).  :func:`close` asks for it once, when it has built
+``ORDER_CHECK_AT`` = 2,048 elements: an order above the cap is refused
+there, not after ``cap`` elements, and an order under it must equal the
+number of elements the closure builds, or :class:`TheoremViolation` is
+raised.  The orbit walk visits at most ``ORBIT_BUDGET`` = 1,024 points;
+past that, as on every infinite group, the closure goes on unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf, prod
 from operator import add
 from typing import Iterable, Sequence
 
@@ -42,6 +52,14 @@ from .errors import CapExceeded, InfiniteGroup, InfiniteOrderElement, InvalidGen
 from .intlinalg import IntMatrix, rref_mod
 
 DEFAULT_CAP = 10**6
+# close computes the order once it has built this many elements.  On a
+# conjugated input X can have hundreds of points (540 for root_a5, of order
+# 720), and the order then costs more than closing the group, so no group
+# of order up to 720 pays for it
+ORDER_CHECK_AT = 2048
+# the most points of X that schreier_sims_order walks before it gives up;
+# its transversals hold two permutations of X per point
+ORBIT_BUDGET = 1024
 
 
 @dataclass(frozen=True)
@@ -221,9 +239,19 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
     carries it.  Dense generators of infinite order meet no mod-3 twin
     for a long time, but their traces grow fast.  Both refusals are
     ``CapExceeded``, so callers need only catch the latter.
+
+    When the count first reaches ``ORDER_CHECK_AT`` elements, the order
+    comes from :func:`schreier_sims_order`, bounded by ``cap``.  An order
+    above the cap raises ``CapExceeded(cap)`` at once, with the message
+    the cap itself would give: a finite group never meets the mod-3 or
+    trace refusal, so that is the outcome the whole closure would reach.
+    Otherwise the closure finishes, and a count that differs from the
+    order raises :class:`TheoremViolation`.  When the orbit walk passes
+    ``ORBIT_BUDGET`` points, as it does on every infinite group, the
+    closure goes on exactly as above.
     """
     n = lattice.rank
-    gens = [_sparse_rows(lattice.generators[p]) for p in _table_rows(lattice.generators)]
+    gens = [_sparse_rows(lattice.generators[p], n) for p in _table_rows(lattice.generators)]
     # elements are held as entry tuples, the dictionary's own keys, until
     # the group is known to be finite
     found = [IntMatrix.identity(n).entries]
@@ -231,6 +259,7 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
     residues = {_mod3(found[0]): 0}
     left = [array("i") for _ in gens]
     parents, letters = array("i", [0]), array("H", [0])
+    order = None
     # found grows while it is walked, so this visits it in BFS order
     for x, entries in enumerate(found):
         for k, rows in enumerate(gens):
@@ -249,9 +278,128 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
                 found.append(y)
                 parents.append(x)
                 letters.append(k)
+                if j + 1 == ORDER_CHECK_AT:
+                    order = schreier_sims_order(lattice, cap)
+                    if order is not None and order > cap:
+                        raise CapExceeded(cap)
             left[k].append(j)
+    if order is not None and order != len(found):
+        raise TheoremViolation(f"closure built {len(found)} elements, but the group's order is {order}")
     elements = [IntMatrix(n, n, entries) for entries in found]
     return FiniteMatrixGroup(lattice, elements, left, parents, letters)
+
+
+def schreier_sims_order(lattice: GLattice, bound: float = inf) -> int | None:
+    """|G| from G's permutations of X, the union of the orbits of the unit
+    vectors e_1, ..., e_n, without listing G.
+
+    X spans the lattice, so G acts on it faithfully, and a deterministic
+    Schreier-Sims run on the generators' permutations of X gives |G|
+    (Sims 1970; Holt, Eick and O'Brien, ch. 4.4).  Returns None once X
+    has more than ``ORBIT_BUDGET`` points: an infinite group has an
+    infinite orbit, so that is where the walk ends on one.  At every step
+    the product of the basic orbit lengths is at most |G|; once it passes
+    ``bound`` it is returned in place of the order.
+    """
+    n = lattice.rank
+    if n > ORBIT_BUDGET:
+        return None
+    gens = [_sparse_rows(lattice.generators[p], 1) for p in _table_rows(lattice.generators)]
+    points = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    index = {v: i for i, v in enumerate(points)}
+    images: list[list[int]] = [[] for _ in gens]
+    # points grows while it is walked, as in close
+    for v in points:
+        for rows, image in zip(gens, images):
+            w = _left_product(rows, v, 1)
+            j = index.get(w)
+            if j is None:
+                if len(points) >= ORBIT_BUDGET:
+                    return None
+                j = index[w] = len(points)
+                points.append(w)
+            image.append(j)
+    return _permutation_group_order([tuple(image) for image in images], len(points), bound)
+
+
+def _permutation_group_order(perms: Sequence[tuple[int, ...]], degree: int, bound: float) -> int:
+    """Order of the group the permutations of range(degree) generate, by
+    the deterministic Schreier-Sims algorithm; stops early once the
+    product of the basic orbit lengths passes ``bound``.
+
+    A permutation p maps x to p[x].  Level i of the stabilizer chain has a
+    base point b, strong generators that fix the earlier base points, and
+    a transversal: for each point x of b's orbit, a pair (u, u^-1) with
+    u[b] = x.  Each generator, then each Schreier generator
+    u_x s u_{s[x]}^-1 of a level, is sifted through the levels below it,
+    and a residue other than the identity joins the strong generators of
+    the levels it passed.  Transversals only grow and strong generators
+    are only appended, so a Schreier generator that once sifted to the
+    identity stays proven and is never sifted again.
+    """
+    identity = tuple(range(degree))
+    base: list[int] = []
+    strong: list[list[tuple[int, ...]]] = []
+    transversals: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = []
+    sifted: list[set[tuple[int, int]]] = []
+
+    def sift(h, i):
+        while i < len(base) and (pair := transversals[i].get(h[base[i]])):
+            h = tuple(map(pair[1].__getitem__, h))
+            i += 1
+        return h, i
+
+    def add(h, first, last):
+        """h joins levels first..last, and a new level if it fixes every
+        base point; True once the orbit lengths pass the bound."""
+        if last == len(base):
+            b = next(x for x, y in enumerate(h) if x != y)
+            base.append(b)
+            strong.append([])
+            transversals.append({b: (identity, identity)})
+            sifted.append(set())
+        for level in range(first, last + 1):
+            strong[level].append(h)
+            t = transversals[level]
+            orbit = list(t)
+            for x in orbit:
+                u = t[x][0]
+                for s in strong[level]:
+                    if s[x] not in t:
+                        w = tuple(map(s.__getitem__, u))
+                        w_inv = [0] * degree
+                        for y, z in enumerate(w):
+                            w_inv[z] = y
+                        t[s[x]] = (w, tuple(w_inv))
+                        orbit.append(s[x])
+        return prod(map(len, transversals)) > bound
+
+    def residue(i):
+        t = transversals[i]
+        for x, (u, _) in t.items():
+            for k, s in enumerate(strong[i]):
+                if (x, k) not in sifted[i]:
+                    sifted[i].add((x, k))
+                    h, j = sift(tuple(map(t[s[x]][1].__getitem__, map(s.__getitem__, u))), i + 1)
+                    if h != identity:
+                        return h, j
+        return None
+
+    for g in perms:
+        h, j = sift(g, 0)
+        if h != identity and add(h, 0, j):
+            return prod(map(len, transversals))
+    i = len(base) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if add(h, i + 1, j):
+            break
+        i = j
+    return prod(map(len, transversals))
 
 
 def _mod3(entries: tuple[int, ...]) -> bytes:
@@ -259,12 +407,11 @@ def _mod3(entries: tuple[int, ...]) -> bytes:
     return bytes(map((3).__rmod__, entries))
 
 
-def _sparse_rows(g: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _sparse_rows(g: IntMatrix, width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """g's rows as the (offset, coefficient) pairs of their nonzero entries;
-    the offset of column t is where row t of an n-column right factor
-    starts in its entries."""
-    n = g.cols
-    return tuple(tuple((t * n, a) for t, a in enumerate(g.row(i)) if a) for i in range(g.rows))
+    the offset of column t is where row t of a right factor with ``width``
+    columns starts in its entries."""
+    return tuple(tuple((t * width, a) for t, a in enumerate(g.row(i)) if a) for i in range(g.rows))
 
 
 def _left_product(rows, x: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -168,6 +168,27 @@ class TestExitCodes:
         assert code == 3
         assert out == f"error: group closure exceeded the cap of {cap} elements\n"
 
+    @pytest.mark.parametrize("name, cap", [("sym9_u9", 200000), ("sym10_u10", DEFAULT_CAP)])
+    def test_oversized_file_refused_by_its_order(self, name, cap, tmp_path):
+        # 9! and 10! elements: closing up to the cap alone took 5 s and 31 s
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_group_definition(builtin(name)))
+        start = time.perf_counter()
+        code, out = run_cli(["analyze", str(path), "--cap", str(cap)])
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        assert out == f"error: group closure exceeded the cap of {cap} elements\n"
+
+    def test_oversized_file_refused_without_its_order(self, tmp_path, monkeypatch):
+        # with no room for the orbit walk the closure runs up to the cap
+        path = tmp_path / "sym8_u8.json"
+        path.write_text(serialize_group_definition(builtin("sym8_u8")))
+        argv = ["analyze", str(path), "--cap", "20000"]
+        expected = (3, "error: group closure exceeded the cap of 20000 elements\n")
+        assert run_cli(argv) == expected
+        monkeypatch.setattr(groups, "ORBIT_BUDGET", 1)
+        assert run_cli(argv) == expected
+
     def test_bad_arguments(self):
         code, _ = run_cli(["copies", "builtin:sym3_u3"])  # missing --r
         assert code == 2
@@ -254,6 +275,23 @@ class TestBatch:
         assert [r["file"] for r in doc["reports"]] == ["a.json", "b.json", "c.json"]
         assert "cap of 50" in doc["reports"][1]["error"]
         assert doc["reports"][0]["verdict"] == "Obstructed"
+
+    def test_oversized_file_keeps_other_reports(self, tmp_path):
+        for name in ("sym10_u10", "sym4_u4"):
+            (tmp_path / f"{name}.json").write_text(serialize_group_definition(builtin(name)))
+        start = time.perf_counter()
+        code, out = run_cli(["batch", str(tmp_path), "--format", "json"])
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        _, single = run_cli(["analyze", str(tmp_path / "sym4_u4.json"), "--format", "json"])
+        report = {**json.loads(single), "input": "sym4_u4.json", "file": "sym4_u4.json"}
+        del report["command"]
+        doc = json.loads(out)
+        assert doc["reports"] == [
+            {"file": "sym10_u10.json", "error": "group closure exceeded the cap of 1000000 elements"},
+            report,
+        ]
+        assert doc["summary"] == {"obstructed": 0, "inconclusive": 1, "trivially_cm": 0, "errors": 1}
 
     def test_cap_outranks_input_errors(self, tmp_path):
         (tmp_path / "a.json").write_text("{oops")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multinv import groups
 from multinv.errors import CapExceeded, InfiniteGroup, InfiniteOrderElement
 from multinv.groups import (
     DEFAULT_CAP,
@@ -19,6 +20,7 @@ from multinv.groups import (
     element_order_histogram,
     full_subgroup,
     is_perfect,
+    schreier_sims_order,
     subgroup_generated,
     trivial_subgroup,
 )
@@ -302,6 +304,85 @@ def _finite_lattice(name):
 def test_close_matches_naive_closure(name):
     lat = _finite_lattice(name)
     check_closure(close(lat), random_unimodular(lat.rank, random.Random(lat.rank)))
+
+
+# -- the order from the permutation action on the unit vectors' orbits ----------
+
+
+@pytest.mark.parametrize(
+    "name", DEFAULT_BUILTINS + ("sym7_u7", "sym8_u8") + tuple(sorted(p.stem for p in GOLDEN.glob("conj_*.json")))
+)
+def test_schreier_sims_order_is_the_closure_order(name):
+    lat = _finite_lattice(name)
+    assert schreier_sims_order(lat) == close(lat).order
+
+
+def test_the_order_bounds_itself_by_its_argument():
+    # 10! = 3628800: the first lower bound past 1000 is returned in its place
+    bounded = schreier_sims_order(builtin("sym10_u10"), 1000)
+    assert 1000 < bounded < math.factorial(10)
+    assert schreier_sims_order(builtin("sym10_u10")) == math.factorial(10)
+
+
+def _order_calls(monkeypatch):
+    """Records the bound and the result of every order computation."""
+    calls = []
+
+    def counted(lattice, bound=math.inf):
+        calls.append((bound, order(lattice, bound)))
+        return calls[-1][1]
+
+    order = groups.schreier_sims_order
+    monkeypatch.setattr(groups, "schreier_sims_order", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, calls", [("sym6_u6", []), ("alt7_u7", [2520]), ("sym7_u7", [5040])])
+def test_close_computes_the_order_once_past_the_threshold(name, calls, monkeypatch):
+    # 720 < ORDER_CHECK_AT < 2520
+    recorded = _order_calls(monkeypatch)
+    close(builtin(name), cap=10**5)
+    assert recorded == [(10**5, order) for order in calls]
+
+
+def test_an_orbit_past_the_budget_leaves_the_closure_unchanged(monkeypatch):
+    expected = close(builtin("sym7_u7"))
+    monkeypatch.setattr(groups, "ORBIT_BUDGET", 1)
+    assert schreier_sims_order(builtin("sym7_u7")) is None
+    G = close(builtin("sym7_u7"))
+    assert G.elements == expected.elements and G.left == expected.left
+    assert list(G._parent) == list(expected._parent) and list(G._letter) == list(expected._letter)
+
+
+@pytest.mark.parametrize("n", [2, 8, 24, "shear"])
+def test_an_infinite_group_past_the_threshold_keeps_its_refusal(n, monkeypatch):
+    """With the order computed at the second element, the orbit walk meets
+    an infinite orbit and gives up; the mod-3 refusal is the one reached
+    without it, with the same pair."""
+    lat = SHEAR if n == "shear" else _mixed_unipotent(n)
+    with pytest.raises(InfiniteGroup) as plain:
+        close(lat)
+    recorded = _order_calls(monkeypatch)
+    monkeypatch.setattr(groups, "ORDER_CHECK_AT", 2)
+    with pytest.raises(InfiniteGroup) as checked:
+        close(lat)
+    assert recorded == [(DEFAULT_CAP, None)]
+    assert str(checked.value) == str(plain.value)
+    assert (checked.value.first, checked.value.second) == (plain.value.first, plain.value.second)
+
+
+def test_a_closure_that_disagrees_with_the_order_raises(monkeypatch):
+    order = groups.schreier_sims_order
+    monkeypatch.setattr(groups, "schreier_sims_order", lambda lattice, bound: order(lattice, bound) + 1)
+    with pytest.raises(TheoremViolation, match="closure built 5040 elements, but the group's order is 5041"):
+        close(builtin("sym7_u7"))
+
+
+def test_powers_that_never_reach_the_identity_raise(monkeypatch):
+    G = close(builtin("sym3_u3"))
+    monkeypatch.setattr(G, "identity_index", -1)  # no index is the identity
+    with pytest.raises(TheoremViolation, match="an element's powers never reach the identity"):
+        G.element_order(1)
 
 
 # -- the Cayley-table kernel against matrix arithmetic -------------------------

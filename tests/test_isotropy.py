@@ -592,3 +592,12 @@ def test_a_stabilizer_reached_with_two_keys_raises(monkeypatch):
     _corrupted(monkeypatch, True, lambda keys: keys[-1][::-1])
     with pytest.raises(TheoremViolation, match="a stabilizer reached with two closure keys"):
         enumerate_isotropy_groups(_group("sym4_u4"))
+
+
+def test_a_witness_scan_with_no_candidates_raises(monkeypatch):
+    """Every shell of the scan comes out empty, so no box up to the proven
+    side |G| holds a candidate."""
+    G = _group("sym4_u4")
+    monkeypatch.setattr(isotropy, "_shell", lambda s, k: iter(()))
+    with pytest.raises(TheoremViolation, match="witness scan exhausted its proven bound"):
+        witness_vector(G, trivial_subgroup(G))

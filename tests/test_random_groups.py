@@ -10,6 +10,7 @@ import random
 from multinv.groups import (
     Subgroup,
     close,
+    schreier_sims_order,
     subgroup_generated,
 )
 from multinv.intlinalg import IntMatrix
@@ -41,6 +42,7 @@ def test_census_equality_on_random_signed_groups():
     while done < 10:
         lat = random_signed_perm_lattice(3, rng)
         group = close(lat)
+        assert schreier_sims_order(lat) == group.order
         if group.order > 24:
             continue
         done += 1
@@ -64,6 +66,7 @@ def test_catalog_complete_on_conjugated_random_groups():
         t = random_unimodular(n, rng)
         skewed = conjugated_lattice(lat, t)
         group = close(skewed)
+        assert schreier_sims_order(skewed) == group.order
         check_closure(group, unimodular_inverse(t))
         catalog = enumerate_isotropy_groups(group)
         # every stabilizer of a random vector appears in the catalog
@@ -92,7 +95,9 @@ def test_verdict_logic_on_random_groups():
             assert rep.verdict == INCONCLUSIVE
         # conjugation cannot change the verdict or the class data
         t = random_unimodular(n, rng)
-        check_closure(close(lat), t)
+        group = close(lat)
+        check_closure(group, t)
+        assert schreier_sims_order(lat) == group.order
         rep2 = check_necessary_conditions(conjugated_lattice(lat, t))
         assert rep2.verdict == rep.verdict
         assert [c.order for c in rep2.classes] == [c.order for c in rep.classes]
@@ -102,7 +107,9 @@ def test_rank_sum_on_random_groups():
     rng = random.Random(0xD1CE)
     for _ in range(40):
         n = rng.choice([2, 3, 4])
-        group = close(random_signed_perm_lattice(n, rng))
+        lat = random_signed_perm_lattice(n, rng)
+        group = close(lat)
+        assert schreier_sims_order(lat) == group.order
         check_closure(group, IntMatrix.identity(n))
         seed = rng.sample(range(group.order), min(group.order, rng.randint(0, 2)))
         h = subgroup_generated(group, seed)
@@ -111,16 +118,27 @@ def test_rank_sum_on_random_groups():
         assert moved_rank_subgroup(h) == moved
 
 
-def test_catalog_equals_the_closure_sweep_on_random_groups():
-    """The catalog explored up to conjugacy equals the one swept from the
-    whole meet closure: classes, order, representatives, fixed spaces and
-    orbit index, on 200 groups of rank 2 to 4 and 20 of rank 5, every
-    other one conjugated out of its signed coordinates."""
+def _sweep_lattices():
+    """200 groups of rank 2 to 4 and 20 of rank 5, every other one
+    conjugated out of its signed coordinates."""
     rng = random.Random(0x5EED)
     for k in range(220):
         n = rng.choice([2, 3, 4]) if k < 200 else 5
         lat = random_signed_perm_lattice(n, rng)
         if k % 2:
             lat = conjugated_lattice(lat, random_unimodular(n, rng))
+        yield k, lat
+
+
+def test_catalog_equals_the_closure_sweep_on_random_groups():
+    """The catalog explored up to conjugacy equals the one swept from the
+    whole meet closure: classes, order, representatives, fixed spaces and
+    orbit index."""
+    for k, lat in _sweep_lattices():
         group = close(lat)
         assert catalog_summary(enumerate_isotropy_groups(group)) == catalog_summary(closure_catalog(group)), k
+
+
+def test_schreier_sims_order_on_random_groups():
+    for k, lat in _sweep_lattices():
+        assert schreier_sims_order(lat) == close(lat).order, k
