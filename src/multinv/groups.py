@@ -28,15 +28,26 @@ is new.  Each new element costs one product and K is never visited again;
 greedy generating sets and normal closures take one step per kept
 generator.
 
-A finite group's order is known before it is listed.  G permutes X, the
-union of the orbits of the unit vectors e_1, ..., e_n, faithfully, so
-:func:`schreier_sims_order` gets |G| from the generators' permutations of
-X (Sims 1970).  :func:`close` asks for it once, when it has built
-``ORDER_CHECK_AT`` = 2,048 elements: an order above the cap is refused
-there, not after ``cap`` elements, and an order under it must equal the
-number of elements the closure builds, or :class:`TheoremViolation` is
-raised.  The orbit walk visits at most ``ORBIT_BUDGET`` = 1,024 points;
-past that, as on every infinite group, the closure goes on unchanged.
+A finite group's order is known before it is listed, at one of two
+moments.  G permutes X, the union of the orbits of the unit vectors
+e_1, ..., e_n, faithfully, so :func:`_permutation_group_order` gets |G|
+from the generators' permutations of X by Schreier-Sims (Sims 1970;
+Seress, *Permutation Group Algorithms*).  When X has at most
+``PERMUTATION_BUDGET`` = 64 points, as it has for every
+``DEFAULT_BUILTINS`` group but ``icosian``, :func:`close` asks for the
+order before it builds a second element, and then enumerates G on X: an
+element is the indices in X of its columns, and a product is one lookup
+per column instead of a matrix product.  ``sym7_u7`` (|X| = 7) closes
+in about 30 ms, against about 70 ms by matrix products, and a
+``sym8_u8`` file at ``--cap 20000`` is refused in under 1 ms, against
+about 40 ms.  A larger X, as after a base change that mixes the
+coordinates, keeps the matrix closure, which asks
+:func:`schreier_sims_order` once it has built ``ORDER_CHECK_AT`` = 2,048
+elements; that walk visits at most ``ORBIT_BUDGET`` = 1,024 points, and
+past it, as on every infinite group, the closure goes on unchanged.
+Either way an order above the cap gets the cap's own refusal, and an
+order under it must equal the number of elements the closure builds, or
+:class:`TheoremViolation` is raised.
 """
 
 from __future__ import annotations
@@ -44,22 +55,30 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from math import gcd, inf, prod
-from operator import add
-from typing import Iterable, Sequence
+from operator import add, itemgetter, methodcaller
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded, InfiniteGroup, InfiniteOrderElement, InvalidGenerator, TheoremViolation
 from .intlinalg import IntMatrix, rref_mod
 
 DEFAULT_CAP = 10**6
-# close computes the order once it has built this many elements.  On a
-# conjugated input X can have hundreds of points (540 for root_a5, of order
-# 720), and the order then costs more than closing the group, so no group
-# of order up to 720 pays for it
+# the matrix closure computes the order once it has built this many
+# elements.  On a conjugated input X can have hundreds of points (540 for
+# root_a5, of order 720), and the order then costs more than closing the
+# group, so no group of order up to 720 pays for it
 ORDER_CHECK_AT = 2048
 # the most points of X that schreier_sims_order walks before it gives up;
-# its transversals hold two permutations of X per point
+# its transversals hold two permutations of X per point.  Walking 960
+# points of a conjugated icosian takes about 20 ms
 ORBIT_BUDGET = 1024
+# the most points of X on which close enumerates G by permutations, at
+# most 256, since a point's index is a byte; n > 64 skips the walk.  A walk
+# that gives up here costs about a millisecond on the benchmark's
+# conjugated inputs (|X| = 180 to 960)
+PERMUTATION_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -226,67 +245,139 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
     and the first product to reach an element fixes its BFS parent and
     letter.
 
-    Stops at the first proof that the group is infinite.  By Minkowski,
-    the kernel of GL_n(Z) -> GL_n(Z/3) is torsion-free, so a finite group
-    injects into its reduction mod 3; every new element is keyed by its
-    entries mod 3, and two distinct elements with one key raise
-    :class:`InfiniteGroup`, which carries them.  Otherwise raises
-    :class:`CapExceeded` once more than ``cap`` elements appear, which
-    converts an unreasonably large input into a clean error instead of a
-    hang.  An element of finite order has roots of unity for eigenvalues,
-    so its trace is at most n in absolute value; a new element past both
-    tests with a larger trace raises :class:`InfiniteOrderElement`, which
-    carries it.  Dense generators of infinite order meet no mod-3 twin
-    for a long time, but their traces grow fast.  Both refusals are
-    ``CapExceeded``, so callers need only catch the latter.
+    The closure first walks X, the union of the orbits of e_1, ..., e_n.
+    If X closes within ``PERMUTATION_BUDGET`` points, G permutes it and is
+    finite.  Its order then comes from :func:`_permutation_group_order`
+    before any element is built, and an order above the cap raises
+    ``CapExceeded(cap)``.  Otherwise each element is held as the indices
+    in X of its columns g e_1, ..., g e_n, one byte each, and g_k x maps
+    each byte through g_k's permutation of X with ``bytes.translate``.
+    Equal matrices have equal columns, so the BFS, its table, parents and
+    letters are those of the matrix products below; each matrix is read
+    off its columns at the end.
 
-    When the count first reaches ``ORDER_CHECK_AT`` elements, the order
-    comes from :func:`schreier_sims_order`, bounded by ``cap``.  An order
-    above the cap raises ``CapExceeded(cap)`` at once, with the message
-    the cap itself would give: a finite group never meets the mod-3 or
-    trace refusal, so that is the outcome the whole closure would reach.
-    Otherwise the closure finishes, and a count that differs from the
-    order raises :class:`TheoremViolation`.  When the orbit walk passes
-    ``ORBIT_BUDGET`` points, as it does on every infinite group, the
-    closure goes on exactly as above.
+    Past the budget, as on every infinite group, elements are held as
+    matrix entries and multiplied, and the closure stops at the first
+    proof that the group is infinite.  By Minkowski, the kernel of
+    GL_n(Z) -> GL_n(Z/3) is torsion-free, so a finite group injects into
+    its reduction mod 3; every new element is keyed by its entries mod 3,
+    and two distinct elements with one key raise :class:`InfiniteGroup`,
+    which carries them.  Otherwise raises :class:`CapExceeded` once more
+    than ``cap`` elements appear, which converts an unreasonably large
+    input into a clean error instead of a hang.  An element of finite
+    order has roots of unity for eigenvalues, so its trace is at most n in
+    absolute value; a new element past both tests with a larger trace
+    raises :class:`InfiniteOrderElement`, which carries it.  Dense
+    generators of infinite order meet no mod-3 twin for a long time, but
+    their traces grow fast.  Both refusals are ``CapExceeded``, so callers
+    need only catch the latter.  When this count first reaches
+    ``ORDER_CHECK_AT`` elements, the order comes from
+    :func:`schreier_sims_order`, bounded by ``cap``; an order above the
+    cap raises ``CapExceeded(cap)`` at once, the outcome the whole closure
+    would reach, since a finite group meets neither refusal.  When that
+    walk passes ``ORBIT_BUDGET`` points, the closure goes on without it.
+
+    On either path, a count that differs from a known order raises
+    :class:`TheoremViolation`.
     """
     n = lattice.rank
-    gens = [_sparse_rows(lattice.generators[p], n) for p in _table_rows(lattice.generators)]
-    # elements are held as entry tuples, the dictionary's own keys, until
-    # the group is known to be finite
-    found = [IntMatrix.identity(n).entries]
-    index = {found[0]: 0}
-    residues = {_mod3(found[0]): 0}
-    left = [array("i") for _ in gens]
+    walk = _unit_orbits(lattice, PERMUTATION_BUDGET)
+    if walk is not None:
+        points, perms = walk
+        order = _permutation_group_order(perms, len(points), cap)
+        if order > cap:
+            raise CapExceeded(cap)
+        # a byte indexes a point of X; x.translate(table) maps each byte of x
+        # through a permutation padded to the 256 entries a table needs
+        tables = [bytes(p).ljust(256, b"\0") for p in perms]
+        found, left, parents, letters = _breadth_first(
+            bytes(range(n)), [methodcaller("translate", t) for t in tables], partial(_within_cap, cap)
+        )
+        # x's columns X[x[j]], one after another, are the entries of x's
+        # transpose; an itemgetter reorders them into an exact-sized tuple
+        transpose = itemgetter(*(j * n + i for i in range(n) for j in range(n))) if n > 1 else tuple
+        elements = [IntMatrix(n, n, transpose(tuple(chain.from_iterable(map(points.__getitem__, x))))) for x in found]
+    else:
+        identity = IntMatrix.identity(n).entries
+        residues = {_mod3(identity): identity}
+        order = None
+
+        def admit(y: tuple[int, ...], j: int) -> None:
+            nonlocal order
+            twin = residues.setdefault(_mod3(y), y)
+            if twin is not y:
+                raise InfiniteGroup(cap, IntMatrix(n, n, twin), IntMatrix(n, n, y))
+            _within_cap(cap, y, j)
+            if abs(sum(y[:: n + 1])) > n:
+                raise InfiniteOrderElement(cap, IntMatrix(n, n, y))
+            if j + 1 == ORDER_CHECK_AT:
+                order = schreier_sims_order(lattice, cap)
+                if order is not None and order > cap:
+                    raise CapExceeded(cap)
+
+        rows = [_sparse_rows(lattice.generators[p]) for p in _table_rows(lattice.generators)]
+        found, left, parents, letters = _breadth_first(identity, [partial(_left_product, r, n) for r in rows], admit)
+        elements = [IntMatrix(n, n, entries) for entries in found]
+    if order is not None and order != len(found):
+        raise TheoremViolation(f"closure built {len(found)} elements, but the group's order is {order}")
+    return FiniteMatrixGroup(lattice, elements, left, parents, letters)
+
+
+def _breadth_first(start: Sequence[int], products: Sequence[Callable], admit: Callable) -> tuple:
+    """Elements reachable from ``start`` under the product maps, in BFS
+    order, with the left table, BFS parents and letters of
+    :class:`FiniteMatrixGroup`; ``admit(y, j)`` sees each new element y
+    and its index j first, and may refuse it by raising."""
+    found = [start]
+    index = {start: 0}
+    left = [array("i") for _ in products]
     parents, letters = array("i", [0]), array("H", [0])
-    order = None
     # found grows while it is walked, so this visits it in BFS order
     for x, entries in enumerate(found):
-        for k, rows in enumerate(gens):
-            y = _left_product(rows, entries, n)
+        for k, product in enumerate(products):
+            y = product(entries)
             j = index.get(y)
             if j is None:
                 j = len(found)
-                twin = residues.setdefault(_mod3(y), j)
-                if twin != j:
-                    raise InfiniteGroup(cap, IntMatrix(n, n, found[twin]), IntMatrix(n, n, y))
-                if j >= cap:
-                    raise CapExceeded(cap)
-                if abs(sum(y[:: n + 1])) > n:
-                    raise InfiniteOrderElement(cap, IntMatrix(n, n, y))
+                admit(y, j)
                 index[y] = j
                 found.append(y)
                 parents.append(x)
                 letters.append(k)
-                if j + 1 == ORDER_CHECK_AT:
-                    order = schreier_sims_order(lattice, cap)
-                    if order is not None and order > cap:
-                        raise CapExceeded(cap)
             left[k].append(j)
-    if order is not None and order != len(found):
-        raise TheoremViolation(f"closure built {len(found)} elements, but the group's order is {order}")
-    elements = [IntMatrix(n, n, entries) for entries in found]
-    return FiniteMatrixGroup(lattice, elements, left, parents, letters)
+    return found, left, parents, letters
+
+
+def _within_cap(cap: int, y: Sequence[int], j: int) -> None:
+    if j >= cap:
+        raise CapExceeded(cap)
+
+
+def _unit_orbits(lattice: GLattice, budget: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None:
+    """X, the union of the orbits of the unit vectors e_1, ..., e_n, with
+    e_1, ..., e_n first, and each distinct generator's permutation of it
+    (a point's index to its image's); None once X has more than ``budget``
+    points.  An infinite group has an infinite orbit, so that is where the
+    walk ends on one."""
+    n = lattice.rank
+    if n > budget:
+        return None
+    applies = [lattice.generators[p].apply for p in _table_rows(lattice.generators)]
+    points = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    index = {v: i for i, v in enumerate(points)}
+    images: list[list[int]] = [[] for _ in applies]
+    # points grows while it is walked, as in _breadth_first
+    for v in points:
+        for apply, image in zip(applies, images):
+            w = apply(v)
+            j = index.get(w)
+            if j is None:
+                if len(points) >= budget:
+                    return None
+                j = index[w] = len(points)
+                points.append(w)
+            image.append(j)
+    return points, [tuple(image) for image in images]
 
 
 def schreier_sims_order(lattice: GLattice, bound: float = inf) -> int | None:
@@ -296,30 +387,15 @@ def schreier_sims_order(lattice: GLattice, bound: float = inf) -> int | None:
     X spans the lattice, so G acts on it faithfully, and a deterministic
     Schreier-Sims run on the generators' permutations of X gives |G|
     (Sims 1970; Holt, Eick and O'Brien, ch. 4.4).  Returns None once X
-    has more than ``ORBIT_BUDGET`` points: an infinite group has an
-    infinite orbit, so that is where the walk ends on one.  At every step
-    the product of the basic orbit lengths is at most |G|; once it passes
-    ``bound`` it is returned in place of the order.
+    has more than ``ORBIT_BUDGET`` points.  At every step the product of
+    the basic orbit lengths is at most |G|; once it passes ``bound`` it is
+    returned in place of the order.
     """
-    n = lattice.rank
-    if n > ORBIT_BUDGET:
+    walk = _unit_orbits(lattice, ORBIT_BUDGET)
+    if walk is None:
         return None
-    gens = [_sparse_rows(lattice.generators[p], 1) for p in _table_rows(lattice.generators)]
-    points = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    index = {v: i for i, v in enumerate(points)}
-    images: list[list[int]] = [[] for _ in gens]
-    # points grows while it is walked, as in close
-    for v in points:
-        for rows, image in zip(gens, images):
-            w = _left_product(rows, v, 1)
-            j = index.get(w)
-            if j is None:
-                if len(points) >= ORBIT_BUDGET:
-                    return None
-                j = index[w] = len(points)
-                points.append(w)
-            image.append(j)
-    return _permutation_group_order([tuple(image) for image in images], len(points), bound)
+    points, perms = walk
+    return _permutation_group_order(perms, len(points), bound)
 
 
 def _permutation_group_order(perms: Sequence[tuple[int, ...]], degree: int, bound: float) -> int:
@@ -407,14 +483,15 @@ def _mod3(entries: tuple[int, ...]) -> bytes:
     return bytes(map((3).__rmod__, entries))
 
 
-def _sparse_rows(g: IntMatrix, width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _sparse_rows(g: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
     """g's rows as the (offset, coefficient) pairs of their nonzero entries;
-    the offset of column t is where row t of a right factor with ``width``
-    columns starts in its entries."""
-    return tuple(tuple((t * width, a) for t, a in enumerate(g.row(i)) if a) for i in range(g.rows))
+    the offset of column t is where row t of a right factor with as many
+    columns as g starts in its entries."""
+    n = g.cols
+    return tuple(tuple((t * n, a) for t, a in enumerate(g.row(i)) if a) for i in range(g.rows))
 
 
-def _left_product(rows, x: tuple[int, ...], n: int) -> tuple[int, ...]:
+def _left_product(rows, n: int, x: tuple[int, ...]) -> tuple[int, ...]:
     """Entries of g x, from g's sparse rows and the entries of x (n columns).
 
     Row i of g x is the combination of x's rows that row i of g names,

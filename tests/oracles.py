@@ -8,9 +8,10 @@ invariants come from sympy's permutation groups, orbit-verify
 certificates are re-multiplied with plain Laurent arithmetic, the
 orbit-verify enumeration is redone with every product multiplied out
 as a Laurent polynomial before it is read in orbit coordinates, group
-closures are redone breadth-first with plain ``IntMatrix`` products, the
-isotropy catalog's meet closure is redone with one integer kernel per
-pair of spaces, the catalog itself is redone from its whole meet closure
+closures are redone breadth-first with plain ``IntMatrix`` products, a
+closure on the unit vectors' orbits is redone by ``close``'s own matrix
+products, the isotropy catalog's meet closure is redone with one integer
+kernel per pair of spaces, the catalog itself is redone from its whole meet closure
 over F_p, swept space by space, minimal isotropy classes are found by conjugating
 matrices, fixed points on a quotient L / L^H are read off the determinant
 of the induced matrix, generated subgroups are closed by numpy matrix products
@@ -29,11 +30,13 @@ definition file's lattice.
 from collections import Counter, deque
 from itertools import product as iter_product
 from operator import add, mul
+from unittest import mock
 
 import numpy as np
 from sympy import primefactors
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from multinv import groups
 from multinv.errors import TheoremViolation
 from multinv.catalog import parse_group_definition
 from multinv.groups import FiniteMatrixGroup, GLattice, Subgroup, block_diagonal, close
@@ -394,6 +397,18 @@ def check_closure(G, conjugator):
     image = GLattice(G.lattice.rank, [u * g * u_inv for g in G.lattice.generators])
     H = induced_group(G, image)
     assert list(H.elements) == [u * x * u_inv for x in found]
+
+
+def check_permutation_closure(lattice):
+    """``close`` against itself with ``PERMUTATION_BUDGET`` = 0, which
+    forces matrix products: the same elements, table, BFS parents and
+    letters.  Returns whether the first closure ran on permutations."""
+    G = close(lattice)
+    with mock.patch.object(groups, "PERMUTATION_BUDGET", 0):
+        H = close(lattice)
+    assert G.elements == H.elements and G.left == H.left
+    assert list(G._parent) == list(H._parent) and list(G._letter) == list(H._letter)
+    return groups._unit_orbits(lattice, groups.PERMUTATION_BUDGET) is not None
 
 
 def check_infinite_pair(exc):

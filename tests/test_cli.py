@@ -17,7 +17,7 @@ from multinv.errors import CapExceeded, InfiniteGroup, InfiniteOrderElement
 from multinv.groups import DEFAULT_CAP, GLattice, block_diagonal, close
 from multinv.intlinalg import IntMatrix
 
-from helpers import random_unimodular, unipotent
+from helpers import conjugated_lattice, random_signed_perm, random_unimodular, unipotent
 
 
 def run_cli(argv):
@@ -180,14 +180,28 @@ class TestExitCodes:
         assert out == f"error: group closure exceeded the cap of {cap} elements\n"
 
     def test_oversized_file_refused_without_its_order(self, tmp_path, monkeypatch):
-        # with no room for the orbit walk the closure runs up to the cap
+        # with no room for either orbit walk the closure runs up to the cap
         path = tmp_path / "sym8_u8.json"
         path.write_text(serialize_group_definition(builtin("sym8_u8")))
         argv = ["analyze", str(path), "--cap", "20000"]
         expected = (3, "error: group closure exceeded the cap of 20000 elements\n")
         assert run_cli(argv) == expected
+        monkeypatch.setattr(groups, "PERMUTATION_BUDGET", 0)
         monkeypatch.setattr(groups, "ORBIT_BUDGET", 1)
         assert run_cli(argv) == expected
+
+    def test_oversized_file_refused_before_its_second_element(self, tmp_path):
+        # a signed permutation keeps X at 8 points, so the order comes first;
+        # closing 2,048 elements to reach it took about 40 ms
+        lat = conjugated_lattice(builtin("sym8_u8"), random_signed_perm(8, random.Random(8)))
+        assert groups._unit_orbits(lat, groups.PERMUTATION_BUDGET) is not None
+        path = tmp_path / "sym8_u8.json"
+        path.write_text(serialize_group_definition(lat))
+        start = time.perf_counter()
+        code, out = run_cli(["analyze", str(path), "--cap", "20000"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 3
+        assert out == "error: group closure exceeded the cap of 20000 elements\n"
 
     def test_bad_arguments(self):
         code, _ = run_cli(["copies", "builtin:sym3_u3"])  # missing --r

@@ -36,6 +36,7 @@ from oracles import (
     are_conjugate_subgroups,
     check_closure,
     check_infinite_pair,
+    check_permutation_closure,
     commutator_seed,
     diagonal_group,
     difference_rank,
@@ -324,8 +325,8 @@ def test_the_order_bounds_itself_by_its_argument():
     assert schreier_sims_order(builtin("sym10_u10")) == math.factorial(10)
 
 
-def _order_calls(monkeypatch):
-    """Records the bound and the result of every order computation."""
+def _schreier_sims_calls(monkeypatch):
+    """Records the bound and the result of every call of schreier_sims_order."""
     calls = []
 
     def counted(lattice, bound=math.inf):
@@ -337,16 +338,93 @@ def _order_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name, calls", [("sym6_u6", []), ("alt7_u7", [2520]), ("sym7_u7", [5040])])
+def _order_calls(monkeypatch):
+    """Records the bound and the result of every order computation, with
+    the number of elements the closure had built when it was asked."""
+    calls, built = [], [1]
+
+    def counted(perms, degree, bound):
+        calls.append((bound, order(perms, degree, bound), built[0]))
+        return calls[-1][1]
+
+    def counting(start, products, admit):
+        def admitted(y, j):
+            built[0] = j + 1
+            admit(y, j)
+
+        return breadth_first(start, products, admitted)
+
+    order, breadth_first = groups._permutation_group_order, groups._breadth_first
+    monkeypatch.setattr(groups, "_permutation_group_order", counted)
+    monkeypatch.setattr(groups, "_breadth_first", counting)
+    return calls
+
+
+def _mixed(lat):
+    """lat in the basis T T^t, T the upper-triangular matrix of ones: X
+    outgrows PERMUTATION_BUDGET, so close enumerates matrices."""
+    n = lat.rank
+    t = IntMatrix(n, n, (int(j >= i) for i in range(n) for j in range(n)))
+    return conjugated_lattice(lat, t * t.transpose())
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [
+        ("sym6_u6", [(720, 1)]),
+        ("alt7_u7", [(2520, 1)]),
+        ("sym7_u7", [(5040, 1)]),
+        ("alt7_u7~mixed", [(2520, 2048)]),
+        ("sym6_u6~mixed", []),
+    ],
+)
 def test_close_computes_the_order_once_past_the_threshold(name, calls, monkeypatch):
-    # 720 < ORDER_CHECK_AT < 2520
+    """In coordinates X has 6 or 7 points, and the order comes before the
+    second element.  Mixed, X has 180 or 294 points, and the matrix
+    closure asks at ORDER_CHECK_AT, which 720 < 2048 < 2520 separates."""
+    lat = _mixed(builtin(name.removesuffix("~mixed"))) if name.endswith("~mixed") else builtin(name)
     recorded = _order_calls(monkeypatch)
-    close(builtin(name), cap=10**5)
-    assert recorded == [(10**5, order) for order in calls]
+    close(lat, cap=10**5)
+    assert recorded == [(10**5, order, built) for order, built in calls]
+
+
+def test_an_order_above_the_cap_is_refused_before_the_second_element(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("an element past the identity was built")
+
+    monkeypatch.setattr(groups, "_breadth_first", enumerated)
+    with pytest.raises(CapExceeded) as exc:
+        close(builtin("sym8_u8"), cap=20000)
+    assert type(exc.value) is CapExceeded
+    assert str(exc.value) == "group closure exceeded the cap of 20000 elements"
+
+
+@pytest.mark.parametrize(
+    "name",
+    DEFAULT_BUILTINS
+    + ("sym7_u7",)
+    + tuple(sorted(p.stem for p in GOLDEN.glob("conj_*.json")))
+    + ("rank 0", "rank 1", "identity generator", "identity only"),
+)
+def test_the_permutation_closure_is_the_matrix_closure(name, monkeypatch):
+    special = {
+        "rank 0": GLattice(0, [IntMatrix(0, 0, ())]),
+        "rank 1": GLattice(1, [IntMatrix(1, 1, (-1,))]),
+        "identity generator": GLattice(3, [C4, IntMatrix.identity(3), C4]),
+        "identity only": GLattice(3, [IntMatrix.identity(3)]),
+    }
+    lat = special[name] if name in special else _finite_lattice(name)
+    large = {"icosian": 720, "conj_alt6_u6": 120, "conj_signed_root_s5": 300}
+    if name in large:
+        assert not check_permutation_closure(lat)
+        # the most points a byte can index
+        monkeypatch.setattr(groups, "PERMUTATION_BUDGET", 256)
+    assert check_permutation_closure(lat) == (large.get(name, 0) <= 256)
 
 
 def test_an_orbit_past_the_budget_leaves_the_closure_unchanged(monkeypatch):
     expected = close(builtin("sym7_u7"))
+    monkeypatch.setattr(groups, "PERMUTATION_BUDGET", 1)
     monkeypatch.setattr(groups, "ORBIT_BUDGET", 1)
     assert schreier_sims_order(builtin("sym7_u7")) is None
     G = close(builtin("sym7_u7"))
@@ -360,9 +438,10 @@ def test_an_infinite_group_past_the_threshold_keeps_its_refusal(n, monkeypatch):
     an infinite orbit and gives up; the mod-3 refusal is the one reached
     without it, with the same pair."""
     lat = SHEAR if n == "shear" else _mixed_unipotent(n)
+    assert groups._unit_orbits(lat, groups.PERMUTATION_BUDGET) is None
     with pytest.raises(InfiniteGroup) as plain:
         close(lat)
-    recorded = _order_calls(monkeypatch)
+    recorded = _schreier_sims_calls(monkeypatch)
     monkeypatch.setattr(groups, "ORDER_CHECK_AT", 2)
     with pytest.raises(InfiniteGroup) as checked:
         close(lat)
@@ -372,10 +451,13 @@ def test_an_infinite_group_past_the_threshold_keeps_its_refusal(n, monkeypatch):
 
 
 def test_a_closure_that_disagrees_with_the_order_raises(monkeypatch):
-    order = groups.schreier_sims_order
-    monkeypatch.setattr(groups, "schreier_sims_order", lambda lattice, bound: order(lattice, bound) + 1)
-    with pytest.raises(TheoremViolation, match="closure built 5040 elements, but the group's order is 5041"):
-        close(builtin("sym7_u7"))
+    """On permutations, and on matrices with a budget of 0."""
+    order = groups._permutation_group_order
+    monkeypatch.setattr(groups, "_permutation_group_order", lambda perms, degree, bound: order(perms, degree, bound) + 1)
+    for budget in (groups.PERMUTATION_BUDGET, 0):
+        monkeypatch.setattr(groups, "PERMUTATION_BUDGET", budget)
+        with pytest.raises(TheoremViolation, match="closure built 5040 elements, but the group's order is 5041"):
+            close(builtin("sym7_u7"))
 
 
 def test_powers_that_never_reach_the_identity_raise(monkeypatch):

@@ -601,3 +601,30 @@ def test_a_witness_scan_with_no_candidates_raises(monkeypatch):
     monkeypatch.setattr(isotropy, "_shell", lambda s, k: iter(()))
     with pytest.raises(TheoremViolation, match="witness scan exhausted its proven bound"):
         witness_vector(G, trivial_subgroup(G))
+
+
+def test_an_orbit_swept_twice_raises(monkeypatch):
+    """The sweep yields its first orbit a second time, so each of its
+    stabilizers is indexed twice."""
+    orbits = isotropy.isotropy_orbits
+
+    def twice(G):
+        swept = orbits(G)
+        first = next(swept)
+        yield first
+        yield first
+        yield from swept
+
+    monkeypatch.setattr(isotropy, "isotropy_orbits", twice)
+    with pytest.raises(TheoremViolation, match="meet-closure produced a duplicate stabilizer"):
+        enumerate_isotropy_groups(_group("sym4_u4"))
+
+
+def test_a_class_that_fixes_the_whole_lattice_raises(monkeypatch):
+    """A catalog whose one class is the whole of S3 with all of L for its
+    fixed space: the class is minimal, and the guard refuses it."""
+    G = _group("sym3_u3")
+    whole = isotropy.IsotropyClass(full_subgroup(G), IntMatrix.identity(3))
+    monkeypatch.setattr(isotropy, "enumerate_isotropy_groups", lambda G: isotropy.IsotropyCatalog(G, (whole,)))
+    with pytest.raises(TheoremViolation, match="nontrivial isotropy group fixes the whole lattice"):
+        minimal_nontrivial_isotropy(G)

@@ -28,6 +28,7 @@ from oracles import (
     are_conjugate_subgroups,
     catalog_summary,
     check_closure,
+    check_permutation_closure,
     closure_catalog,
     difference_rank,
     isotropy_group_of,
@@ -137,6 +138,12 @@ def test_catalog_equals_the_closure_sweep_on_random_groups():
     for k, lat in _sweep_lattices():
         group = close(lat)
         assert catalog_summary(enumerate_isotropy_groups(group)) == catalog_summary(closure_catalog(group)), k
+
+
+def test_the_permutation_closure_is_the_matrix_closure_on_random_groups():
+    on_permutations = [k for k, lat in _sweep_lattices() if check_permutation_closure(lat)]
+    # every group in signed coordinates, whose X has at most 2n points
+    assert set(range(0, 220, 2)) <= set(on_permutations)
 
 
 def test_schreier_sims_order_on_random_groups():
