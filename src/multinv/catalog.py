@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import ParseError, UnknownBuiltin, ValidationError, InvalidGenerator
-from .groups import GLattice
+from .groups import GLattice, _breadth_first
 from .intlinalg import IntMatrix, hnf_basis, solve_echelon
 
 SCHEMA_VERSION = 1
@@ -120,6 +121,12 @@ def _sparse(v) -> dict[int, int]:
     return {j: x for j, x in enumerate(v) if x}
 
 
+def _within_200(y, j: int) -> None:
+    """Refuses a 201st element: the group has 120."""
+    if j >= 200:
+        raise ArithmeticError("icosian closure diverged")
+
+
 def _icosian_lattice() -> GLattice:
     """Left multiplication of the binary icosahedral group on the integer
     span of its 120 elements, a rank-8 lattice.
@@ -133,17 +140,7 @@ def _icosian_lattice() -> GLattice:
     g2 = (1, 1, 0, 0, 2, 0, 1, -1)
 
     ident = (4, 0, 0, 0, 0, 0, 0, 0)
-    elements = {ident: None}
-    queue = [ident]
-    while queue:
-        x = queue.pop()
-        for g in (g1, g2):
-            y = _quat_mul(x, g)
-            if y not in elements:
-                elements[y] = None
-                queue.append(y)
-        if len(elements) > 200:
-            raise ArithmeticError("icosian closure diverged")
+    elements = _breadth_first([ident], [partial(_quat_mul, g) for g in (g1, g2)], _within_200)[0]
     basis = hnf_basis(IntMatrix.from_rows(sorted(elements), 8))
     # a full-rank square echelon form: row r leads at column r
     pivots = {r: (_sparse(basis.row(r)), {r: 1}) for r in range(8)}
@@ -279,8 +276,10 @@ class GroupDefinition:
 def parse_group_definition(data: bytes | str) -> GroupDefinition:
     """Parse and validate a JSON group definition.
 
-    Raises ParseError with position info for malformed JSON and
-    ValidationError naming the offending field otherwise.
+    Raises ParseError with position info for malformed JSON, ParseError
+    also for JSON that Python will not decode (an integer past its digit
+    limit, arrays nested past the recursion limit), and ValidationError
+    naming the offending field otherwise.
     """
     if isinstance(data, bytes):
         try:
@@ -291,6 +290,8 @@ def parse_group_definition(data: bytes | str) -> GroupDefinition:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ValidationError("top level: expected an object")
     name = doc.get("name", "")

@@ -13,11 +13,16 @@ Commands:
 
 All output is deterministic; ``--seed-free`` is accepted for scripting
 symmetry but changes nothing because no code path uses randomness.
-Exit codes: 0 success, 2 parse/validation problems, 3 closure cap
-exceeded (a finite group's order is known once 2,048 elements are built)
-or group proved infinite (two distinct elements agree mod 3, or an
-element g has |tr g| > n, its rank; either is found long before the
-cap), 70 internal error (a bug; the message names the exception).
+Exit codes: 0 success, 2 parse/validation problems (JSON that Python
+will not decode, such as an integer past its 4,300-digit limit or arrays
+nested past its recursion limit, included), 3 closure cap exceeded or
+group proved infinite, 70 internal error (a bug; the message names the
+exception).  A finite group's order is known before its second element
+is built when the orbits of the unit vectors have at most 64 points in
+all, and otherwise once 2,048 elements are built, if those orbits have
+at most 1,024 points.  An infinite group is proved so (two distinct
+elements agree mod 3, or an element g has |tr g| > n, its rank) long
+before the cap.
 ``batch`` exits 3 if any file exceeded the cap, else 2 if any file had an
 input error, else 0.  Exit code 1 is never used.
 """

@@ -18,7 +18,11 @@ letter of the word.  Inverses and orders come from one walk along an
 element's powers, and a conjugate is two products.  The table does not
 depend on the rank, only on the order and the number of generators.  This
 is the Schreier-vector bookkeeping of Holt, Eick and O'Brien,
-*Handbook of Computational Group Theory*, ch. 4.
+*Handbook of Computational Group Theory*, ch. 4.  The enumeration is one
+instance of the orbit algorithm of their ch. 4.1, :func:`_breadth_first`,
+which lists the orbits of any starting points under any product maps;
+it also lists X below, the isotropy catalog's orbits on fixed-space keys
+and the icosian group's quaternions.
 
 Subgroups are closed by cosets, as in Dimino's algorithm (Butler,
 *Fundamental Algorithms for Permutation Groups*, LNCS 559): given K =
@@ -291,7 +295,7 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
         # through a permutation padded to the 256 entries a table needs
         tables = [bytes(p).ljust(256, b"\0") for p in perms]
         found, left, parents, letters = _breadth_first(
-            bytes(range(n)), [methodcaller("translate", t) for t in tables], partial(_within_cap, cap)
+            [bytes(range(n))], [methodcaller("translate", t) for t in tables], partial(_within_cap, cap)
         )
         # x's columns X[x[j]], one after another, are the entries of x's
         # transpose; an itemgetter reorders them into an exact-sized tuple
@@ -316,22 +320,26 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
                     raise CapExceeded(cap)
 
         rows = [_sparse_rows(lattice.generators[p]) for p in _table_rows(lattice.generators)]
-        found, left, parents, letters = _breadth_first(identity, [partial(_left_product, r, n) for r in rows], admit)
+        found, left, parents, letters = _breadth_first([identity], [partial(_left_product, r, n) for r in rows], admit)
         elements = [IntMatrix(n, n, entries) for entries in found]
     if order is not None and order != len(found):
         raise TheoremViolation(f"closure built {len(found)} elements, but the group's order is {order}")
     return FiniteMatrixGroup(lattice, elements, left, parents, letters)
 
 
-def _breadth_first(start: Sequence[int], products: Sequence[Callable], admit: Callable) -> tuple:
-    """Elements reachable from ``start`` under the product maps, in BFS
-    order, with the left table, BFS parents and letters of
-    :class:`FiniteMatrixGroup`; ``admit(y, j)`` sees each new element y
-    and its index j first, and may refuse it by raising."""
-    found = [start]
-    index = {start: 0}
+def _breadth_first(starts: Sequence, products: Sequence[Callable], admit: Callable) -> tuple:
+    """Every point reachable from the starts under the product maps, in
+    BFS order with the starts first (the orbit algorithm of Holt, Eick and
+    O'Brien, ch. 4.1); with the table ``left[k][x]``, the index of
+    ``products[k]`` applied to point x, and each later point's BFS parent
+    and letter (a start's are 0).  From the identity under the generators'
+    products, these are the elements, left Cayley table and BFS tree of
+    :class:`FiniteMatrixGroup`.  ``admit(y, j)`` sees each new point y and
+    its index j first, and may refuse it by raising."""
+    found = list(starts)
+    index = {x: j for j, x in enumerate(found)}
     left = [array("i") for _ in products]
-    parents, letters = array("i", [0]), array("H", [0])
+    parents, letters = array("i", [0]) * len(found), array("H", [0]) * len(found)
     # found grows while it is walked, so this visits it in BFS order
     for x, entries in enumerate(found):
         for k, product in enumerate(products):
@@ -363,20 +371,11 @@ def _unit_orbits(lattice: GLattice, budget: int) -> tuple[list[tuple[int, ...]],
     if n > budget:
         return None
     applies = [lattice.generators[p].apply for p in _table_rows(lattice.generators)]
-    points = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    index = {v: i for i, v in enumerate(points)}
-    images: list[list[int]] = [[] for _ in applies]
-    # points grows while it is walked, as in _breadth_first
-    for v in points:
-        for apply, image in zip(applies, images):
-            w = apply(v)
-            j = index.get(w)
-            if j is None:
-                if len(points) >= budget:
-                    return None
-                j = index[w] = len(points)
-                points.append(w)
-            image.append(j)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    try:
+        points, images, _, _ = _breadth_first(units, applies, partial(_within_cap, budget))
+    except CapExceeded:
+        return None
     return points, [tuple(image) for image in images]
 
 

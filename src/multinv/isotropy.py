@@ -56,8 +56,9 @@ reaches them.  Four facts make that enough.
 - G_c's orbits on keys.  x Fix(g) = Fix(x g x^-1), so conjugation
   permutes the irreducible keys.  Each generator letter's permutation is
   read off the conjugation tables of step 3; an element's is composed
-  along the BFS tree from its parent's, and G_c's orbits are collected
-  from the permutations of G_c's generators, so no key costs a product.
+  along the BFS tree from its parent's, and G_c's orbits are walked by
+  ``groups._breadth_first`` under the permutations of G_c's generators,
+  so no key costs a product.
 
 Steps 1 and 2 do no integer arithmetic.
 
@@ -104,6 +105,7 @@ from .errors import NotIsotropy, TheoremViolation
 from .groups import (
     FiniteMatrixGroup,
     Subgroup,
+    _breadth_first,
     _prime_divisors,
     element_order_histogram,
     is_perfect,
@@ -312,20 +314,20 @@ def _spanned(key: tuple[bytes, ...], others, p: int) -> bool:
 
 def _least_orbit_points(perms: list[list[int]], size: int) -> list[int]:
     """The least point of each orbit of the group the permutations of
-    range(size) generate."""
+    range(size) generate, each orbit walked by ``_breadth_first``."""
+    products = [s.__getitem__ for s in perms]
     reps: list[int] = []
     seen = bytearray(size)
     for b in range(size):
         if not seen[b]:
             reps.append(b)
-            seen[b] = 1
-            todo = [b]
-            for x in todo:
-                for s in perms:
-                    if not seen[s[x]]:
-                        seen[s[x]] = 1
-                        todo.append(s[x])
+            for x in _breadth_first([b], products, _admit_any)[0]:
+                seen[x] = 1
     return reps
+
+
+def _admit_any(y: int, j: int) -> None:
+    """Admits every point of an orbit."""
 
 
 @cache

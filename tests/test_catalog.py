@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from multinv import catalog
 from multinv.catalog import (
     DEFAULT_BUILTINS,
     builtin,
@@ -152,3 +153,13 @@ def test_catalog_contains_full_group_and_trivial_subgroup():
         assert catalog.classes[0].order == group.order, name
         assert catalog.classes[-1].order == 1, name
         assert witness_vector(group, catalog.classes[0].subgroup) == (0,) * group.lattice.rank
+
+
+def test_a_diverging_icosian_closure_raises(monkeypatch):
+    """Adding quaternions instead of multiplying them never closes; the
+    walk refuses its 201st point."""
+    walked = []
+    monkeypatch.setattr(catalog, "_quat_mul", lambda g, x: walked.append(x) or tuple(map(sum, zip(g, x))))
+    with pytest.raises(ArithmeticError, match="icosian closure diverged"):
+        catalog._icosian_lattice()
+    assert len(walked) < 2 * 200

@@ -20,6 +20,17 @@ from multinv.intlinalg import IntMatrix
 from helpers import conjugated_lattice, random_signed_perm, random_unimodular, unipotent
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# definition files that json.loads refuses with ValueError or RecursionError
+# rather than JSONDecodeError, and the start of the refusal
+HOSTILE = {
+    "long_integer": ('{"name": "big", "rank": 1, "generators": [[[%s]]]}' % ("9" * 5000),
+                     "error: Exceeds the limit (4300 digits)"),
+    "deep_nesting": ("[" * 100000, "error: maximum recursion depth exceeded"),
+}
+
+
 def run_cli(argv):
     buf = io.StringIO()
     code = run(argv, buf)
@@ -113,6 +124,16 @@ class TestExitCodes:
         code, out = run_cli([argv[0], str(path), *argv[1:]])
         assert code == 2
         assert out == "error: cannot read: Permission denied\n"
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["copies", "--r", "2"], ["witness"]])
+    @pytest.mark.parametrize("shape", sorted(HOSTILE))
+    def test_hostile_file_is_an_input_error(self, shape, argv, tmp_path):
+        text, refusal = HOSTILE[shape]
+        path = tmp_path / f"{shape}.json"
+        path.write_text(text)
+        code, out = run_cli([argv[0], str(path), *argv[1:]])
+        assert code == 2
+        assert out.startswith(refusal) and out.count("\n") == 1
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -306,6 +327,21 @@ class TestBatch:
             report,
         ]
         assert doc["summary"] == {"obstructed": 0, "inconclusive": 1, "trivially_cm": 0, "errors": 1}
+
+    def test_hostile_file_keeps_other_reports(self, tmp_path):
+        text, refusal = HOSTILE["long_integer"]
+        (tmp_path / "big.json").write_text(text)
+        (tmp_path / "trivial3.json").write_bytes((GOLDEN / "trivial3.json").read_bytes())
+        code, out = run_cli(["batch", str(tmp_path), "--format", "json"])
+        assert code == 2
+        _, single = run_cli(["analyze", str(tmp_path / "trivial3.json"), "--format", "json"])
+        report = {**json.loads(single), "input": "trivial3.json", "file": "trivial3.json"}
+        del report["command"]
+        doc = json.loads(out)
+        assert [r["file"] for r in doc["reports"]] == ["big.json", "trivial3.json"]
+        assert f"error: {doc['reports'][0]['error']}".startswith(refusal)
+        assert doc["reports"][1] == report
+        assert doc["summary"] == {"obstructed": 0, "inconclusive": 0, "trivially_cm": 1, "errors": 1}
 
     def test_cap_outranks_input_errors(self, tmp_path):
         (tmp_path / "a.json").write_text("{oops")

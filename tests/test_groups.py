@@ -338,21 +338,32 @@ def _schreier_sims_calls(monkeypatch):
     return calls
 
 
-def _order_calls(monkeypatch):
+def _is_element_walk(starts, n):
+    """Whether a ``_breadth_first`` call lists group elements: it starts
+    at the identity alone, as a permutation of X or as matrix entries;
+    the unit-vector walk starts at e_1, ..., e_n."""
+    return starts in ([bytes(range(n))], [IntMatrix.identity(n).entries])
+
+
+def _order_calls(monkeypatch, n):
     """Records the bound and the result of every order computation, with
-    the number of elements the closure had built when it was asked."""
+    the number of elements the rank-n closure had built when it was
+    asked."""
     calls, built = [], [1]
 
     def counted(perms, degree, bound):
         calls.append((bound, order(perms, degree, bound), built[0]))
         return calls[-1][1]
 
-    def counting(start, products, admit):
+    def counting(starts, products, admit):
+        if not _is_element_walk(starts, n):
+            return breadth_first(starts, products, admit)
+
         def admitted(y, j):
             built[0] = j + 1
             admit(y, j)
 
-        return breadth_first(start, products, admitted)
+        return breadth_first(starts, products, admitted)
 
     order, breadth_first = groups._permutation_group_order, groups._breadth_first
     monkeypatch.setattr(groups, "_permutation_group_order", counted)
@@ -383,15 +394,18 @@ def test_close_computes_the_order_once_past_the_threshold(name, calls, monkeypat
     second element.  Mixed, X has 180 or 294 points, and the matrix
     closure asks at ORDER_CHECK_AT, which 720 < 2048 < 2520 separates."""
     lat = _mixed(builtin(name.removesuffix("~mixed"))) if name.endswith("~mixed") else builtin(name)
-    recorded = _order_calls(monkeypatch)
+    recorded = _order_calls(monkeypatch, lat.rank)
     close(lat, cap=10**5)
     assert recorded == [(10**5, order, built) for order, built in calls]
 
 
 def test_an_order_above_the_cap_is_refused_before_the_second_element(monkeypatch):
-    def enumerated(*args):
-        raise AssertionError("an element past the identity was built")
+    def enumerated(starts, products, admit):
+        if _is_element_walk(starts, 8):
+            raise AssertionError("an element past the identity was built")
+        return breadth_first(starts, products, admit)
 
+    breadth_first = groups._breadth_first
     monkeypatch.setattr(groups, "_breadth_first", enumerated)
     with pytest.raises(CapExceeded) as exc:
         close(builtin("sym8_u8"), cap=20000)
@@ -430,6 +444,33 @@ def test_an_orbit_past_the_budget_leaves_the_closure_unchanged(monkeypatch):
     G = close(builtin("sym7_u7"))
     assert G.elements == expected.elements and G.left == expected.left
     assert list(G._parent) == list(expected._parent) and list(G._letter) == list(expected._letter)
+
+
+def test_the_unit_orbits_stop_at_their_budget():
+    """sym4_u4 in the basis T T^t has |X| = 36: the walk returns X, with
+    e_1, ..., e_4 first, at a budget of 36, and gives up at 35."""
+    lat = _mixed(builtin("sym4_u4"))
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    points, perms = groups._unit_orbits(lat, 36)
+    assert len(points) == len(set(points)) == 36 and points[:4] == units
+    assert set(points) == {g.apply(e) for g in close(lat).elements for e in units}
+    assert [type(p) for p in perms] == [tuple, tuple]
+    for g, perm in zip(lat.generators, perms):
+        assert [points[j] for j in perm] == [g.apply(x) for x in points]
+    assert groups._unit_orbits(lat, 35) is None
+
+
+def test_a_walk_from_several_starts_keeps_them_first():
+    """Residues mod 11 under x -> 2x and x -> x + 5, from 7, 3 and 9 in
+    that order; a start's parent and letter are 0."""
+    maps = [lambda x: 2 * x % 11, lambda x: (x + 5) % 11]
+    admitted = []
+    found, left, parents, letters = groups._breadth_first([7, 3, 9], maps, lambda y, j: admitted.append(j))
+    assert found[:3] == [7, 3, 9] and sorted(found) == list(range(11))
+    assert [[found[j] for j in row] for row in left] == [list(map(f, found)) for f in maps]
+    assert list(parents[:3]) == list(letters[:3]) == [0, 0, 0]
+    assert all(found[x] == maps[k](found[parents[x]]) for x, k in enumerate(letters) if x >= 3)
+    assert admitted == list(range(3, 11))
 
 
 @pytest.mark.parametrize("n", [2, 8, 24, "shear"])

@@ -628,3 +628,57 @@ def test_a_class_that_fixes_the_whole_lattice_raises(monkeypatch):
     monkeypatch.setattr(isotropy, "enumerate_isotropy_groups", lambda G: isotropy.IsotropyCatalog(G, (whole,)))
     with pytest.raises(TheoremViolation, match="nontrivial isotropy group fixes the whole lattice"):
         minimal_nontrivial_isotropy(G)
+
+
+def test_a_perfect_fixed_point_free_group_not_recognized_raises(monkeypatch):
+    """The icosian group acts fixed-point-freely and is perfect; against a
+    corrupted SL(2, F_5) histogram it is not recognized."""
+    G = _group("icosian")
+    monkeypatch.setattr(isotropy, "SL2_F5_ORDER_HISTOGRAM", {})
+    with pytest.raises(TheoremViolation, match="perfect fixed-point-free action is not binary icosahedral on rank 8k"):
+        check_fpf_constraints(G)
+
+
+def test_perfect_minimal_classes_that_move_little_raise(monkeypatch):
+    """S3's minimal classes are its transpositions, which move rank 1;
+    with every subgroup taken for perfect, the rank-8 bound refuses them."""
+    G = _group("sym3_u3")
+    monkeypatch.setattr(isotropy, "is_perfect", lambda h: True)
+    with pytest.raises(TheoremViolation, match="all minimal isotropy groups perfect, yet some subgroup moves rank < 8"):
+        check_fpf_constraints(G)
+
+
+def _orbit_minima(perms, size):
+    """The least point of each orbit, by merging each point with its
+    images until nothing changes."""
+    least = list(range(size))
+    changed = True
+    while changed:
+        changed = False
+        for s in perms:
+            for x in range(size):
+                low = min(least[x], least[s[x]])
+                if least[x] != low or least[s[x]] != low:
+                    least[x] = least[s[x]] = low
+                    changed = True
+    return sorted(set(least))
+
+
+def _sparse_permutation(size, rng):
+    """A cycle on a random third of the points, so that several orbits
+    survive a few of them."""
+    image, moved = list(range(size)), rng.sample(range(size), size // 3)
+    for a, b in zip(moved, moved[1:] + moved[:1]):
+        image[a] = b
+    return image
+
+
+@pytest.mark.parametrize("size, count", [(0, 0), (5, 0), (6, "identity"), (12, 2), (25, 3), (40, 3)])
+@pytest.mark.parametrize("seed", range(4))
+def test_least_orbit_points_partition_the_points(size, count, seed):
+    rng = random.Random(seed)
+    if count == "identity":
+        perms = [list(range(size))]
+    else:
+        perms = [_sparse_permutation(size, rng) for _ in range(count)]
+    assert isotropy._least_orbit_points(perms, size) == _orbit_minima(perms, size)

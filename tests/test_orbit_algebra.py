@@ -244,7 +244,7 @@ class TestFreeDecomposition:
         # past the entry check, x * 1 has coefficient 1/2 on the orbit {x, x^-1}
         monkeypatch.setattr(orbit_algebra, "is_invariant", lambda G, a: True)
         g = neg_group(1)
-        with pytest.raises(TheoremViolation):
+        with pytest.raises(TheoremViolation, match=r"orbit coordinate 1/2 at \(-?1,\) is not an integer"):
             verify_free_decomposition(g, [LaurentElement.monomial((1,))], [LaurentElement.one(1)], 3)
 
 
