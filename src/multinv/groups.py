@@ -1,11 +1,11 @@
 """Finite subgroups of GL_n(Z): closure, subgroups, commutators, abelianization.
 
-A :class:`FiniteMatrixGroup` is a fully enumerated element list in the BFS
-order of its closure, so elements are referred to by index everywhere; the
-indices depend on the generator list, and no output does.  Subgroups are
-index sets into their parent, never independent groups; that keeps
-intersection and conjugation cheap and gives one source of truth for
-element identity.
+A :class:`FiniteMatrixGroup` lists its elements in the BFS order of its
+closure, in the compact form the closure built, and builds a matrix only
+when one is read.  Elements are referred to by index; the indices depend
+on the generator list, and no output does.  Subgroups are index sets into
+their parent, never independent groups; that keeps intersection and
+conjugation cheap and gives one source of truth for element identity.
 
 Element arithmetic on indices multiplies no matrices.  :func:`close`
 enumerates the group breadth-first from the identity under left
@@ -32,26 +32,17 @@ is new.  Each new element costs one product and K is never visited again;
 greedy generating sets and normal closures take one step per kept
 generator.
 
-A finite group's order is known before it is listed, at one of two
-moments.  G permutes X, the union of the orbits of the unit vectors
-e_1, ..., e_n, faithfully, so :func:`_permutation_group_order` gets |G|
-from the generators' permutations of X by Schreier-Sims (Sims 1970;
-Seress, *Permutation Group Algorithms*).  When X has at most
-``PERMUTATION_BUDGET`` = 64 points, as it has for every
-``DEFAULT_BUILTINS`` group but ``icosian``, :func:`close` asks for the
-order before it builds a second element, and then enumerates G on X: an
-element is the indices in X of its columns, and a product is one lookup
-per column instead of a matrix product.  ``sym7_u7`` (|X| = 7) closes
-in about 30 ms, against about 70 ms by matrix products, and a
-``sym8_u8`` file at ``--cap 20000`` is refused in under 1 ms, against
-about 40 ms.  A larger X, as after a base change that mixes the
-coordinates, keeps the matrix closure, which asks
-:func:`schreier_sims_order` once it has built ``ORDER_CHECK_AT`` = 2,048
-elements; that walk visits at most ``ORBIT_BUDGET`` = 1,024 points, and
-past it, as on every infinite group, the closure goes on unchanged.
-Either way an order above the cap gets the cap's own refusal, and an
-order under it must equal the number of elements the closure builds, or
-:class:`TheoremViolation` is raised.
+A finite group's order is known before it is listed.  G permutes X, the
+union of the orbits of the unit vectors e_1, ..., e_n, faithfully, so
+:func:`_permutation_group_order` gets |G| from the generators'
+permutations of X by Schreier-Sims (Sims 1970; Seress, *Permutation Group
+Algorithms*).  When X has at most ``PERMUTATION_BUDGET`` = 64 points, as
+it has for every ``DEFAULT_BUILTINS`` group but ``icosian``, :func:`close`
+knows the order before it builds a second element, then enumerates G on
+X: an element is the indices in X of its columns, and a product is one
+lookup per column.  ``sym7_u7`` (|X| = 7) closes in about 15 ms, against
+80-100 ms by matrix products.  A larger X keeps the matrix closure, which
+asks for the order once it has built ``ORDER_CHECK_AT`` elements.
 """
 
 from __future__ import annotations
@@ -62,7 +53,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from math import gcd, inf, prod
-from operator import add, itemgetter, methodcaller
+from operator import add, methodcaller
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded, InfiniteGroup, InfiniteOrderElement, InvalidGenerator, TheoremViolation
@@ -110,7 +101,7 @@ class GLattice:
 class FiniteMatrixGroup:
     """Fully enumerated finite matrix group with its left Cayley table.
 
-    ``elements`` is in BFS order: the identity at index 0, every element
+    Elements are in BFS order: the identity at index 0, every element
     after its BFS parent.  ``left[k][x]`` is the index of g_k x, where g_k
     is the k-th distinct generator in the lattice's order (duplicates share
     a row; an identity generator has the identity row).  The BFS tree of
@@ -118,10 +109,12 @@ class FiniteMatrixGroup:
     a letter k with x = g_k p, so x's word k_1, ..., k_d reads
     x = g_{k_d} ... g_{k_1}.  ``mul(i, j)`` starts at j and follows i's
     word through the table: one lookup per letter.  The longest words on
-    the benchmark groups have 25 letters on sym7_u7 (16.7 on average), 18
-    on sym6_u6 and root_a5, 12 on signed_root_s5, 10 on icosian and its
-    direct sums, and at most 6 on every other builtin.
-    Memory is 4 bytes per table entry plus one small array per word.
+    the benchmark groups have 25 letters, on sym7_u7 (16.7 on average).
+
+    Element x is kept as :func:`close` built it, the bytes of its columns'
+    indices in X or its entry tuple; ``element(x)`` builds its matrix on
+    first read.  ``close(builtin("sym8_u8"))`` holds 8.7 MB under
+    ``tracemalloc``, against 31.5 MB with every matrix built.
 
     ``prime`` is the least prime p that does not divide the order, so by
     Maschke every subgroup's fixed lattice reduces mod p to its fixed space
@@ -130,17 +123,19 @@ class FiniteMatrixGroup:
     catalog's fixed spaces and gives ``moved_rank`` without an integer
     kernel.
 
-    Immutable after construction; per-element caches (inverses, orders,
-    fixed keys) fill in lazily but never change values.
+    Immutable after construction; per-element caches (matrices, inverses,
+    orders, fixed keys) fill in lazily but never change values.
     """
 
-    def __init__(self, lattice: GLattice, elements: Sequence[IntMatrix], left: Sequence[Sequence[int]],
-                 parents: Sequence[int], letters: Sequence[int]):
-        """Keeps :func:`close`'s arrays as they are."""
-        n = len(elements)
+    def __init__(self, lattice: GLattice, compact: Sequence, left: Sequence[Sequence[int]],
+                 parents: Sequence[int], letters: Sequence[int], points: Sequence | None = None):
+        """Keeps :func:`close`'s arrays as they are; ``points`` is X, or None for entry tuples."""
+        n = len(compact)
         self.lattice = lattice
-        self.elements = tuple(elements)
         self.order = n
+        self._compact = compact
+        self._points = points
+        self._matrices = [None] * n
         self.left = tuple(left)
         self._parent = parents
         self._letter = letters
@@ -156,7 +151,19 @@ class FiniteMatrixGroup:
         self._fixed_keys: dict[int, tuple] = {}
 
     def element(self, i: int) -> IntMatrix:
-        return self.elements[i]
+        """Element i's matrix, built on first read; an entry tuple is wrapped as it is."""
+        g = self._matrices[i]
+        if g is None:
+            n, x = self.lattice.rank, self._compact[i]
+            g = self._matrices[i] = IntMatrix(n, n, x if self._points is None else chain.from_iterable(self._rows(i)))
+        return g
+
+    def _rows(self, i: int) -> Iterable:
+        """Element i's rows, read off its compact form."""
+        n, x = self.lattice.rank, self._compact[i]
+        if self._points is None:
+            return [x[r * n : r * n + n] for r in range(n)]
+        return zip(*map(self._points.__getitem__, x))
 
     def mul(self, i: int, j: int) -> int:
         """Index of x_i x_j: follow i's word through the table from j."""
@@ -207,10 +214,8 @@ class FiniteMatrixGroup:
         """
         key = self._fixed_keys.get(i)
         if key is None:
-            g = self.elements[i]
-            key = rref_mod(
-                ([a - (j == r) for j, a in enumerate(g.row(r))] for r in range(g.rows)), self.prime
-            )
+            rows = ([a - (j == r) for j, a in enumerate(row)] for r, row in enumerate(self._rows(i)))
+            key = rref_mod(rows, self.prime)
             powers = self._powers(i)
             for k, j in enumerate(powers, 1):
                 if gcd(k, len(powers)) == 1:
@@ -257,8 +262,7 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
     in X of its columns g e_1, ..., g e_n, one byte each, and g_k x maps
     each byte through g_k's permutation of X with ``bytes.translate``.
     Equal matrices have equal columns, so the BFS, its table, parents and
-    letters are those of the matrix products below; each matrix is read
-    off its columns at the end.
+    letters are those of the matrix products below; the group keeps them.
 
     Past the budget, as on every infinite group, elements are held as
     matrix entries and multiplied, and the closure stops at the first
@@ -297,10 +301,6 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
         found, left, parents, letters = _breadth_first(
             [bytes(range(n))], [methodcaller("translate", t) for t in tables], partial(_within_cap, cap)
         )
-        # x's columns X[x[j]], one after another, are the entries of x's
-        # transpose; an itemgetter reorders them into an exact-sized tuple
-        transpose = itemgetter(*(j * n + i for i in range(n) for j in range(n))) if n > 1 else tuple
-        elements = [IntMatrix(n, n, transpose(tuple(chain.from_iterable(map(points.__getitem__, x))))) for x in found]
     else:
         identity = IntMatrix.identity(n).entries
         residues = {_mod3(identity): identity}
@@ -321,10 +321,10 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
 
         rows = [_sparse_rows(lattice.generators[p]) for p in _table_rows(lattice.generators)]
         found, left, parents, letters = _breadth_first([identity], [partial(_left_product, r, n) for r in rows], admit)
-        elements = [IntMatrix(n, n, entries) for entries in found]
+        points = None
     if order is not None and order != len(found):
         raise TheoremViolation(f"closure built {len(found)} elements, but the group's order is {order}")
-    return FiniteMatrixGroup(lattice, elements, left, parents, letters)
+    return FiniteMatrixGroup(lattice, found, left, parents, letters, points)
 
 
 def _breadth_first(starts: Sequence, products: Sequence[Callable], admit: Callable) -> tuple:

@@ -215,8 +215,7 @@ def isotropy_orbits(G: FiniteMatrixGroup) -> Iterator[tuple[Subgroup, list[tuple
         if _is_prime_power(G.element_order(i)):
             prime_power.setdefault(key, i)
 
-    # conjugation tables as lists, so the orbit index shares their int objects
-    conj_by = {g: [G.conj(g, i) for i in range(G.order)] for g in G.generator_indices}
+    conj_by = _conjugation_tables(G)
     gens = [(G.element(G.inv(g)).transpose(), G.element(g).transpose(), conj_by[g]) for g in G.generator_indices]
 
     # 3. the sweep of one orbit: one stabilizer and one fixed lattice.  g fixes W
@@ -300,6 +299,23 @@ def isotropy_orbits(G: FiniteMatrixGroup) -> Iterator[tuple[Subgroup, list[tuple
                     yield root, orbit
 
 
+def _conjugation_tables(G: FiniteMatrixGroup) -> dict[int, list[int]]:
+    """x -> g x g^-1 for each generator g, as lists, so the orbit index
+    shares their int objects.  One right-multiplication table per
+    generator, right[x] = x g^-1, is filled along the BFS tree:
+    right[identity] = g^-1, and x = g_k y gives right[x] = g_k right[y].
+    Then g_k x g_k^-1 = right[g_k x], one lookup per entry."""
+    left, parent, letter = G.left, G._parent, G._letter
+    tables: dict[int, list[int]] = {}
+    for row in left:
+        if row[0] not in tables:
+            right = [G.inv(row[0])] * G.order
+            for x in range(1, G.order):
+                right[x] = left[letter[x]][right[parent[x]]]
+            tables[row[0]] = [right[y] for y in row]
+    return tables
+
+
 def _spanned(key: tuple[bytes, ...], others, p: int) -> bool:
     """Whether the reduced echelon forms ``others`` other than ``key``
     itself, all inside key's row space, span it."""
@@ -314,15 +330,17 @@ def _spanned(key: tuple[bytes, ...], others, p: int) -> bool:
 
 def _least_orbit_points(perms: list[list[int]], size: int) -> list[int]:
     """The least point of each orbit of the group the permutations of
-    range(size) generate, each orbit walked by ``_breadth_first``."""
+    range(size) generate, each orbit walked by ``_breadth_first``; a point
+    every permutation fixes is its own orbit, and needs no walk."""
     products = [s.__getitem__ for s in perms]
     reps: list[int] = []
     seen = bytearray(size)
     for b in range(size):
         if not seen[b]:
             reps.append(b)
-            for x in _breadth_first([b], products, _admit_any)[0]:
-                seen[x] = 1
+            if any(s[b] != b for s in perms):
+                for x in _breadth_first([b], products, _admit_any)[0]:
+                    seen[x] = 1
     return reps
 
 

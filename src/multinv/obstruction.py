@@ -211,15 +211,16 @@ def rationally_isomorphic(l1: GLattice, l2: GLattice, cap: int = DEFAULT_CAP) ->
     n1, n = l1.rank, l1.rank + l2.rank
     pairs = close(GLattice(n, [block_diagonal([a, b]) for a, b in zip(l1.generators, l2.generators)]), cap)
     # the top n1 rows hold the first block, the other rows the second
-    firsts = {m.entries[: n1 * n] for m in pairs.elements}
-    seconds = {m.entries[n1 * n :] for m in pairs.elements}
+    elements = [pairs.element(i) for i in range(pairs.order)]
+    firsts = {m.entries[: n1 * n] for m in elements}
+    seconds = {m.entries[n1 * n :] for m in elements}
     if len(firsts) != pairs.order or len(seconds) != pairs.order:
         raise GeneratorMismatch(
             "paired generator words close to groups of different orders"
         )
     return all(
         sum(m.entry(i, i) for i in range(n1)) == sum(m.entry(i, i) for i in range(n1, n))
-        for m in pairs.elements
+        for m in elements
     )
 
 

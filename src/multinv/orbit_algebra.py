@@ -175,8 +175,12 @@ def act(g: IntMatrix, a: LaurentElement) -> LaurentElement:
 
 
 def orbit_of(G: FiniteMatrixGroup, m) -> list[tuple]:
-    m = tuple(m)
-    return sorted({G.element(i).apply(m) for i in range(G.order)}, reverse=True)
+    return _memo_orbit(_applies(G), tuple(m), {})
+
+
+def _applies(G: FiniteMatrixGroup) -> list:
+    """Every element's ``apply``, bound once for all the orbits of one group."""
+    return [G.element(i).apply for i in range(G.order)]
 
 
 def orbit_sum(G: FiniteMatrixGroup, m) -> LaurentElement:
@@ -190,11 +194,12 @@ def is_invariant(G: FiniteMatrixGroup, a: LaurentElement) -> bool:
     return all(act(g, a) == a for g in gens)
 
 
-def _memo_orbit(G: FiniteMatrixGroup, m: tuple, orbits: dict) -> list[tuple]:
-    """``orbit_of(G, m)``, memoized in ``orbits`` for every orbit member."""
+def _memo_orbit(applies: list, m: tuple, orbits: dict) -> list[tuple]:
+    """The orbit of m under the group whose bound ``apply`` methods are
+    ``applies``, memoized in ``orbits`` for every orbit member."""
     orbit = orbits.get(m)
     if orbit is None:
-        orbit = orbit_of(G, m)
+        orbit = sorted({apply(m) for apply in applies}, reverse=True)
         orbits.update(dict.fromkeys(orbit, orbit))
     return orbit
 
@@ -209,11 +214,12 @@ def express_in_orbit_basis(
     ``orbits`` may carry orbits already computed for G across calls.
     """
     orbits = {} if orbits is None else orbits
+    applies = _applies(G)
     out: dict[tuple, int] = {}
     remaining = dict(a.terms)
     while remaining:
         exp = next(iter(remaining))
-        orbit = _memo_orbit(G, exp, orbits)
+        orbit = _memo_orbit(applies, exp, orbits)
         coeff = remaining.get(orbit[0], 0)
         for member in orbit:
             if remaining.pop(member, None) != coeff or coeff == 0:
@@ -291,6 +297,7 @@ def verify_free_decomposition(
     # product is carried as its orbit coordinates {representative: coeff},
     # which determine it, so equal rows are equal values.
     orbits: dict[tuple, list[tuple]] = {}
+    applies = _applies(G)
     gen_terms = [list(a.terms.items()) for a in algebra_gens]
     gen_boxes = [a.newton_box() for a in algebra_gens]
     products: list[tuple[ProductTerm, dict]] = []
@@ -320,7 +327,7 @@ def verify_free_decomposition(
             new_hi = tuple(map(add, hi, gen_hi))
             if min(new_lo) < -bound or max(new_hi) > bound:
                 continue
-            new = _times(G, row, terms, orbits)
+            new = _times(applies, row, terms, orbits)
             value = frozenset(new.items())
             if value in seen:
                 continue
@@ -355,7 +362,7 @@ def verify_free_decomposition(
     covered = []
     expressions = {}
     for v in _by_shells(interior, n):
-        rep = _memo_orbit(G, v, orbits)[0]
+        rep = _memo_orbit(applies, v, orbits)[0]
         if rep != v:
             continue
         combo = solve_echelon(pivots, {col[rep]: 1}) if rep in col else None
@@ -376,15 +383,16 @@ def verify_free_decomposition(
     return DecompositionResult(True, certificate=certificate)
 
 
-def _times(G: FiniteMatrixGroup, f: dict, terms: list, orbits: dict) -> dict:
+def _times(applies: list, f: dict, terms: list, orbits: dict) -> dict:
     """Orbit coordinates of f * a, for f given by its orbit coordinates and
-    the invariant a by its terms; see the module docstring."""
+    the invariant a by its terms; see the module docstring.  ``applies``
+    and ``orbits`` are as for :func:`_memo_orbit`."""
     acc: dict[tuple, int] = {}
     get = acc.get
     for rep, c in f.items():
-        c *= len(_memo_orbit(G, rep, orbits))
+        c *= len(_memo_orbit(applies, rep, orbits))
         for e, a_e in terms:
-            r = _memo_orbit(G, tuple(map(add, rep, e)), orbits)[0]
+            r = _memo_orbit(applies, tuple(map(add, rep, e)), orbits)[0]
             acc[r] = get(r, 0) + c * a_e
     out = {}
     for r, total in acc.items():

@@ -4,7 +4,10 @@ import random
 
 from multinv.intlinalg import IntMatrix
 
-from oracles import unimodular_inverse
+
+def elements(G):
+    """G's element matrices in BFS order, each read through ``G.element``."""
+    return [G.element(i) for i in range(G.order)]
 
 
 def perm_matrix(image, n=None):
@@ -66,6 +69,8 @@ def conjugated_lattice(lat, t):
     """Base change of every generator by the unimodular matrix t."""
     from multinv.groups import GLattice
 
+    from oracles import unimodular_inverse
+
     tinv = unimodular_inverse(t)
     return GLattice(lat.rank, [t * g * tinv for g in lat.generators], lat.name + "~conj")
 
@@ -86,3 +91,20 @@ def random_signed_perm_lattice(n, rng, max_gens=2):
 
     gens = [random_signed_perm(n, rng) for _ in range(rng.randint(1, max_gens))]
     return GLattice(n, gens, "fuzz")
+
+
+def counted_builds(monkeypatch):
+    """A list that grows by one for each element matrix a group builds
+    while the patch holds: ``groups.IntMatrix`` becomes a subclass that
+    counts its instances."""
+    from multinv import groups
+
+    built = []
+
+    class Counted(IntMatrix):
+        def __init__(self, *args):
+            built.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(groups, "IntMatrix", Counted)
+    return built

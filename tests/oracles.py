@@ -72,6 +72,8 @@ from multinv.orbit_algebra import (
     orbit_of,
 )
 
+from helpers import elements
+
 
 def unimodular_inverse(a):
     """Exact inverse of a unimodular integer matrix.
@@ -87,9 +89,10 @@ def unimodular_inverse(a):
 
 def index_of(G, m):
     """Index of the matrix m among G's elements."""
-    if m not in G.elements:
+    mats = elements(G)
+    if m not in mats:
         raise KeyError("matrix is not a group element")
-    return G.elements.index(m)
+    return mats.index(m)
 
 
 def isotropy_group_of(G, m):
@@ -149,7 +152,7 @@ def stabilizer_census(group):
     order = group.order
     assert order <= 62, "bitmask packing assumes the order fits in int64"
     bound = order
-    mats = [np.array(g.row_lists(), dtype=np.int64) for g in group.elements]
+    mats = [np.array(g.row_lists(), dtype=np.int64) for g in elements(group)]
     assert all(np.abs(m).max() <= 2**20 for m in mats)
     rest = np.array(
         np.meshgrid(*[np.arange(-bound, bound + 1)] * (n - 1), indexing="ij")
@@ -268,14 +271,15 @@ def check_certificate(G, algebra_gens, module_gens, cert):
     for t, v in zip(cert.products, values):
         assert all(abs(x) <= cert.bound for exp in v.terms for x in exp), t
     interior = range(-cert.interior_bound, cert.interior_bound + 1)
-    reps = {v for v in iter_product(interior, repeat=n) if v == max(g.apply(v) for g in G.elements)}
+    mats = elements(G)
+    reps = {v for v in iter_product(interior, repeat=n) if v == max(g.apply(v) for g in mats)}
     assert set(cert.covered) == reps
     assert set(cert.expressions) == reps
     for rep, combo in cert.expressions.items():
         total = LaurentElement.zero(n)
         for pos, c in combo:
             total = total + values[pos] * c
-        assert total == LaurentElement(n, {g.apply(rep): 1 for g in G.elements}), rep
+        assert total == LaurentElement(n, {g.apply(rep): 1 for g in mats}), rep
 
 
 def dense_free_decomposition(G, algebra_gens, module_gens, bound):
@@ -387,16 +391,20 @@ def naive_closure(lattice):
 def check_closure(G, conjugator):
     """G, as ``close`` enumerated it, against :func:`naive_closure`: the
     same elements in the same BFS order, with every table entry a matrix
-    product; and ``induced_group`` through the lattice conjugated by
-    ``conjugator`` gives the conjugated elements in that BFS order."""
+    product, and the same elements again from the matrix closure
+    (``PERMUTATION_BUDGET`` = 0); and ``induced_group`` through the lattice
+    conjugated by ``conjugator`` gives the conjugated elements in that BFS
+    order."""
     gens, found = naive_closure(G.lattice)
-    assert list(G.elements) == found
+    assert elements(G) == found
     for k, g in enumerate(gens):
-        assert all(G.elements[G.left[k][x]] == g * G.elements[x] for x in range(G.order)), k
+        assert all(G.element(G.left[k][x]) == g * G.element(x) for x in range(G.order)), k
+    with mock.patch.object(groups, "PERMUTATION_BUDGET", 0):
+        assert elements(close(G.lattice)) == found
     u, u_inv = conjugator, unimodular_inverse(conjugator)
     image = GLattice(G.lattice.rank, [u * g * u_inv for g in G.lattice.generators])
     H = induced_group(G, image)
-    assert list(H.elements) == [u * x * u_inv for x in found]
+    assert elements(H) == [u * x * u_inv for x in found]
 
 
 def check_permutation_closure(lattice):
@@ -406,7 +414,7 @@ def check_permutation_closure(lattice):
     G = close(lattice)
     with mock.patch.object(groups, "PERMUTATION_BUDGET", 0):
         H = close(lattice)
-    assert G.elements == H.elements and G.left == H.left
+    assert elements(G) == elements(H) and G.left == H.left
     assert list(G._parent) == list(H._parent) and list(G._letter) == list(H._letter)
     return groups._unit_orbits(lattice, groups.PERMUTATION_BUDGET) is not None
 
@@ -508,14 +516,15 @@ def minimal_classes_oracle(G, classes):
     representatives' index tuples: those with no conjugate of a smaller
     nontrivial class inside, searched over every g in G with matrix
     products g h g^-1 looked up by value."""
-    index = {m: i for i, m in enumerate(G.elements)}
-    inverses = [unimodular_inverse(g) for g in G.elements]
+    mats = elements(G)
+    index = {m: i for i, m in enumerate(mats)}
+    inverses = [unimodular_inverse(g) for g in mats]
     nontrivial = [frozenset(h) for h in classes if len(h) > 1]
 
     def conjugate_inside(small, big):
         return any(
-            all(index[g * G.elements[i] * g_inv] in big for i in small)
-            for g, g_inv in zip(G.elements, inverses)
+            all(index[g * mats[i] * g_inv] in big for i in small)
+            for g, g_inv in zip(mats, inverses)
         )
 
     return [
@@ -549,9 +558,9 @@ def _by_value(G):
     entries; products of group elements stay group elements, so their
     entries stay as small as the elements' own."""
     n = G.lattice.rank
-    mats = np.array([g.row_lists() for g in G.elements], dtype=np.int64).reshape(G.order, n, n)
+    mats = np.array([g.row_lists() for g in elements(G)], dtype=np.int64).reshape(G.order, n, n)
     assert np.abs(mats).max() <= 2**20, "entries too large for exact int64 products"
-    return mats, {g.entries: i for i, g in enumerate(G.elements)}
+    return mats, {g.entries: i for i, g in enumerate(elements(G))}
 
 
 def _lookup(index, products):
@@ -586,7 +595,7 @@ def commutator_seed(G, indices):
     mats, index = _by_value(G)
     indices = list(indices)
     own = mats[indices]
-    inverses = np.array([unimodular_inverse(G.elements[i]).row_lists() for i in indices], dtype=np.int64)
+    inverses = np.array([unimodular_inverse(G.element(i)).row_lists() for i in indices], dtype=np.int64)
     inverses = inverses.reshape(own.shape)
     seed = set()
     for x, x_inv in zip(own, inverses):
@@ -615,7 +624,7 @@ def induced_group(G, lattice):
         images[x] = gens[G._letter[x]] * images[G._parent[x]]
     if len(set(images)) != G.order:
         raise TheoremViolation("the representation is not faithful")
-    return FiniteMatrixGroup(lattice, images, G.left, G._parent, G._letter)
+    return FiniteMatrixGroup(lattice, [m.entries for m in images], G.left, G._parent, G._letter)
 
 
 def diagonal_group(G, lattice):
@@ -632,8 +641,8 @@ def diagonal_group(G, lattice):
     images = tuple(block_diagonal([g] * r) for g in G.lattice.generators)
     if lattice.rank != r * n or lattice.generators != images:
         raise ValueError("the lattice is not a diagonal sum of the group's lattice")
-    elements = [block_diagonal([x] * r) for x in G.elements]
-    return FiniteMatrixGroup(lattice, elements, G.left, G._parent, G._letter)
+    images = [block_diagonal([x] * r).entries for x in elements(G)]
+    return FiniteMatrixGroup(lattice, images, G.left, G._parent, G._letter)
 
 
 def materialized_copies_report(lat, r):

@@ -1,13 +1,15 @@
+import io
 import math
 import random
 import time
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multinv import groups
+from multinv import cli, groups
 from multinv.errors import CapExceeded, InfiniteGroup, InfiniteOrderElement
 from multinv.groups import (
     DEFAULT_CAP,
@@ -31,7 +33,16 @@ from multinv.isotropy import enumerate_isotropy_groups, witness_vector
 from multinv.obstruction import direct_sum_copies, effective_reduction
 from multinv.reflections import bireflection_subgroup
 
-from helpers import conjugated_lattice, diag, random_unimodular, transposition, cycle, unipotent
+from helpers import (
+    conjugated_lattice,
+    counted_builds,
+    cycle,
+    diag,
+    elements,
+    random_unimodular,
+    transposition,
+    unipotent,
+)
 from oracles import (
     are_conjugate_subgroups,
     check_closure,
@@ -193,9 +204,10 @@ class TestConjugacy:
 
 def test_closure_idempotent():
     g = s3_group()
-    seen = {m.entries for m in g.elements}
-    for a in g.elements:
-        for b in g.elements:
+    mats = elements(g)
+    seen = {m.entries for m in mats}
+    for a in mats:
+        for b in mats:
             assert (a * b).entries in seen
 
 
@@ -442,7 +454,7 @@ def test_an_orbit_past_the_budget_leaves_the_closure_unchanged(monkeypatch):
     monkeypatch.setattr(groups, "ORBIT_BUDGET", 1)
     assert schreier_sims_order(builtin("sym7_u7")) is None
     G = close(builtin("sym7_u7"))
-    assert G.elements == expected.elements and G.left == expected.left
+    assert elements(G) == elements(expected) and G.left == expected.left
     assert list(G._parent) == list(expected._parent) and list(G._letter) == list(expected._letter)
 
 
@@ -453,7 +465,7 @@ def test_the_unit_orbits_stop_at_their_budget():
     units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     points, perms = groups._unit_orbits(lat, 36)
     assert len(points) == len(set(points)) == 36 and points[:4] == units
-    assert set(points) == {g.apply(e) for g in close(lat).elements for e in units}
+    assert set(points) == {g.apply(e) for g in elements(close(lat)) for e in units}
     assert [type(p) for p in perms] == [tuple, tuple]
     for g, perm in zip(lat.generators, perms):
         assert [points[j] for j in perm] == [g.apply(x) for x in points]
@@ -508,6 +520,44 @@ def test_powers_that_never_reach_the_identity_raise(monkeypatch):
         G.element_order(1)
 
 
+# -- elements on demand: compact forms, one matrix each when read ---------------
+
+
+def test_sym8_u8_closes_in_under_half_its_eager_memory():
+    """The compact elements, table and words of an order-40,320 group:
+    building all 40,320 matrices eagerly held 31.5 MB."""
+    tracemalloc.start()
+    try:
+        G = close(builtin("sym8_u8"))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.order == 40320
+    assert held < 15.75e6, held
+
+
+@pytest.mark.parametrize("budget", [groups.PERMUTATION_BUDGET, 0])
+def test_an_element_matrix_is_built_once(budget, monkeypatch):
+    """On permutations and on matrices; the matrix path wraps the entry
+    tuple it holds without copying it."""
+    monkeypatch.setattr(groups, "PERMUTATION_BUDGET", budget)
+    G = close(builtin("root_a3"))
+    built = counted_builds(monkeypatch)
+    for i in range(G.order):
+        assert G.element(i) is G.element(i)
+        if budget == 0:
+            assert G.element(i).entries is G._compact[i]
+    assert len(built) == G.order
+
+
+def test_analyze_sym7_u7_builds_few_element_matrices(monkeypatch):
+    """The catalog keys every element off its compact form, so the
+    analysis reads only a few generators' and generating sets' matrices."""
+    built = counted_builds(monkeypatch)
+    assert cli.run(["analyze", "builtin:sym7_u7"], io.StringIO()) == 0
+    assert 0 < len(built) <= 60, len(built)
+
+
 # -- the Cayley-table kernel against matrix arithmetic -------------------------
 
 
@@ -534,7 +584,7 @@ def _sample_pairs(G, rng):
 
 
 def check_products(G, pairs):
-    mats = G.elements
+    mats = elements(G)
     inverses = {}
     for i, j in pairs:
         product_ = mats[i] * mats[j]
@@ -546,7 +596,7 @@ def check_products(G, pairs):
 
 def check_inverses_and_orders(G):
     ident = IntMatrix.identity(G.lattice.rank)
-    for i, m in enumerate(G.elements):
+    for i, m in enumerate(elements(G)):
         assert G.inv(i) == index_of(G, unimodular_inverse(m)), i
         power, order = m, 1
         while power != ident:
@@ -558,7 +608,7 @@ def check_table(G):
     gens = list(dict.fromkeys(G.lattice.generators))
     assert len(G.left) == len(gens)
     for row, g in zip(G.left, gens):
-        assert list(row) == [index_of(G, g * m) for m in G.elements]
+        assert list(row) == [index_of(G, g * m) for m in elements(G)]
 
 
 def check_stabilizer_masks(catalog, vectors):
@@ -676,7 +726,7 @@ def test_induced_group_matches_a_second_closure(name):
         assert lat is not base
         G = induced_group(close(base), lat)
     H = close(lat)
-    assert G.elements == H.elements
+    assert elements(G) == elements(H)
     assert G.left == H.left
     assert G.identity_index == H.identity_index and G.generator_indices == H.generator_indices
     check_products(G, _sample_pairs(G, random.Random(1)))

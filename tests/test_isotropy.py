@@ -673,12 +673,39 @@ def _sparse_permutation(size, rng):
     return image
 
 
-@pytest.mark.parametrize("size, count", [(0, 0), (5, 0), (6, "identity"), (12, 2), (25, 3), (40, 3)])
+@pytest.mark.parametrize("size, count", [(0, 0), (5, 0), (6, "identity"), (12, 2), (25, 3), (40, 3), (30, "fixed")])
 @pytest.mark.parametrize("seed", range(4))
-def test_least_orbit_points_partition_the_points(size, count, seed):
+def test_least_orbit_points_partition_the_points(size, count, seed, monkeypatch):
+    """Only orbits of more than one point are walked."""
     rng = random.Random(seed)
     if count == "identity":
         perms = [list(range(size))]
+    elif count == "fixed":
+        # three cycles on the odd points; every even point is fixed by all
+        odd = [_sparse_permutation(size // 2, rng) for _ in range(3)]
+        perms = [[x if x % 2 == 0 else 2 * s[x // 2] + 1 for x in range(size)] for s in odd]
     else:
         perms = [_sparse_permutation(size, rng) for _ in range(count)]
-    assert isotropy._least_orbit_points(perms, size) == _orbit_minima(perms, size)
+    walks = []
+    breadth_first = isotropy._breadth_first
+    monkeypatch.setattr(isotropy, "_breadth_first", lambda *args: walks.append(args[0]) or breadth_first(*args))
+    reps = isotropy._least_orbit_points(perms, size)
+    assert reps == _orbit_minima(perms, size)
+    fixed = [x for x in range(size) if all(s[x] == x for s in perms)]
+    assert len(walks) == len(reps) - len(fixed)
+    if count == "fixed":
+        assert set(range(0, size, 2)) <= set(fixed)
+
+
+@pytest.mark.parametrize("name", ["sym7_u7", "root_a5", "icosian", "conj_root_a3.json", "identity generator"])
+def test_conjugation_tables_are_conjugates(name):
+    """Each generator's table, filled along the BFS tree, is x -> g x g^-1."""
+    if name == "identity generator":
+        G = close(GLattice(3, [C4, IntMatrix.identity(3), C4]))
+    else:
+        G = _group(name)
+    tables = isotropy._conjugation_tables(G)
+    assert sorted(tables) == list(G.generator_indices)
+    for g, table in tables.items():
+        assert type(table) is list
+        assert table == [G.conj(g, i) for i in range(G.order)], g

@@ -21,7 +21,7 @@ from multinv.orbit_algebra import (
     verify_free_decomposition,
 )
 
-from helpers import cycle, diag, transposition
+from helpers import counted_builds, cycle, diag, transposition
 from oracles import check_certificate, dense_free_decomposition, orbit_representative, product_value
 
 
@@ -485,3 +485,13 @@ def test_box_of_zero_and_width():
     e = LaurentElement(2, {(3, -1): 2, (-2, 0): -1})
     assert e.newton_box() == ((-2, -1), (3, 0))
     assert e.support_width() == 3
+
+
+def test_one_verification_builds_each_element_matrix_at_most_once(monkeypatch):
+    """Every orbit reads every element; the matrices are built once, on a
+    group whose matrices no orbit sum has read yet."""
+    group, algebra, module = _orbit_preset("alt_laurent", 4)
+    G = close(group.lattice)
+    built = counted_builds(monkeypatch)
+    assert verify_free_decomposition(G, algebra, module, 4).ok
+    assert 0 < len(built) <= G.order, len(built)
