@@ -40,9 +40,11 @@ Algorithms*).  When X has at most ``PERMUTATION_BUDGET`` = 64 points, as
 it has for every ``DEFAULT_BUILTINS`` group but ``icosian``, :func:`close`
 knows the order before it builds a second element, then enumerates G on
 X: an element is the indices in X of its columns, and a product is one
-lookup per column.  ``sym7_u7`` (|X| = 7) closes in about 15 ms, against
-80-100 ms by matrix products.  A larger X keeps the matrix closure, which
-asks for the order once it has built ``ORDER_CHECK_AT`` elements.
+lookup per column.  ``sym7_u7`` (|X| = 7) closes in about 7 ms, against
+about 80 ms by matrix products.  A larger X keeps the matrix closure on
+:mod:`packed` matrices, which asks for the order once it has built
+``ORDER_CHECK_AT`` elements: a conjugated ``icosian`` closes in about
+4 ms, against 15 ms with tuples of entries.
 """
 
 from __future__ import annotations
@@ -53,17 +55,18 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from math import gcd, inf, prod
-from operator import add, methodcaller
+from operator import methodcaller
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded, InfiniteGroup, InfiniteOrderElement, InvalidGenerator, TheoremViolation
 from .intlinalg import IntMatrix, rref_mod
+from .packed import left_product, pack, unpack
 
 DEFAULT_CAP = 10**6
 # the matrix closure computes the order once it has built this many
 # elements.  On a conjugated input X can have hundreds of points (540 for
-# root_a5, of order 720), and the order then costs more than closing the
-# group, so no group of order up to 720 pays for it
+# root_a5, of order 720), and the order then costs about 90 ms against
+# 10 ms to close the group, so no group of order up to 720 pays for it
 ORDER_CHECK_AT = 2048
 # the most points of X that schreier_sims_order walks before it gives up;
 # its transversals hold two permutations of X per point.  Walking 960
@@ -112,9 +115,9 @@ class FiniteMatrixGroup:
     the benchmark groups have 25 letters, on sym7_u7 (16.7 on average).
 
     Element x is kept as :func:`close` built it, the bytes of its columns'
-    indices in X or its entry tuple; ``element(x)`` builds its matrix on
-    first read.  ``close(builtin("sym8_u8"))`` holds 8.7 MB under
-    ``tracemalloc``, against 31.5 MB with every matrix built.
+    indices in X or its entries packed in one int; ``element(x)`` builds
+    its matrix on first read.  ``close(builtin("sym8_u8"))`` holds 8.7 MB
+    under ``tracemalloc``, against 31.5 MB with every matrix built.
 
     ``prime`` is the least prime p that does not divide the order, so by
     Maschke every subgroup's fixed lattice reduces mod p to its fixed space
@@ -128,13 +131,14 @@ class FiniteMatrixGroup:
     """
 
     def __init__(self, lattice: GLattice, compact: Sequence, left: Sequence[Sequence[int]],
-                 parents: Sequence[int], letters: Sequence[int], points: Sequence | None = None):
-        """Keeps :func:`close`'s arrays as they are; ``points`` is X, or None for entry tuples."""
+                 parents: Sequence[int], letters: Sequence[int], points: Sequence | None = None, width: int = 0):
+        """Keeps :func:`close`'s arrays; ``points`` is X, or None for ints of ``width``-bit fields."""
         n = len(compact)
         self.lattice = lattice
         self.order = n
         self._compact = compact
         self._points = points
+        self._width = width
         self._matrices = [None] * n
         self.left = tuple(left)
         self._parent = parents
@@ -151,17 +155,19 @@ class FiniteMatrixGroup:
         self._fixed_keys: dict[int, tuple] = {}
 
     def element(self, i: int) -> IntMatrix:
-        """Element i's matrix, built on first read; an entry tuple is wrapped as it is."""
+        """Element i's matrix, built on first read."""
         g = self._matrices[i]
         if g is None:
             n, x = self.lattice.rank, self._compact[i]
-            g = self._matrices[i] = IntMatrix(n, n, x if self._points is None else chain.from_iterable(self._rows(i)))
+            x = unpack(x, n * n, self._width) if self._points is None else chain.from_iterable(self._rows(i))
+            g = self._matrices[i] = IntMatrix(n, n, x)
         return g
 
     def _rows(self, i: int) -> Iterable:
         """Element i's rows, read off its compact form."""
         n, x = self.lattice.rank, self._compact[i]
         if self._points is None:
+            x = unpack(x, n * n, self._width)
             return [x[r * n : r * n + n] for r in range(n)]
         return zip(*map(self._points.__getitem__, x))
 
@@ -264,9 +270,9 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
     Equal matrices have equal columns, so the BFS, its table, parents and
     letters are those of the matrix products below; the group keeps them.
 
-    Past the budget, as on every infinite group, elements are held as
-    matrix entries and multiplied, and the closure stops at the first
-    proof that the group is infinite.  By Minkowski, the kernel of
+    Past the budget, as on every infinite group, :func:`_packed_closure`
+    multiplies matrices, and the closure stops at the first proof that
+    the group is infinite.  By Minkowski, the kernel of
     GL_n(Z) -> GL_n(Z/3) is torsion-free, so a finite group injects into
     its reduction mod 3; every new element is keyed by its entries mod 3,
     and two distinct elements with one key raise :class:`InfiniteGroup`,
@@ -291,7 +297,7 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
     n = lattice.rank
     walk = _unit_orbits(lattice, PERMUTATION_BUDGET)
     if walk is not None:
-        points, perms = walk
+        (points, perms), width = walk, 0
         order = _permutation_group_order(perms, len(points), cap)
         if order > cap:
             raise CapExceeded(cap)
@@ -302,41 +308,60 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
             [bytes(range(n))], [methodcaller("translate", t) for t in tables], partial(_within_cap, cap)
         )
     else:
-        identity = IntMatrix.identity(n).entries
-        residues = {_mod3(identity): identity}
-        order = None
-
-        def admit(y: tuple[int, ...], j: int) -> None:
-            nonlocal order
-            twin = residues.setdefault(_mod3(y), y)
-            if twin is not y:
-                raise InfiniteGroup(cap, IntMatrix(n, n, twin), IntMatrix(n, n, y))
-            _within_cap(cap, y, j)
-            if abs(sum(y[:: n + 1])) > n:
-                raise InfiniteOrderElement(cap, IntMatrix(n, n, y))
-            if j + 1 == ORDER_CHECK_AT:
-                order = schreier_sims_order(lattice, cap)
-                if order is not None and order > cap:
-                    raise CapExceeded(cap)
-
-        rows = [_sparse_rows(lattice.generators[p]) for p in _table_rows(lattice.generators)]
-        found, left, parents, letters = _breadth_first([identity], [partial(_left_product, r, n) for r in rows], admit)
-        points = None
+        points, width = None, 32
+        while (closed := _packed_closure(lattice, cap, width)) is None:
+            width *= 2
+        found, left, parents, letters, order = closed
     if order is not None and order != len(found):
         raise TheoremViolation(f"closure built {len(found)} elements, but the group's order is {order}")
-    return FiniteMatrixGroup(lattice, found, left, parents, letters, points)
+    return FiniteMatrixGroup(lattice, found, left, parents, letters, points, width)
 
 
-def _breadth_first(starts: Sequence, products: Sequence[Callable], admit: Callable) -> tuple:
+def _packed_closure(lattice: GLattice, cap: int, width: int) -> tuple | None:
+    """:func:`close`'s matrix path on :mod:`packed` elements of ``width``-bit
+    fields: the walk's lists and the order if computed, or None once an
+    element is too large.  A product g_k x has entries at most ``norm``, the
+    largest row 1-norm of a generator, times x's largest, so no product of
+    an element with entries below 2^(width - 1) / norm overflows a field."""
+    n = lattice.rank
+    gens = [lattice.generators[p] for p in _table_rows(lattice.generators)]
+    norm = max((sum(map(abs, g.row(i))) for g in gens for i in range(n)), default=1)
+    if (limit := -(-(1 << width - 1) // norm)) <= 1:
+        return None
+    identity = IntMatrix.identity(n).entries
+    found, residues, order = [pack(identity, width)], {_mod3(identity): 0}, None
+
+    def admit(y: int, j: int) -> None:
+        nonlocal order
+        entries = unpack(y, n * n, width)
+        twin = residues.setdefault(_mod3(entries), j)
+        if twin != j:
+            raise InfiniteGroup(cap, IntMatrix(n, n, unpack(found[twin], n * n, width)), IntMatrix(n, n, entries))
+        _within_cap(cap, y, j)
+        if abs(sum(entries[:: n + 1])) > n:
+            raise InfiniteOrderElement(cap, IntMatrix(n, n, entries))
+        if max(entries) >= limit or min(entries) <= -limit:
+            raise OverflowError
+        if j + 1 == ORDER_CHECK_AT:
+            order = schreier_sims_order(lattice, cap)
+            if order is not None and order > cap:
+                raise CapExceeded(cap)
+
+    try:
+        return *_breadth_first(found, [left_product(g, width) for g in gens], admit), order
+    except OverflowError:
+        return None
+
+
+def _breadth_first(found: list, products: Sequence[Callable], admit: Callable) -> tuple:
     """Every point reachable from the starts under the product maps, in
     BFS order with the starts first (the orbit algorithm of Holt, Eick and
-    O'Brien, ch. 4.1); with the table ``left[k][x]``, the index of
-    ``products[k]`` applied to point x, and each later point's BFS parent
-    and letter (a start's are 0).  From the identity under the generators'
+    O'Brien, ch. 4.1), appended to ``found``, the list of starts; with the
+    table ``left[k][x]``, the index of ``products[k]`` applied to point x,
+    and each later point's BFS parent and letter (a start's are 0).  From the identity under the generators'
     products, these are the elements, left Cayley table and BFS tree of
     :class:`FiniteMatrixGroup`.  ``admit(y, j)`` sees each new point y and
     its index j first, and may refuse it by raising."""
-    found = list(starts)
     index = {x: j for j, x in enumerate(found)}
     left = [array("i") for _ in products]
     parents, letters = array("i", [0]) * len(found), array("H", [0]) * len(found)
@@ -480,31 +505,6 @@ def _permutation_group_order(perms: Sequence[tuple[int, ...]], degree: int, boun
 def _mod3(entries: tuple[int, ...]) -> bytes:
     """Entries reduced mod 3 (to 0, 1, 2, negative ones too), one to a byte."""
     return bytes(map((3).__rmod__, entries))
-
-
-def _sparse_rows(g: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """g's rows as the (offset, coefficient) pairs of their nonzero entries;
-    the offset of column t is where row t of a right factor with as many
-    columns as g starts in its entries."""
-    n = g.cols
-    return tuple(tuple((t * n, a) for t, a in enumerate(g.row(i)) if a) for i in range(g.rows))
-
-
-def _left_product(rows, n: int, x: tuple[int, ...]) -> tuple[int, ...]:
-    """Entries of g x, from g's sparse rows and the entries of x (n columns).
-
-    Row i of g x is the combination of x's rows that row i of g names,
-    summed through lazy ``map`` chains: a signed-permutation generator
-    costs one slice per row, and no product makes an ``IntMatrix``.
-    """
-    out: list[int] = []
-    for row in rows:
-        acc = None
-        for o, a in row:
-            seg = x[o : o + n] if a == 1 else map(a.__mul__, x[o : o + n])
-            acc = seg if acc is None else map(add, acc, seg)
-        out += acc
-    return tuple(out)
 
 
 def block_diagonal(blocks: Sequence[IntMatrix]) -> IntMatrix:

@@ -40,6 +40,7 @@ from multinv import groups
 from multinv.errors import TheoremViolation
 from multinv.catalog import parse_group_definition
 from multinv.groups import FiniteMatrixGroup, GLattice, Subgroup, block_diagonal, close
+from multinv.packed import pack
 from multinv.intlinalg import (
     IntMatrix,
     common_fixed_lattice,
@@ -375,32 +376,38 @@ def dense_free_decomposition(G, algebra_gens, module_gens, bound):
 def naive_closure(lattice):
     """Breadth-first closure with ``IntMatrix.__mul__``: the identity, then
     g x for every element x in the order found and every distinct
-    generator g in the lattice's order."""
+    generator g in the lattice's order; with each element's BFS parent and
+    letter (the identity's are 0)."""
     gens = list(dict.fromkeys(lattice.generators))
     found = [IntMatrix.identity(lattice.rank)]
     seen = set(found)
-    for x in found:
-        for g in gens:
-            y = g * x
+    parents, letters = [0], [0]
+    for x, m in enumerate(found):
+        for k, g in enumerate(gens):
+            y = g * m
             if y not in seen:
                 seen.add(y)
                 found.append(y)
-    return gens, found
+                parents.append(x)
+                letters.append(k)
+    return gens, found, parents, letters
 
 
 def check_closure(G, conjugator):
-    """G, as ``close`` enumerated it, against :func:`naive_closure`: the
-    same elements in the same BFS order, with every table entry a matrix
-    product, and the same elements again from the matrix closure
-    (``PERMUTATION_BUDGET`` = 0); and ``induced_group`` through the lattice
-    conjugated by ``conjugator`` gives the conjugated elements in that BFS
-    order."""
-    gens, found = naive_closure(G.lattice)
-    assert elements(G) == found
-    for k, g in enumerate(gens):
-        assert all(G.element(G.left[k][x]) == g * G.element(x) for x in range(G.order)), k
+    """G, as ``close`` enumerated it, and the matrix closure of its lattice
+    (``PERMUTATION_BUDGET`` = 0), against :func:`naive_closure`: the same
+    elements in the same BFS order, the same BFS parents and letters, and
+    every table entry a matrix product; and ``induced_group`` through the
+    lattice conjugated by ``conjugator`` gives the conjugated elements in
+    that BFS order."""
+    gens, found, parents, letters = naive_closure(G.lattice)
     with mock.patch.object(groups, "PERMUTATION_BUDGET", 0):
-        assert elements(close(G.lattice)) == found
+        H = close(G.lattice)
+    for K in (G, H):
+        assert elements(K) == found
+        assert (list(K._parent), list(K._letter)) == (parents, letters)
+        for k, g in enumerate(gens):
+            assert all(K.element(K.left[k][x]) == g * found[x] for x in range(K.order)), k
     u, u_inv = conjugator, unimodular_inverse(conjugator)
     image = GLattice(G.lattice.rank, [u * g * u_inv for g in G.lattice.generators])
     H = induced_group(G, image)
@@ -624,7 +631,7 @@ def induced_group(G, lattice):
         images[x] = gens[G._letter[x]] * images[G._parent[x]]
     if len(set(images)) != G.order:
         raise TheoremViolation("the representation is not faithful")
-    return FiniteMatrixGroup(lattice, [m.entries for m in images], G.left, G._parent, G._letter)
+    return _packed_group(lattice, [m.entries for m in images], G)
 
 
 def diagonal_group(G, lattice):
@@ -642,7 +649,19 @@ def diagonal_group(G, lattice):
     if lattice.rank != r * n or lattice.generators != images:
         raise ValueError("the lattice is not a diagonal sum of the group's lattice")
     images = [block_diagonal([x] * r).entries for x in elements(G)]
-    return FiniteMatrixGroup(lattice, images, G.left, G._parent, G._letter)
+    return _packed_group(lattice, images, G)
+
+
+def _packed_group(lattice, images, G):
+    """The group on ``lattice`` whose elements have the entry tuples
+    ``images``, in G's BFS order, with G's table and BFS tree; the entries
+    are packed as ``close`` packs them, at the least of its field widths
+    32, 64, 128, ... bits that holds them."""
+    width = 32
+    while any(abs(e) >= 1 << width - 1 for x in images for e in x):
+        width *= 2
+    packed = [pack(x, width) for x in images]
+    return FiniteMatrixGroup(lattice, packed, G.left, G._parent, G._letter, width=width)
 
 
 def materialized_copies_report(lat, r):
