@@ -14,7 +14,6 @@ from .catalog import (
 )
 from .errors import (
     CapExceeded,
-    GeneratorMismatch,
     InfiniteGroup,
     InfiniteOrderElement,
     InvalidGenerator,
@@ -32,23 +31,18 @@ from .groups import (
     FiniteMatrixGroup,
     GLattice,
     Subgroup,
-    abelianization,
     close,
     commutator_subgroup,
     element_order_histogram,
-    full_subgroup,
     is_perfect,
     subgroup_generated,
-    trivial_subgroup,
 )
 from .intlinalg import (
     IntMatrix,
-    QuotientInvariants,
     SmithDecomposition,
     hnf,
     hnf_basis,
     kernel_lattice,
-    lattice_quotient_invariants,
     rank,
     snf,
 )
@@ -75,7 +69,6 @@ from .obstruction import (
     copies_verdict,
     direct_sum_copies,
     effective_reduction,
-    rationally_isomorphic,
 )
 from .orbit_algebra import (
     DecompositionCertificate,
@@ -90,6 +83,6 @@ from .orbit_algebra import (
     orbit_sum,
     verify_free_decomposition,
 )
-from .reflections import bireflection_subgroup, moved_rank, moved_rank_subgroup
+from .reflections import bireflection_subgroup
 
 __version__ = "0.1.0"

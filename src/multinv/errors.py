@@ -54,10 +54,6 @@ class NotIsotropy(ValueError):
     """Subgroup is not the exact pointwise stabilizer of its fixed lattice."""
 
 
-class GeneratorMismatch(ValueError):
-    """Paired generator lists do not close to compatible groups."""
-
-
 class NotInvariant(ValueError):
     """Element of the Laurent algebra is not fixed by the group action."""
 

@@ -1,4 +1,4 @@
-"""Finite subgroups of GL_n(Z): closure, subgroups, commutators, abelianization.
+"""Finite subgroups of GL_n(Z): closure, subgroups, commutators, abelian invariants.
 
 A :class:`FiniteMatrixGroup` lists its elements in the BFS order of its
 closure, in the compact form the closure built, and builds a matrix only
@@ -158,13 +158,13 @@ class FiniteMatrixGroup:
         """Element i's matrix, built on first read."""
         g = self._matrices[i]
         if g is None:
-            n, x = self.lattice.rank, self._compact[i]
-            x = unpack(x, n * n, self._width) if self._points is None else chain.from_iterable(self._rows(i))
-            g = self._matrices[i] = IntMatrix(n, n, x)
+            n = self.lattice.rank
+            g = self._matrices[i] = IntMatrix(n, n, chain.from_iterable(self._rows(i)))
         return g
 
     def _rows(self, i: int) -> Iterable:
-        """Element i's rows, read off its compact form."""
+        """Element i's rows, read off its compact form: the one reader of
+        both forms."""
         n, x = self.lattice.rank, self._compact[i]
         if self._points is None:
             x = unpack(x, n * n, self._width)
@@ -292,8 +292,11 @@ def close(lattice: GLattice, cap: int = DEFAULT_CAP) -> FiniteMatrixGroup:
     walk passes ``ORBIT_BUDGET`` points, the closure goes on without it.
 
     On either path, a count that differs from a known order raises
-    :class:`TheoremViolation`.
+    :class:`TheoremViolation`.  Every group holds its identity, so a cap
+    below 1 raises ``CapExceeded(cap)`` before either path starts.
     """
+    if cap < 1:
+        raise CapExceeded(cap)
     n = lattice.rank
     walk = _unit_orbits(lattice, PERMUTATION_BUDGET)
     if walk is not None:
@@ -599,14 +602,6 @@ def _extend(G: FiniteMatrixGroup, closed: set[int], gens: Sequence[int], g: int)
     return result
 
 
-def full_subgroup(G: FiniteMatrixGroup) -> Subgroup:
-    return Subgroup(G, range(G.order))
-
-
-def trivial_subgroup(G: FiniteMatrixGroup) -> Subgroup:
-    return Subgroup(G, [G.identity_index])
-
-
 def subgroup_generated(G: FiniteMatrixGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of G containing the seed indices."""
     return Subgroup(G, _greedy_generators(G, sorted(set(seed)))[1])
@@ -699,12 +694,6 @@ def _log(x: int, p: int) -> int:
         x //= p
         e += 1
     return e
-
-
-def abelianization(h: Subgroup) -> tuple[int, ...]:
-    """Invariant factors of h modulo its commutator subgroup."""
-    orders, _ = coset_orders(h, commutator_subgroup(h))
-    return abelian_invariants(orders)
 
 
 def element_order_histogram(g: FiniteMatrixGroup | Subgroup) -> dict[int, int]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 
 class IntMatrix:
@@ -85,19 +85,6 @@ class IntMatrix:
         for m in mats:
             flat.extend(m.entries)
         return IntMatrix(sum(m.rows for m in mats), width, flat)
-
-    @staticmethod
-    def hstack(mats: Sequence["IntMatrix"]) -> "IntMatrix":
-        if not mats:
-            raise ValueError("hstack of nothing")
-        height = mats[0].rows
-        if any(m.rows != height for m in mats):
-            raise ValueError("row counts differ")
-        flat = []
-        for i in range(height):
-            for m in mats:
-                flat.extend(m.row(i))
-        return IntMatrix(height, sum(m.cols for m in mats), flat)
 
     # -- access --------------------------------------------------------
 
@@ -169,11 +156,6 @@ class IntMatrix:
                     s += a * vec[j]
             out.append(s)
         return tuple(out)
-
-    def trace(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum(self.entry(i, i) for i in range(self.rows))
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -611,21 +593,6 @@ def rref_mod(rows: Iterable[Sequence[int]], p: int, base: tuple[bytes, ...] = ()
         out.insert(at, v)
         pivots.insert(at, c)
     return base if len(out) == len(base) else tuple(out)
-
-
-class QuotientInvariants(NamedTuple):
-    """Structure of an ambient lattice modulo a row span."""
-
-    factors: tuple[int, ...]  # nonzero Smith diagonal entries, ascending chain
-    free_rank: int
-
-
-def lattice_quotient_invariants(ambient_rank: int, sub_basis: IntMatrix) -> QuotientInvariants:
-    """Invariant factors of ``Z^ambient / rowspan(sub_basis)``."""
-    if sub_basis.cols != ambient_rank:
-        raise ValueError("sub-basis rows do not live in the ambient lattice")
-    factors = snf(sub_basis).invariant_factors()
-    return QuotientInvariants(factors, ambient_rank - len(factors))
 
 
 def quotient_transform(sub_basis: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

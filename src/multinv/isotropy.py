@@ -148,16 +148,6 @@ class IsotropyCatalog:
     classes: tuple[IsotropyClass, ...]
     _orbit_index: dict[tuple[int, ...], IsotropyClass] = field(default_factory=dict)  # sorted members -> class
 
-    def class_for(self, h: Subgroup) -> IsotropyClass:
-        """The class of h, a subgroup of this catalog's group; raises
-        KeyError when h is not an isotropy group."""
-        if h.parent is not self.group:
-            raise ValueError("subgroup of a different group")
-        cl = self._orbit_index.get(h.indices)
-        if cl is None:
-            raise KeyError("subgroup is not conjugate to any catalog class")
-        return cl
-
     def nontrivial_classes(self) -> list[IsotropyClass]:
         return [cl for cl in self.classes if cl.order > 1]
 
@@ -297,6 +287,9 @@ def isotropy_orbits(G: FiniteMatrixGroup) -> Iterator[tuple[Subgroup, list[tuple
                     root, orbit = sweep(meet)
                     queue.append((meet, root))
                     yield root, orbit
+    # every cyclic key is the meet of prime-power keys, so the sweep reached it
+    if not stabilizers.keys() >= cyclic.keys():
+        raise TheoremViolation("a cyclic fixed space was never swept")
 
 
 def _conjugation_tables(G: FiniteMatrixGroup) -> dict[int, list[int]]:

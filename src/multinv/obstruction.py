@@ -74,7 +74,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from .errors import GeneratorMismatch, TheoremViolation
+from .errors import TheoremViolation
 from .groups import (
     DEFAULT_CAP,
     GLattice,
@@ -195,33 +195,6 @@ def _sum_name(lat: GLattice, r: int) -> str:
     if r == 1:
         return lat.name
     return f"{lat.name}^{r}" if lat.name else f"sum^{r}"
-
-
-def rationally_isomorphic(l1: GLattice, l2: GLattice, cap: int = DEFAULT_CAP) -> bool:
-    """Trace equality over the paired closure.
-
-    Generator i of the first lattice is matched with generator i of the
-    second; the group of block-diagonal pairs is closed (raising
-    CapExceeded past the cap) and traces compared on every pair.
-    Rational representations of a finite group are determined by their
-    characters, so trace equality decides rational isomorphism.
-    """
-    if len(l1.generators) != len(l2.generators):
-        raise GeneratorMismatch("generator lists have different lengths")
-    n1, n = l1.rank, l1.rank + l2.rank
-    pairs = close(GLattice(n, [block_diagonal([a, b]) for a, b in zip(l1.generators, l2.generators)]), cap)
-    # the top n1 rows hold the first block, the other rows the second
-    elements = [pairs.element(i) for i in range(pairs.order)]
-    firsts = {m.entries[: n1 * n] for m in elements}
-    seconds = {m.entries[n1 * n :] for m in elements}
-    if len(firsts) != pairs.order or len(seconds) != pairs.order:
-        raise GeneratorMismatch(
-            "paired generator words close to groups of different orders"
-        )
-    return all(
-        sum(m.entry(i, i) for i in range(n1)) == sum(m.entry(i, i) for i in range(n1, n))
-        for m in elements
-    )
 
 
 def _condition_row(cl: IsotropyClass, effective_rank: int, copies: int) -> IsotropyConditionRow:

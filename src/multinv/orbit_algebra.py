@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product as iter_product
-from operator import add
+from operator import add, index
 
 from .errors import NotInvariant, ParityViolation, TheoremViolation, ValidationError
 from .groups import FiniteMatrixGroup
@@ -58,8 +58,9 @@ class LaurentElement:
             exp = tuple(exp)
             if len(exp) != rank:
                 raise ValueError("exponent length does not match rank")
+            coeff = index(coeff)  # a float or str raises TypeError, never truncated or parsed
             if coeff:
-                clean[exp] = int(coeff)
+                clean[exp] = coeff
         self.terms = clean
         self._hash = None
 

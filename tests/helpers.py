@@ -2,12 +2,19 @@
 
 import random
 
+from multinv.groups import abelian_invariants, commutator_subgroup, coset_orders
 from multinv.intlinalg import IntMatrix
 
 
 def elements(G):
     """G's element matrices in BFS order, each read through ``G.element``."""
     return [G.element(i) for i in range(G.order)]
+
+
+def abelianization(h):
+    """Invariant factors of h modulo its commutator subgroup, composed of
+    the library's parts as ``obstruction._condition_row`` composes them."""
+    return abelian_invariants(coset_orders(h, commutator_subgroup(h))[0])
 
 
 def perm_matrix(image, n=None):

@@ -23,8 +23,12 @@ The brute-force references below the imports have no caller in the
 library: a unimodular inverse read off a Hermite form (the reference for
 the v^-1 that ``snf`` builds with v), an element's index by linear
 search, stabilizers by applying every element, subgroup meets and
-conjugacy by scanning index sets, the canonical orbit member, and a
-definition file's lattice.
+conjugacy by scanning index sets, the canonical orbit member, a
+definition file's lattice, the integer rank of g - I (the reference for
+the rank over F_p that ``FiniteMatrixGroup.moved_rank`` reads), a
+subgroup's moved rank from its fixed lattice, a subgroup's catalog class
+looked up in the orbit index, and rational isomorphism by traces over
+the closure of paired generators.
 """
 
 from collections import Counter, deque
@@ -39,7 +43,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from multinv import groups
 from multinv.errors import TheoremViolation
 from multinv.catalog import parse_group_definition
-from multinv.groups import FiniteMatrixGroup, GLattice, Subgroup, block_diagonal, close
+from multinv.groups import DEFAULT_CAP, FiniteMatrixGroup, GLattice, Subgroup, block_diagonal, close
 from multinv.packed import pack
 from multinv.intlinalg import (
     IntMatrix,
@@ -48,6 +52,7 @@ from multinv.intlinalg import (
     hnf_basis,
     kernel_lattice,
     quotient_transform,
+    rank,
     rref_mod,
     solve_echelon,
     sparse_echelon,
@@ -140,6 +145,57 @@ def orbit_representative(G, m):
 def parse_group_file(data):
     """The lattice of a group definition file."""
     return parse_group_definition(data).lattice
+
+
+def moved_rank(g):
+    """rank(g - I) over the integers."""
+    return rank(g - IntMatrix.identity(g.rows))
+
+
+def moved_rank_subgroup(h):
+    """Rank of the difference lattice of h, the complement of its fixed
+    lattice's rank."""
+    return h.parent.lattice.rank - fixed_lattice(h).rows
+
+
+def class_for(catalog, h):
+    """The class of h, a subgroup of the catalog's group; raises KeyError
+    when h is not an isotropy group."""
+    if h.parent is not catalog.group:
+        raise ValueError("subgroup of a different group")
+    cl = catalog._orbit_index.get(h.indices)
+    if cl is None:
+        raise KeyError("subgroup is not conjugate to any catalog class")
+    return cl
+
+
+class GeneratorMismatch(ValueError):
+    """Paired generator lists do not close to compatible groups."""
+
+
+def rationally_isomorphic(l1, l2, cap=DEFAULT_CAP):
+    """Trace equality over the paired closure.
+
+    Generator i of the first lattice is matched with generator i of the
+    second; the group of block-diagonal pairs is closed (raising
+    CapExceeded past the cap) and traces compared on every pair.
+    Rational representations of a finite group are determined by their
+    characters, so trace equality decides rational isomorphism.
+    """
+    if len(l1.generators) != len(l2.generators):
+        raise GeneratorMismatch("generator lists have different lengths")
+    n1, n = l1.rank, l1.rank + l2.rank
+    pairs = close(GLattice(n, [block_diagonal([a, b]) for a, b in zip(l1.generators, l2.generators)]), cap)
+    # the top n1 rows hold the first block, the other rows the second
+    mats = elements(pairs)
+    firsts = {m.entries[: n1 * n] for m in mats}
+    seconds = {m.entries[n1 * n :] for m in mats}
+    if len(firsts) != pairs.order or len(seconds) != pairs.order:
+        raise GeneratorMismatch("paired generator words close to groups of different orders")
+    return all(
+        sum(m.entry(i, i) for i in range(n1)) == sum(m.entry(i, i) for i in range(n1, n))
+        for m in mats
+    )
 
 
 def stabilizer_census(group):

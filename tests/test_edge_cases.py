@@ -1,5 +1,6 @@
 """Error contracts and boundary behavior of the public API."""
 
+import numpy as np
 import pytest
 
 from multinv.errors import UnknownBuiltin
@@ -42,10 +43,6 @@ class TestIntMatrixContracts:
         with pytest.raises(ValueError):
             IntMatrix.vstack([IntMatrix.identity(2), IntMatrix.identity(3)])
 
-    def test_hstack_mismatch(self):
-        with pytest.raises(ValueError):
-            IntMatrix.hstack([IntMatrix.identity(2), IntMatrix.identity(3)])
-
     def test_det_requires_square(self):
         with pytest.raises(ValueError):
             IntMatrix.zeros(2, 3).det()
@@ -63,6 +60,15 @@ class TestLaurentContracts:
     def test_exponent_length_checked(self):
         with pytest.raises(ValueError):
             LaurentElement(2, {(1, 2, 3): 1})
+
+    def test_coefficients_are_integers(self):
+        # a float or str is refused, not truncated to 0 or parsed
+        for coeff in (0.5, 1.0, "3"):
+            with pytest.raises(TypeError):
+                LaurentElement(1, {(1,): coeff})
+        e = LaurentElement(1, {(0,): True, (1,): np.int64(-2), (2,): np.int64(0)})
+        assert e.terms == {(0,): 1, (1,): -2}
+        assert all(type(c) is int for c in e.terms.values())
 
     def test_act_size_checked(self):
         with pytest.raises(ValueError):

@@ -14,17 +14,15 @@ from multinv.errors import CapExceeded, InfiniteGroup, InfiniteOrderElement
 from multinv.groups import (
     DEFAULT_CAP,
     GLattice,
+    Subgroup,
     abelian_invariants,
-    abelianization,
     block_diagonal,
     close,
     commutator_subgroup,
     element_order_histogram,
-    full_subgroup,
     is_perfect,
     schreier_sims_order,
     subgroup_generated,
-    trivial_subgroup,
 )
 from multinv.catalog import DEFAULT_BUILTINS, builtin, parse_group_definition
 from multinv.errors import InvalidGenerator, TheoremViolation
@@ -35,6 +33,7 @@ from multinv.packed import unpack
 from multinv.reflections import bireflection_subgroup
 
 from helpers import (
+    abelianization,
     conjugated_lattice,
     counted_builds,
     cycle,
@@ -49,6 +48,7 @@ from oracles import (
     check_closure,
     check_infinite_pair,
     check_permutation_closure,
+    class_for,
     commutator_seed,
     diagonal_group,
     difference_rank,
@@ -115,18 +115,18 @@ class TestSubgroups:
         h = subgroup_generated(g, [index_of(g, transposition(0, 1, 3))])
         k = subgroup_generated(g, [index_of(g, cycle([0, 1, 2], 3))])
         assert intersect_subgroups(h, h) == h
-        assert intersect_subgroups(h, trivial_subgroup(g)).is_trivial()
+        assert intersect_subgroups(h, Subgroup(g, [g.identity_index])).is_trivial()
         assert intersect_subgroups(h, k).is_trivial()
 
 
 class TestCommutators:
     def test_abelian(self):
         g = close(GLattice(3, [C4]))
-        assert commutator_subgroup(full_subgroup(g)).is_trivial()
+        assert commutator_subgroup(Subgroup(g, range(g.order))).is_trivial()
 
     def test_s3(self):
         g = s3_group()
-        k = commutator_subgroup(full_subgroup(g))
+        k = commutator_subgroup(Subgroup(g, range(g.order)))
         assert k.order == 3
         # normality under conjugation by all of s3
         for x in range(g.order):
@@ -134,25 +134,26 @@ class TestCommutators:
 
     def test_perfect_flag(self):
         g = s3_group()
-        assert not is_perfect(full_subgroup(g))
-        assert is_perfect(trivial_subgroup(g))
+        assert not is_perfect(Subgroup(g, range(g.order)))
+        assert is_perfect(Subgroup(g, [g.identity_index]))
 
 
 class TestAbelianization:
     def test_cyclic4(self):
         g = close(GLattice(3, [C4]))
-        assert abelianization(full_subgroup(g)) == (4,)
+        assert abelianization(Subgroup(g, range(g.order))) == (4,)
 
     def test_s3(self):
-        assert abelianization(full_subgroup(s3_group())) == (2,)
+        g = s3_group()
+        assert abelianization(Subgroup(g, range(g.order))) == (2,)
 
     def test_klein(self):
         g = close(GLattice(2, [diag(-1, 1), diag(1, -1)]))
-        assert abelianization(full_subgroup(g)) == (2, 2)
+        assert abelianization(Subgroup(g, range(g.order))) == (2, 2)
 
     def test_perfect_is_empty(self):
         g = s3_group()
-        assert abelianization(trivial_subgroup(g)) == ()
+        assert abelianization(Subgroup(g, [g.identity_index])) == ()
 
 
 def test_abelian_invariants_match_smith_factors():
@@ -248,6 +249,12 @@ def test_cap_boundary_is_inclusive():
     assert type(exc.value) is CapExceeded  # a finite group is never called infinite
     with pytest.raises(CapExceeded):
         close(s3, cap=0)
+    # every group holds its identity, on X (rank 3) as on packed matrices
+    # (rank 65 skips the walk)
+    for n in (3, 65):
+        assert close(GLattice(n, []), cap=1).order == 1
+        with pytest.raises(CapExceeded):
+            close(GLattice(n, []), cap=0)
 
 
 # -- infinite groups are refused at the first mod-3 collision -------------------
@@ -672,7 +679,7 @@ def check_stabilizer_masks(catalog, vectors):
     against the brute-force reference."""
     for v in vectors:
         h = isotropy_group_of(catalog.group, v)
-        assert catalog.class_for(h).order == h.order, v
+        assert class_for(catalog, h).order == h.order, v
 
 
 def test_kernel_products_match_matrix_products(kernel_group):

@@ -16,7 +16,6 @@ from multinv.intlinalg import (
     hnf,
     hnf_basis,
     kernel_lattice,
-    lattice_quotient_invariants,
     quotient_transform,
     rank,
     rref_mod,
@@ -147,20 +146,17 @@ class TestKernel:
 
 
 class TestQuotientInvariants:
+    """Z^n / rowspan(sub) has the sub-basis's Smith invariant factors for
+    torsion and free rank n less their count."""
+
     def test_finite_quotient(self):
-        q = lattice_quotient_invariants(2, M([[2, 0], [0, 3]]))
-        assert q.factors == (1, 6)
-        assert q.free_rank == 0
+        assert snf(M([[2, 0], [0, 3]])).invariant_factors() == (1, 6)
 
     def test_empty_sub(self):
-        q = lattice_quotient_invariants(3, IntMatrix(0, 3, ()))
-        assert q.factors == ()
-        assert q.free_rank == 3
+        assert snf(IntMatrix(0, 3, ())).invariant_factors() == ()
 
     def test_saturated_line(self):
-        q = lattice_quotient_invariants(2, M([[1, 0]]))
-        assert q.factors == (1,)
-        assert q.free_rank == 1
+        assert snf(M([[1, 0]])).invariant_factors() == (1,)
 
 
 class TestUnimodularInverse:
@@ -403,13 +399,6 @@ def test_rectangular_extremes():
         dec = snf(a)
         assert dec.u * a * dec.v == dec.s
         assert kernel_lattice(a).rows + rank(a) == a.cols
-
-
-def test_quotient_invariants_rejects_wrong_width():
-    # an empty sub-basis too: its width still names its ambient lattice
-    for sub in (M([[1, 0]]), IntMatrix(0, 2, ())):
-        with pytest.raises(ValueError, match="sub-basis rows do not live in the ambient lattice"):
-            lattice_quotient_invariants(3, sub)
 
 
 def test_det_matches_invariant_factor_product():

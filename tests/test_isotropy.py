@@ -13,9 +13,7 @@ from multinv.groups import (
     Subgroup,
     block_diagonal,
     close,
-    full_subgroup,
     subgroup_generated,
-    trivial_subgroup,
 )
 from multinv.intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, quotient_transform
 from multinv.obstruction import _lift_to_copies, direct_sum_copies
@@ -33,6 +31,7 @@ from helpers import cycle, diag, random_signed_perm_lattice, transposition
 from oracles import (
     are_conjugate_subgroups,
     catalog_summary,
+    class_for,
     closure_catalog,
     diagonal_group,
     fixes_quotient_vectors,
@@ -59,7 +58,7 @@ def neg_identity(n):
 class TestFixedLattice:
     def test_trivial_subgroup(self):
         g = sym_u(3)
-        assert fixed_lattice(trivial_subgroup(g)) == IntMatrix.identity(3)
+        assert fixed_lattice(Subgroup(g, [g.identity_index])) == IntMatrix.identity(3)
 
     def test_transposition(self):
         g = sym_u(3)
@@ -68,7 +67,7 @@ class TestFixedLattice:
 
     def test_neg_identity(self):
         g = neg_identity(2)
-        assert fixed_lattice(full_subgroup(g)).rows == 0
+        assert fixed_lattice(Subgroup(g, range(g.order))).rows == 0
 
 
 class TestIsotropyGroupOf:
@@ -111,13 +110,13 @@ class TestCatalog:
         for a in cat.classes:
             for b in cat.classes:
                 meet = intersect_subgroups(a.subgroup, b.subgroup)
-                cat.class_for(meet)  # raises if no class is conjugate
+                class_for(cat, meet)  # raises if no class is conjugate
 
 
 class TestWitness:
     def test_full_group(self):
         g = sym_u(3)
-        assert witness_vector(g, full_subgroup(g)) == (0, 0, 0)
+        assert witness_vector(g, Subgroup(g, range(g.order))) == (0, 0, 0)
 
     def test_transposition_shape(self):
         g = sym_u(3)
@@ -128,7 +127,7 @@ class TestWitness:
 
     def test_trivial_scan_order(self):
         g = sym_u(3)
-        assert witness_vector(g, trivial_subgroup(g)) == (0, 1, 2)
+        assert witness_vector(g, Subgroup(g, [g.identity_index])) == (0, 1, 2)
 
     def test_rejects_non_isotropy(self):
         g = sym_u(3)
@@ -143,7 +142,7 @@ class TestWitness:
             witness_vector(g, rot, fixed_lattice(rot))
         # the basis of a class, given with a proper subgroup of the class
         with pytest.raises(NotIsotropy):
-            witness_vector(g, trivial_subgroup(g), fixed_lattice(full_subgroup(g)))
+            witness_vector(g, Subgroup(g, [g.identity_index]), fixed_lattice(Subgroup(g, range(g.order))))
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_scans_a_sum_block_by_block(self, r):
@@ -165,17 +164,18 @@ class TestWitness:
     def test_rejects_a_subgroup_of_a_group_with_another_table(self):
         g = sym_u(3)
         # the same matrices closed a second time still make another group
-        for h in (full_subgroup(sym_u(3)), trivial_subgroup(neg_identity(3))):
+        again, neg = sym_u(3), neg_identity(3)
+        for h in (Subgroup(again, range(again.order)), Subgroup(neg, [neg.identity_index])):
             with pytest.raises(ValueError, match="subgroup of another group"):
                 witness_vector(g, h)
         # the sum's group on G's table is another group too
         image = diagonal_group(g, direct_sum_copies(g.lattice, 2))
         with pytest.raises(ValueError, match="subgroup of another group"):
-            witness_vector(image, full_subgroup(g))
+            witness_vector(image, Subgroup(g, range(g.order)))
         # a basis whose width is not a multiple of the rank
         for cols in (0, 2, 4, 7):
             with pytest.raises(ValueError, match="not a multiple of the lattice rank"):
-                witness_vector(g, trivial_subgroup(g), IntMatrix.identity(cols))
+                witness_vector(g, Subgroup(g, [g.identity_index]), IntMatrix.identity(cols))
 
 
 @pytest.mark.parametrize(
@@ -252,11 +252,11 @@ class TestFixedPointFree:
 class TestRecognizeBinaryIcosahedral:
     def test_s5_permutations_rejected(self):
         g = sym_u(5)
-        assert not recognize_binary_icosahedral(full_subgroup(g))
+        assert not recognize_binary_icosahedral(Subgroup(g, range(g.order)))
 
     def test_wrong_order_rejected(self):
         g = sym_u(4)
-        assert not recognize_binary_icosahedral(full_subgroup(g))
+        assert not recognize_binary_icosahedral(Subgroup(g, range(g.order)))
 
 
 class TestFpfConstraints:
@@ -317,7 +317,7 @@ def test_catalog_matches_census_small_groups():
                 reps.append(h)
         assert len(reps) == len(cat.classes)
         for h in reps:
-            cat.class_for(h)
+            class_for(cat, h)
 
 
 class TestFpfConstraintsIcosian:
@@ -344,7 +344,7 @@ def test_catalog_complete_for_random_stabilizers():
         for _ in range(50):
             m = tuple(rng.randint(-5, 5) for _ in range(lat.rank))
             h = isotropy_group_of(g, m)
-            cl = cat.class_for(h)
+            cl = class_for(cat, h)
             assert cl.order == h.order
 
 
@@ -353,13 +353,14 @@ def test_class_for_rejects_non_isotropy_subgroup():
     cat = enumerate_isotropy_groups(g)
     rot = subgroup_generated(g, [index_of(g, cycle([0, 1, 2], 3))])
     with pytest.raises(KeyError):
-        cat.class_for(rot)
+        class_for(cat, rot)
 
 
 def test_class_for_rejects_subgroup_of_another_group():
     cat = enumerate_isotropy_groups(close(builtin("sym3_u3")))
     with pytest.raises(ValueError):
-        cat.class_for(full_subgroup(close(builtin("root_a2"))))
+        other = close(builtin("root_a2"))
+        class_for(cat, Subgroup(other, range(other.order)))
 
 
 @pytest.mark.parametrize("name", ["root_a3", "sym4_u4", "signed_root_s5", "alt6_u6"])
@@ -375,7 +376,7 @@ def test_every_conjugate_of_every_class_conjugated_basis(name):
         }
         for indices in conjugates:
             h = Subgroup(g, indices)
-            assert cat.class_for(h) is cl
+            assert class_for(cat, h) is cl
             assert isotropy_group_of(g, witness_vector(g, h)) == h
 
 
@@ -594,13 +595,23 @@ def test_a_stabilizer_reached_with_two_keys_raises(monkeypatch):
         enumerate_isotropy_groups(_group("sym4_u4"))
 
 
+@pytest.mark.parametrize("name", ["sym5_u5", "signed_root_s5"])
+def test_a_cyclic_fixed_space_never_swept_raises(monkeypatch, name):
+    """Every prime-power key is called reducible, so no meet is taken and
+    the fixed space of an element whose order has two primes, which is
+    such a meet, is never reached."""
+    monkeypatch.setattr(isotropy, "_spanned", lambda key, others, p: True)
+    with pytest.raises(TheoremViolation, match="a cyclic fixed space was never swept"):
+        enumerate_isotropy_groups(_group(name))
+
+
 def test_a_witness_scan_with_no_candidates_raises(monkeypatch):
     """Every shell of the scan comes out empty, so no box up to the proven
     side |G| holds a candidate."""
     G = _group("sym4_u4")
     monkeypatch.setattr(isotropy, "_shell", lambda s, k: iter(()))
     with pytest.raises(TheoremViolation, match="witness scan exhausted its proven bound"):
-        witness_vector(G, trivial_subgroup(G))
+        witness_vector(G, Subgroup(G, [G.identity_index]))
 
 
 def test_an_orbit_swept_twice_raises(monkeypatch):
@@ -624,7 +635,7 @@ def test_a_class_that_fixes_the_whole_lattice_raises(monkeypatch):
     """A catalog whose one class is the whole of S3 with all of L for its
     fixed space: the class is minimal, and the guard refuses it."""
     G = _group("sym3_u3")
-    whole = isotropy.IsotropyClass(full_subgroup(G), IntMatrix.identity(3))
+    whole = isotropy.IsotropyClass(Subgroup(G, range(G.order)), IntMatrix.identity(3))
     monkeypatch.setattr(isotropy, "enumerate_isotropy_groups", lambda G: isotropy.IsotropyCatalog(G, (whole,)))
     with pytest.raises(TheoremViolation, match="nontrivial isotropy group fixes the whole lattice"):
         minimal_nontrivial_isotropy(G)

@@ -21,7 +21,6 @@ from multinv.obstruction import (
     TRIVIALLY_CM,
     check_necessary_conditions,
 )
-from multinv.reflections import moved_rank_subgroup
 
 from helpers import conjugated_lattice, random_signed_perm_lattice, random_unimodular
 from oracles import (
@@ -29,9 +28,11 @@ from oracles import (
     catalog_summary,
     check_closure,
     check_permutation_closure,
+    class_for,
     closure_catalog,
     difference_rank,
     isotropy_group_of,
+    moved_rank_subgroup,
     stabilizer_census,
     unimodular_inverse,
 )
@@ -56,7 +57,7 @@ def test_census_equality_on_random_signed_groups():
                 reps.append(h)
         assert len(reps) == len(catalog.classes)
         for h in reps:
-            catalog.class_for(h)
+            class_for(catalog, h)
 
 
 def test_catalog_complete_on_conjugated_random_groups():
@@ -74,7 +75,7 @@ def test_catalog_complete_on_conjugated_random_groups():
         for _ in range(30):
             m = tuple(rng.randint(-6, 6) for _ in range(n))
             h = isotropy_group_of(group, m)
-            assert catalog.class_for(h).order == h.order
+            assert class_for(catalog, h).order == h.order
         # every witness realizes its class exactly
         for cl in catalog.classes:
             w = witness_vector(group, cl.subgroup)

@@ -6,19 +6,18 @@ from sympy import isprime, primerange
 from multinv.catalog import DEFAULT_BUILTINS, builtin
 from multinv.groups import (
     GLattice,
+    Subgroup,
     close,
     commutator_subgroup,
-    full_subgroup,
     subgroup_generated,
-    trivial_subgroup,
 )
-from multinv.intlinalg import IntMatrix, common_fixed_lattice
+from multinv.intlinalg import IntMatrix
 from multinv.isotropy import enumerate_isotropy_groups, fixed_lattice
 from multinv.obstruction import check_necessary_conditions, effective_reduction
-from multinv.reflections import bireflection_subgroup, moved_rank, moved_rank_subgroup
+from multinv.reflections import bireflection_subgroup
 
 from helpers import cycle, transposition
-from oracles import difference_rank, index_of
+from oracles import difference_rank, index_of, moved_rank, moved_rank_subgroup
 
 C4 = IntMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])
 
@@ -58,11 +57,11 @@ class TestMovedRank:
 class TestMovedRankSubgroup:
     def test_trivial(self):
         g = sym_u(3)
-        assert moved_rank_subgroup(trivial_subgroup(g)) == 0
+        assert moved_rank_subgroup(Subgroup(g, [g.identity_index])) == 0
 
     def test_neg_identity(self):
         g = close(GLattice(3, [-IntMatrix.identity(3)]))
-        assert moved_rank_subgroup(full_subgroup(g)) == 3
+        assert moved_rank_subgroup(Subgroup(g, range(g.order))) == 3
 
     def test_square_of_c4(self):
         g = close(GLattice(3, [C4]))
@@ -76,7 +75,7 @@ class TestXk:
     def test_trivial_in_all(self):
         g = sym_u(3)
         for k in range(4):
-            assert moved_rank_subgroup(trivial_subgroup(g)) <= k
+            assert moved_rank_subgroup(Subgroup(g, [g.identity_index])) <= k
 
     def test_reflection_subgroup(self):
         g = sym_u(3)
@@ -85,21 +84,21 @@ class TestXk:
 
     def test_neg_identity_not_x2(self):
         g = close(GLattice(3, [-IntMatrix.identity(3)]))
-        assert not moved_rank_subgroup(full_subgroup(g)) <= 2
+        assert not moved_rank_subgroup(Subgroup(g, range(g.order))) <= 2
 
 
 class TestBireflectionSubgroup:
     def test_s3_generated_by_reflections(self):
         g = sym_u(3)
-        assert bireflection_subgroup(full_subgroup(g)).order == 6
+        assert bireflection_subgroup(Subgroup(g, range(g.order))).order == 6
 
     def test_neg_identity_trivial(self):
         g = close(GLattice(3, [-IntMatrix.identity(3)]))
-        assert bireflection_subgroup(full_subgroup(g)).is_trivial()
+        assert bireflection_subgroup(Subgroup(g, range(g.order))).is_trivial()
 
     def test_c4_gives_square(self):
         g = close(GLattice(3, [C4]))
-        m = bireflection_subgroup(full_subgroup(g))
+        m = bireflection_subgroup(Subgroup(g, range(g.order)))
         assert m.order == 2
         assert index_of(g, C4 * C4) in m
 
@@ -136,10 +135,9 @@ def test_moved_rank_mod_p_is_the_integer_moved_rank(name):
     rank over Z for every element, at p = 2 (alt3_u3, odd order) as at
     p = 11 (sym7_u7, order 5040)."""
     g = close(builtin(name))
-    n = g.lattice.rank
     assert isprime(g.prime) and g.order % g.prime and all(g.order % q == 0 for q in primerange(g.prime))
     for i in range(g.order):
-        assert g.moved_rank(i) == n - common_fixed_lattice([g.element(i)], n).rows, (name, i)
+        assert g.moved_rank(i) == moved_rank(g.element(i)), (name, i)
 
 
 def test_prime_of_named_groups():
