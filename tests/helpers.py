@@ -3,7 +3,7 @@
 import random
 
 from multinv.groups import abelian_invariants, commutator_subgroup, coset_orders
-from multinv.intlinalg import IntMatrix
+from multinv.intlinalg import IntMatrix, hnf
 
 
 def elements(G):
@@ -72,11 +72,21 @@ def random_unimodular(n, rng: random.Random, ops=None):
     return t
 
 
+def unimodular_inverse(a):
+    """Exact inverse of a unimodular integer matrix.
+
+    The Hermite form of a unimodular matrix is the identity, so the left
+    transform is the inverse.
+    """
+    h, u = hnf(a)
+    if not h.is_identity():
+        raise ValueError("matrix is not unimodular")
+    return u
+
+
 def conjugated_lattice(lat, t):
     """Base change of every generator by the unimodular matrix t."""
     from multinv.groups import GLattice
-
-    from oracles import unimodular_inverse
 
     tinv = unimodular_inverse(t)
     return GLattice(lat.rank, [t * g * tinv for g in lat.generators], lat.name + "~conj")

@@ -20,15 +20,15 @@ itself, its group materialized, carried to the reduction along the base's
 BFS tree with plain ``IntMatrix`` products, and catalogued at rank r n.
 
 The brute-force references below the imports have no caller in the
-library: a unimodular inverse read off a Hermite form (the reference for
-the v^-1 that ``snf`` builds with v), an element's index by linear
-search, stabilizers by applying every element, subgroup meets and
+library: an element's index by linear search, stabilizers by applying every element, subgroup meets and
 conjugacy by scanning index sets, the canonical orbit member, a
 definition file's lattice, the integer rank of g - I (the reference for
 the rank over F_p that ``FiniteMatrixGroup.moved_rank`` reads), a
 subgroup's moved rank from its fixed lattice, a subgroup's catalog class
 looked up in the orbit index, and rational isomorphism by traces over
-the closure of paired generators.
+the closure of paired generators.  ``unimodular_inverse``, read off a
+Hermite form (the reference for the v^-1 that ``snf`` builds with v), is
+imported from ``helpers``, which needs no test dependency.
 """
 
 from collections import Counter, deque
@@ -48,7 +48,6 @@ from multinv.packed import pack
 from multinv.intlinalg import (
     IntMatrix,
     common_fixed_lattice,
-    hnf,
     hnf_basis,
     kernel_lattice,
     quotient_transform,
@@ -78,19 +77,7 @@ from multinv.orbit_algebra import (
     orbit_of,
 )
 
-from helpers import elements
-
-
-def unimodular_inverse(a):
-    """Exact inverse of a unimodular integer matrix.
-
-    The Hermite form of a unimodular matrix is the identity, so the left
-    transform is the inverse.
-    """
-    h, u = hnf(a)
-    if not h.is_identity():
-        raise ValueError("matrix is not unimodular")
-    return u
+from helpers import elements, unimodular_inverse
 
 
 def index_of(G, m):

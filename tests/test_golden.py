@@ -1,9 +1,11 @@
 """The golden cases of ``golden_cases.py``, each compared byte for byte
-with its recorded output, and the outputs' independence of generator
-order."""
+with its recorded output, a slice of ``corpus_digest.py``'s random
+groups against their recorded digests, and the outputs' independence of
+generator order."""
 
 import io
 import json
+import time
 
 import pytest
 
@@ -12,6 +14,7 @@ from multinv.cli import run
 from multinv.groups import GLattice
 from multinv.intlinalg import IntMatrix
 
+from corpus_digest import COMMANDS, corpus, digests, mismatches, recorded
 from golden_cases import CASES, DIGEST_CASES, GOLDEN, digest, render
 
 
@@ -56,3 +59,17 @@ def test_output_ignores_generator_order(name, command, tmp_path):
         del docs[label]["input"]
     assert docs["reversed"] == docs["given"]
     assert docs["padded"] == docs["given"]
+
+
+def test_corpus_slice_matches_its_digests():
+    """Every fifth group of the seeded random corpus, half of them
+    conjugated off the signed permutations, gives the recorded digest of
+    each command's output, within a wall-clock budget (the slice takes about 2 s on a
+    shared 2-CPU host)."""
+    cases = corpus()
+    expected, _ = recorded()
+    start = time.monotonic()
+    found = digests({case: cases[case] for case in list(cases)[::5]})
+    assert time.monotonic() - start < 10
+    assert len(found) == 20 * len(COMMANDS)
+    assert mismatches(found, expected) == []
