@@ -21,8 +21,8 @@ report records the reduction.
 
 analyze is the one-copy case of the r-fold direct sum L^r that
 :func:`copies_verdict` decides.  The sum is never closed, swept or keyed
-at rank r n: everything in its report but the witness is a lift of the
-base's.  The map x -> diag(x, ..., x) is faithful and sends the
+at rank r n: everything in its report but the witness is read off the
+base's catalog.  The map x -> diag(x, ..., x) is faithful and sends the
 generators of L to those of L^r, so both groups have one Cayley graph:
 closing L gives the same BFS order and table, stops at the cap at the
 same element, and meets the first two elements that agree mod 3 at the
@@ -49,7 +49,14 @@ of diag(x, ..., x) is r tr x).  Three facts carry the rest over.
    (L^r)^G (``intlinalg.quotient_transform``): x P holds the reduced
    coordinates of x.  That fixed part is the block copy of L^G's, so it
    needs no kernel at rank r n.  With L^G = 0, v is the identity and
-   B P is diag(B, ..., B), already in Hermite form.
+   B P is diag(B, ..., B), already in Hermite form.  The base's catalog
+   is swept in the coordinates of L / L^G (``isotropy`` module
+   docstring), so at r = 1 its bases are the report's, with no second
+   Hermite form.  For r >= 2 a reduced basis B' has the preimages B' S_L
+   in L, for S_L the rows of the base's v^-1 past rank L^G, and P kills
+   (L^G)^r, so the sum's basis is the Hermite form of the stacked
+   B' (S_L p_i), for p_i the i-th block of n rows of P; each S_L p_i is
+   made once.
 3. g is a bireflection of the sum exactly when r rank(g - I) <= 2; for
    r >= 3 only the identity is.
 
@@ -276,14 +283,17 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     three or more copies of a nontrivial action are always obstructed.
 
     Only the base lattice is closed, and its catalog is swept at its own
-    rank n (module docstring).  The sum's group has the base's Cayley
-    graph, and L and L^r have the same isotropy groups, with
-    Fix_{L^r}(H) = Fix_L(H)^r.  Each member's fixed lattice is lifted to
-    the sum's reduced coordinates: the Hermite form of the block copy of
-    its basis times the last columns of the Smith transform of
-    (L^r)^G = (L^G)^r, which is exact because a saturated fixed lattice
-    containing the fixed part maps onto the quotient's fixed lattice.
-    The least lifted basis represents each class.  The rows run on the
+    rank n, with its bases in the coordinates of L / L^G, moved by the
+    generators that :func:`effective_reduction` induces (module
+    docstring).  The sum's group has the base's Cayley graph, and L and
+    L^r have the same isotropy groups, with Fix_{L^r}(H) = Fix_L(H)^r.
+    At r = 1 the catalog's bases are the report's.  For r >= 2 each
+    member's basis is lifted to the sum's reduced coordinates: the
+    Hermite form of the block copy of its preimage in L times the last
+    columns of the Smith transform of (L^r)^G = (L^G)^r, which is exact
+    because a saturated fixed lattice containing the fixed part maps onto
+    the quotient's fixed lattice.  The least lifted basis represents each
+    class.  The rows run on the
     base's subgroups, and the sum's bireflections are the elements with
     r rank(g - I) <= 2.  The witness of the first class failing condition
     A is scanned over preimages in L^r of its reduced basis, with the
@@ -297,20 +307,21 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
         raise ValueError("copy count must be at least 1")
     G = close(lat, cap)
     n = lat.rank
-    fixed = block_diagonal([common_fixed_lattice(lat.generators, n)] * r)  # (L^r)^G = (L^G)^r
+    base_fixed = common_fixed_lattice(lat.generators, n)
+    fixed = block_diagonal([base_fixed] * r)  # (L^r)^G = (L^G)^r
     total, f = r * n, fixed.rows
-    v, v_inv = quotient_transform(fixed)
-    # x project has the reduced coordinates of x; the rows of section are
-    # preimages of the reduced basis, completing (L^r)^G
-    project = IntMatrix(total, total - f, (x for i in range(total) for x in v.row(i)[f:]))
-    section = IntMatrix(total - f, total, v_inv.entries[f * total :])
-    lift = _lift_to_copies(project, r)
+    project, section = _coordinates(fixed)
+    reduced = effective_reduction(lat)
+    base_project, base_section = (project, section) if r == 1 else _coordinates(base_fixed)
+    # the base's catalog is swept in the coordinates of L / L^G, which at r = 1 are the sum's
+    reduction = None if reduced is lat else (base_project, reduced)
+    lift = None if r == 1 else _lift_to_copies(base_section, project, r)
 
     def witness(cl: IsotropyClass) -> tuple[int, ...]:
         m = witness_vector(G, cl.subgroup, cl.fixed_space * section)
         return (IntMatrix(1, total, m) * project).entries
 
-    catalog = enumerate_isotropy_groups(G, lift)
+    catalog = enumerate_isotropy_groups(G, reduction, lift)
     report = _decide(_sum_name(lat, r), total, f, catalog, r, witness)
     if r >= 3 and not report.reduction.trivial_action and report.verdict != OBSTRUCTED:
         raise TheoremViolation(
@@ -319,20 +330,34 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     return report
 
 
-def _lift_to_copies(project: IntMatrix, r: int) -> Callable[[IntMatrix], IntMatrix]:
-    """The map from the Hermite basis B of a base fixed lattice to the
-    Hermite basis of the same subgroup's fixed lattice on the r-fold sum,
-    in the coordinates of the sum's effective reduction; ``project`` is the
-    r n x (r n - f) map to those coordinates, the columns past f of the
-    Smith transform of the sum's fixed part, of rank f."""
+def _coordinates(fixed: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """The pair (P, S) for a saturated basis of k rows of a sublattice F of
+    Z^m: x P holds the coordinates of x in Z^m / F, and the rows of S are
+    preimages of that quotient's basis, so S P = I.  P is the columns past
+    k of the Smith transform v that completes F, and S the rows past k of
+    v^-1."""
+    m, k = fixed.cols, fixed.rows
+    v, v_inv = quotient_transform(fixed)
+    return IntMatrix(m, m - k, (x for i in range(m) for x in v.row(i)[k:])), IntMatrix(m - k, m, v_inv.entries[k * m :])
+
+
+def _lift_to_copies(section: IntMatrix, project: IntMatrix, r: int) -> Callable[[IntMatrix], IntMatrix]:
+    """The map from the Hermite basis B of a base fixed lattice's image in
+    L / L^G to the Hermite basis of the same subgroup's fixed lattice on
+    the r-fold sum, in the coordinates of the sum's effective reduction.
+    ``section`` holds preimages in L of the base's reduced basis, and
+    ``project`` is the r n x (r n - f) map to the sum's coordinates, the
+    columns past f of the Smith transform of the sum's fixed part."""
     total, reduced = project.rows, project.cols
     n = total // r
-    # diag(B, ..., B) project stacks the products B p_i, for p_i the i-th block of n rows
-    blocks = [IntMatrix(n, reduced, project.entries[i * n * reduced : (i + 1) * n * reduced]) for i in range(r)]
+    # B S is the base's fixed lattice modulo L^G, which every block p_i of n
+    # rows of project kills, so diag(B S, ..., B S) project stacks B (S p_i)
+    blocks = [section * IntMatrix(n, reduced, project.entries[i * n * reduced : (i + 1) * n * reduced])
+              for i in range(r)]
 
     def lift(basis: IntMatrix) -> IntMatrix:
-        lifted = hnf_basis(IntMatrix.vstack([basis * p for p in blocks], cols=reduced))
-        if lifted.rows != r * basis.rows - (total - reduced):
+        lifted = hnf_basis(IntMatrix.vstack([basis * q for q in blocks], cols=reduced))
+        if lifted.rows != r * basis.rows:
             raise TheoremViolation("a lifted fixed lattice's rank differs from its copies' less the fixed part")
         return lifted
 

@@ -139,6 +139,15 @@ def moved_rank(g):
     return rank(g - IntMatrix.identity(g.rows))
 
 
+def echelon_fixed_key(G, i):
+    """The reduced echelon form over F_p, p = ``G.prime``, of g - I for
+    element i, by ``rref_mod`` of its matrix: the reference for the keys
+    ``FiniteMatrixGroup.fixed_key`` reads off a monomial group's signed
+    cycles."""
+    g = G.element(i)
+    return rref_mod(([g.entry(r, j) - (j == r) for j in range(g.cols)] for r in range(g.rows)), G.prime)
+
+
 def moved_rank_subgroup(h):
     """Rank of the difference lattice of h, the complement of its fixed
     lattice's rank."""

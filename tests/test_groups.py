@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multinv import cli, groups
+from multinv import cli, groups, intlinalg, isotropy, obstruction
 from multinv.errors import CapExceeded, InfiniteGroup, InfiniteOrderElement
 from multinv.groups import (
     DEFAULT_CAP,
@@ -39,10 +39,12 @@ from helpers import (
     cycle,
     diag,
     elements,
+    random_signed_perm_lattice,
     random_unimodular,
     transposition,
     unipotent,
 )
+from corpus_digest import corpus
 from oracles import (
     are_conjugate_subgroups,
     check_closure,
@@ -52,6 +54,7 @@ from oracles import (
     commutator_seed,
     diagonal_group,
     difference_rank,
+    echelon_fixed_key,
     index_of,
     induced_group,
     intersect_subgroups,
@@ -618,6 +621,85 @@ def test_analyze_sym7_u7_builds_few_element_matrices(monkeypatch):
     built = counted_builds(monkeypatch)
     assert cli.run(["analyze", "builtin:sym7_u7"], io.StringIO()) == 0
     assert 0 < len(built) <= 60, len(built)
+
+
+MONOMIAL = (
+    tuple(f"{family}{n}_u{n}" for family in ("sym", "alt") for n in range(3, 8))
+    + tuple(f"diag_sl{n}" for n in range(2, 9))
+    + ("rank3_order2", "rank3_order4", "rank3_order6")
+)
+
+
+def _check_cycle_keys(G):
+    """G is monomial, and every element's key read off its signed cycles,
+    cached or not, is the echelon form of g - I."""
+    assert G._signed is not None
+    for i in range(G.order):
+        expected = echelon_fixed_key(G, i)
+        assert G._cycle_key(G._compact[i]) == expected, i
+        assert G.fixed_key(i) == expected, i
+
+
+@pytest.mark.parametrize("name", MONOMIAL)
+def test_cycle_keys_are_the_echelon_forms(name):
+    """alt3_u3 has odd order, so it is keyed over F_2, where every cycle's
+    signs multiply to 1."""
+    G = close(builtin(name))
+    assert (G.prime == 2) == (name == "alt3_u3")
+    _check_cycle_keys(G)
+
+
+def test_cycle_keys_of_random_and_rank_1_monomial_groups():
+    """{±1} on rank 1, random signed permutation groups of rank 1 to 5, and
+    the plain half of the seeded corpus."""
+    rng = random.Random(44)
+    lattices = [GLattice(1, [IntMatrix(1, 1, (-1,))])]
+    lattices += [random_signed_perm_lattice(n, rng, 3) for n in range(1, 6) for _ in range(3)]
+    lattices += [lat for lat in corpus().values() if not lat.name.endswith("~conj")]
+    for lat in lattices:
+        _check_cycle_keys(close(lat))
+
+
+@pytest.mark.parametrize("name", ["root_a5", "icosian", "sym4_u4~mixed", "conj_alt6_u6"])
+def test_groups_off_signed_permutations_are_not_monomial(name):
+    """These groups' points of X are not all signed unit vectors, so their
+    keys stay echelon forms."""
+    if name.endswith("~mixed"):
+        lat = _mixed(builtin(name.removesuffix("~mixed")))
+    elif name.startswith("conj_"):
+        lat = parse_group_definition((GOLDEN / f"{name}.json").read_bytes()).lattice
+    else:
+        lat = builtin(name)
+    G = close(lat)
+    assert G._signed is None
+    assert [G.fixed_key(i) for i in range(G.order)] == [echelon_fixed_key(G, i) for i in range(G.order)]
+
+
+def test_analyze_sym7_u7_makes_one_hermite_form_per_member(monkeypatch):
+    """sym7_u7 is monomial, so no fixed key is an echelon form, and its
+    catalog is swept in L / L^G, so a member costs at most one Hermite form
+    and the one copy of ``analyze`` lifts nothing."""
+    calls = {"rref_mod": 0, "hnf_basis": 0}
+    rref_mod, hnf_basis = intlinalg.rref_mod, intlinalg.hnf_basis
+
+    def counted_rref(rows, p, base=()):
+        calls["rref_mod"] += 1
+        return rref_mod(rows, p, base)
+
+    def counted_hnf(a):
+        calls["hnf_basis"] += 1
+        return hnf_basis(a)
+
+    catalogs = []
+    real = obstruction.enumerate_isotropy_groups
+    monkeypatch.setattr(obstruction, "enumerate_isotropy_groups", lambda *args: catalogs.append(real(*args)) or catalogs[-1])
+    monkeypatch.setattr(groups, "rref_mod", counted_rref)
+    for module in (intlinalg, isotropy, obstruction):
+        monkeypatch.setattr(module, "hnf_basis", counted_hnf)
+    assert cli.run(["analyze", "builtin:sym7_u7"], io.StringIO()) == 0
+    (catalog,) = catalogs
+    assert calls["rref_mod"] == 0
+    assert 0 < calls["hnf_basis"] <= len(catalog._orbit_index)
 
 
 # -- the Cayley-table kernel against matrix arithmetic -------------------------

@@ -15,8 +15,8 @@ from multinv.groups import (
     close,
     subgroup_generated,
 )
-from multinv.intlinalg import IntMatrix, common_fixed_lattice, hnf_basis, quotient_transform
-from multinv.obstruction import _lift_to_copies, direct_sum_copies
+from multinv.intlinalg import IntMatrix, common_fixed_lattice, hnf_basis
+from multinv.obstruction import _coordinates, _lift_to_copies, direct_sum_copies, effective_reduction
 from multinv.isotropy import (
     check_fpf_constraints,
     enumerate_isotropy_groups,
@@ -526,13 +526,14 @@ def test_copies_lift_equals_the_closure_sweep(name, r):
     fixed part the Smith transform is the identity, and each class's
     lifted basis is the block copy diag(B, ..., B) of its base basis B."""
     G = _group(name)
-    total = r * G.lattice.rank
-    fixed = block_diagonal([common_fixed_lattice(G.lattice.generators, G.lattice.rank)] * r)
+    base_fixed = common_fixed_lattice(G.lattice.generators, G.lattice.rank)
+    fixed = block_diagonal([base_fixed] * r)
     f = fixed.rows
-    v = quotient_transform(fixed)[0]
-    lift = _lift_to_copies(IntMatrix(total, total - f, (x for i in range(total) for x in v.row(i)[f:])), r)
-    catalog = enumerate_isotropy_groups(G, lift)
-    assert catalog_summary(catalog) == catalog_summary(closure_catalog(G, lift))
+    base_project, base_section = _coordinates(base_fixed)
+    lift = _lift_to_copies(base_section, _coordinates(fixed)[0], r)
+    catalog = enumerate_isotropy_groups(G, (base_project, effective_reduction(G.lattice)), lift)
+    # the whole closure is swept in L, so its bases are projected to L / L^G first
+    assert catalog_summary(catalog) == catalog_summary(closure_catalog(G, lambda basis: lift(hnf_basis(basis * base_project))))
     assert (f == 0) == (name in ("root_a3", "signed_root_s5", "icosian"))
     if f == 0:
         for cl in catalog.classes:
@@ -619,8 +620,8 @@ def test_an_orbit_swept_twice_raises(monkeypatch):
     stabilizers is indexed twice."""
     orbits = isotropy.isotropy_orbits
 
-    def twice(G):
-        swept = orbits(G)
+    def twice(G, reduction=None):
+        swept = orbits(G, reduction)
         first = next(swept)
         yield first
         yield first

@@ -229,12 +229,15 @@ class TestCopies:
         assert rep.verdict == TRIVIALLY_CM
 
     def test_refuses_a_lift_through_a_transform_that_is_not_the_fixed_parts(self):
-        # through the identity's columns past f = 1, (1, 1, 1) keeps rank 1
-        # instead of vanishing modulo itself
+        # two copies of sym3_u3's reduced lattice, lifted through the
+        # identity's columns past f = 2, which drop the first copy's first two
+        # coordinates instead of (1, 1, 1) in each copy: the trivial class's
+        # two reduced rows keep rank 3 instead of 4
         lat = builtin("sym3_u3")
-        lift = obstruction._lift_to_copies(IntMatrix.from_rows([[0, 0], [1, 0], [0, 1]]), 1)
+        _, section = obstruction._coordinates(common_fixed_lattice(lat.generators, 3))
+        lift = obstruction._lift_to_copies(section, IntMatrix(6, 4, (int(j == i - 2) for i in range(6) for j in range(4))), 2)
         with pytest.raises(TheoremViolation, match="a lifted fixed lattice's rank differs from its copies'"):
-            lift(common_fixed_lattice(lat.generators, 3))
+            lift(IntMatrix.identity(2))
 
     def test_refuses_three_copies_that_are_not_obstructed(self, monkeypatch):
         # every element counted as a bireflection of the sum leaves each row
@@ -248,10 +251,12 @@ def _copies_base(name):
     if "+" in name:
         # the base beside a fixed part of rank k
         stem, k = name.split("+")
-        base, k = builtin(stem), int(k)
+        base, k = _copies_base(stem), int(k)
         return GLattice(base.rank + k, [block_diagonal([g, IntMatrix.identity(k)]) for g in base.generators], name)
-    if name.startswith("conj_"):
+    if name.startswith("conj_") or name == "trivial3":
         return parse_group_definition((GOLDEN / f"{name}.json").read_bytes()).lattice
+    if name == "neg1":
+        return GLattice(1, [-IntMatrix.identity(1)], name)
     if name.endswith("~conj"):
         # the bases of the benchmark's copies, off their plain coordinates
         base = builtin(name.removesuffix("~conj"))
@@ -266,6 +271,9 @@ LIFT_CASES = [
     for r in (1, 2, 3)
 ] + [("icosian~conj", 2), ("icosian~conj", 3), ("signed_root_s5~conj", 3), ("alt5_u5~conj", 3)]
 LIFT_CASES += [(name, r) for name in CONJ for r in (1, 2, 3)]
+# effective rank 0 (the trivial action on rank 3) and 1 ({±1} alone, and
+# beside a fixed part of rank 1)
+LIFT_CASES += [(name, r) for name in ("trivial3", "neg1", "neg1+1") for r in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("name, r", LIFT_CASES)
@@ -277,8 +285,8 @@ def test_copies_lift_the_base_catalog(name, r, monkeypatch):
     catalogs = []
     real = obstruction.enumerate_isotropy_groups
 
-    def recorded(G, lift=None):
-        catalogs.append(real(G, lift))
+    def recorded(G, reduction=None, lift=None):
+        catalogs.append(real(G, reduction, lift))
         return catalogs[-1]
 
     monkeypatch.setattr(obstruction, "enumerate_isotropy_groups", recorded)
