@@ -158,10 +158,10 @@ class FiniteMatrixGroup:
         self._orders = array("i", bytes(4 * n))
         self.prime = _least_prime_not_dividing(n)
         self._fixed_keys: dict[int, tuple] = {}
-        # X is monomial when each of its points is s e_i; then the axes i and signs s
+        # X is monomial when each of its points x is s e_i, so s = sum(x); then the axes i and signs s
         self._signed = None
         if points is not None and all(sum(map(abs, x)) == 1 for x in points):
-            self._signed = tuple(zip(*[(x.index(s), s) for x in points for s in x if s]))
+            self._signed = tuple(x.index(sum(x)) for x in points), tuple(map(sum, points))
 
     def element(self, i: int) -> IntMatrix:
         """Element i's matrix, built on first read."""

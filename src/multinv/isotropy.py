@@ -218,8 +218,7 @@ def isotropy_orbits(
     L / L^G, and keys and stabilizers stay in L."""
     n = G.lattice.rank
     p = G.prime
-    project, induced = (None, G.lattice.generators) if reduction is None else (reduction[0], reduction[1].generators)
-    f = 0 if project is None else n - project.cols
+    project, reduced = reduction or (None, G.lattice)
 
     # 1. distinct cyclic fixed spaces by key, each with the elements whose key it
     # is, and the keys of elements of prime-power order, each with the first
@@ -237,7 +236,7 @@ def isotropy_orbits(
 
     conj_by = _conjugation_tables(G)
     # table row k moves bases by the k-th distinct generator's induced matrix, transposed
-    moves = {row[0]: induced[at].transpose() for row, at in zip(G.left, _table_rows(G.lattice.generators))}
+    moves = {row[0]: reduced.generators[at].transpose() for row, at in zip(G.left, _table_rows(G.lattice.generators))}
     gens = [(G.element(G.inv(g)).transpose(), moves[g], conj_by[g]) for g in G.generator_indices]
 
     # 3. the sweep of one orbit: one stabilizer and one fixed lattice.  g fixes W
@@ -267,14 +266,14 @@ def isotropy_orbits(
         ])
         record(key, root.indices)
         basis = fixed_lattice(root) if project is None else hnf_basis(fixed_lattice(root) * project)
-        orbit = [(key, root.indices, _checked_basis(basis, key, n, f))]
+        orbit = [(key, root.indices, _checked_basis(basis, key, reduced.rank))]
         for space, indices, basis in orbit:
             for inv_t, t, conj in gens:
                 members = tuple(sorted([conj[i] for i in indices]))
                 if members not in spaces:
                     image = rref_mod((inv_t.apply(r) for r in space), p)
                     record(image, members)
-                    orbit.append((image, members, _checked_basis(hnf_basis(basis * t), image, n, f)))
+                    orbit.append((image, members, _checked_basis(hnf_basis(basis * t), image, reduced.rank)))
         return root, [(indices, basis) for _, indices, basis in orbit]
 
     # 2. the whole lattice, then its meets with the prime-power keys, which are
@@ -393,11 +392,12 @@ def _pivot_mask(key: tuple[bytes, ...]) -> int:
     return sum(1 << row.index(1) for row in key)
 
 
-def _checked_basis(basis: IntMatrix, key: tuple, n: int, f: int = 0) -> IntMatrix:
-    """The saturated basis of a fixed lattice, or of its image modulo a
-    fixed part of rank f, once its rank is seen to be the dimension of the
-    fixed space over F_p that ``key`` annihilates, less f."""
-    if basis.rows != n - f - len(key):
+def _checked_basis(basis: IntMatrix, key: tuple, n: int) -> IntMatrix:
+    """The saturated basis of a fixed lattice in coordinates of rank n, once
+    its rank is seen to be the dimension of the fixed space over F_p that
+    ``key`` annihilates, less the rank of L that the coordinates drop: n is
+    rank L, or rank L - rank L^G in the coordinates of L / L^G."""
+    if basis.rows != n - len(key):
         raise TheoremViolation("a fixed lattice's rank differs from its dimension mod p")
     return basis
 

@@ -293,15 +293,14 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     columns of the Smith transform of (L^r)^G = (L^G)^r, which is exact
     because a saturated fixed lattice containing the fixed part maps onto
     the quotient's fixed lattice.  The least lifted basis represents each
-    class.  The rows run on the
-    base's subgroups, and the sum's bireflections are the elements with
-    r rank(g - I) <= 2.  The witness of the first class failing condition
-    A is scanned over preimages in L^r of its reduced basis, with the
-    base's matrices block by block: an element fixes a vector of the
-    quotient exactly when it fixes a preimage, since it has finite order.
-    The rows of the transform's inverse past the fixed part give the
-    preimages, and the transform's last columns carry the witness back to
-    reduced coordinates.
+    class.  The rows run on the base's subgroups, and the sum's
+    bireflections are the elements with r rank(g - I) <= 2.  The witness
+    of the first class failing condition A is scanned over preimages in
+    L^r of its reduced basis, with the base's matrices block by block: an
+    element fixes a vector of the quotient exactly when it fixes a
+    preimage, since it has finite order.  The rows of the transform's
+    inverse past the fixed part give the preimages, and the transform's
+    last columns carry the witness back to reduced coordinates.
     """
     if r < 1:
         raise ValueError("copy count must be at least 1")
@@ -311,10 +310,9 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     fixed = block_diagonal([base_fixed] * r)  # (L^r)^G = (L^G)^r
     total, f = r * n, fixed.rows
     project, section = _coordinates(fixed)
-    reduced = effective_reduction(lat)
     base_project, base_section = (project, section) if r == 1 else _coordinates(base_fixed)
     # the base's catalog is swept in the coordinates of L / L^G, which at r = 1 are the sum's
-    reduction = None if reduced is lat else (base_project, reduced)
+    reduction = (base_project, effective_reduction(lat)) if base_fixed.rows else None
     lift = None if r == 1 else _lift_to_copies(base_section, project, r)
 
     def witness(cl: IsotropyClass) -> tuple[int, ...]:
@@ -338,7 +336,8 @@ def _coordinates(fixed: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     v^-1."""
     m, k = fixed.cols, fixed.rows
     v, v_inv = quotient_transform(fixed)
-    return IntMatrix(m, m - k, (x for i in range(m) for x in v.row(i)[k:])), IntMatrix(m - k, m, v_inv.entries[k * m :])
+    project = IntMatrix(m, m - k, (x for i in range(m) for x in v.row(i)[k:]))
+    return project, IntMatrix(m - k, m, v_inv.entries[k * m :])
 
 
 def _lift_to_copies(section: IntMatrix, project: IntMatrix, r: int) -> Callable[[IntMatrix], IntMatrix]:

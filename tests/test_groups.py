@@ -650,10 +650,11 @@ def test_cycle_keys_are_the_echelon_forms(name):
 
 
 def test_cycle_keys_of_random_and_rank_1_monomial_groups():
-    """{±1} on rank 1, random signed permutation groups of rank 1 to 5, and
-    the plain half of the seeded corpus."""
+    """The trivial group on rank 0, {±1} on rank 1, random signed
+    permutation groups of rank 1 to 5, and the plain half of the seeded
+    corpus."""
     rng = random.Random(44)
-    lattices = [GLattice(1, [IntMatrix(1, 1, (-1,))])]
+    lattices = [GLattice(0, [IntMatrix(0, 0, ())]), GLattice(1, [IntMatrix(1, 1, (-1,))])]
     lattices += [random_signed_perm_lattice(n, rng, 3) for n in range(1, 6) for _ in range(3)]
     lattices += [lat for lat in corpus().values() if not lat.name.endswith("~conj")]
     for lat in lattices:
@@ -692,7 +693,12 @@ def test_analyze_sym7_u7_makes_one_hermite_form_per_member(monkeypatch):
 
     catalogs = []
     real = obstruction.enumerate_isotropy_groups
-    monkeypatch.setattr(obstruction, "enumerate_isotropy_groups", lambda *args: catalogs.append(real(*args)) or catalogs[-1])
+
+    def recorded(*args):
+        catalogs.append(real(*args))
+        return catalogs[-1]
+
+    monkeypatch.setattr(obstruction, "enumerate_isotropy_groups", recorded)
     monkeypatch.setattr(groups, "rref_mod", counted_rref)
     for module in (intlinalg, isotropy, obstruction):
         monkeypatch.setattr(module, "hnf_basis", counted_hnf)

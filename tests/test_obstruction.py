@@ -235,7 +235,8 @@ class TestCopies:
         # two reduced rows keep rank 3 instead of 4
         lat = builtin("sym3_u3")
         _, section = obstruction._coordinates(common_fixed_lattice(lat.generators, 3))
-        lift = obstruction._lift_to_copies(section, IntMatrix(6, 4, (int(j == i - 2) for i in range(6) for j in range(4))), 2)
+        past_2 = IntMatrix(6, 4, (int(j == i - 2) for i in range(6) for j in range(4)))
+        lift = obstruction._lift_to_copies(section, past_2, 2)
         with pytest.raises(TheoremViolation, match="a lifted fixed lattice's rank differs from its copies'"):
             lift(IntMatrix.identity(2))
 
