@@ -310,10 +310,12 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     fixed = block_diagonal([base_fixed] * r)  # (L^r)^G = (L^G)^r
     total, f = r * n, fixed.rows
     project, section = _coordinates(fixed)
-    base_project, base_section = (project, section) if r == 1 else _coordinates(base_fixed)
-    # the base's catalog is swept in the coordinates of L / L^G, which at r = 1 are the sum's
-    reduction = (base_project, effective_reduction(lat)) if base_fixed.rows else None
-    lift = None if r == 1 else _lift_to_copies(base_section, project, r)
+    reduction = preimages = None
+    if base_fixed.rows:
+        # the base's catalog is swept in the coordinates of L / L^G, which at r = 1 are the sum's
+        base_project, preimages = (project, section) if r == 1 else _coordinates(base_fixed)
+        reduction = (base_project, effective_reduction(lat))
+    lift = None if r == 1 else _lift_to_copies(preimages, project, r)
 
     def witness(cl: IsotropyClass) -> tuple[int, ...]:
         m = witness_vector(G, cl.subgroup, cl.fixed_space * section)
@@ -340,19 +342,21 @@ def _coordinates(fixed: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return project, IntMatrix(m - k, m, v_inv.entries[k * m :])
 
 
-def _lift_to_copies(section: IntMatrix, project: IntMatrix, r: int) -> Callable[[IntMatrix], IntMatrix]:
+def _lift_to_copies(section: IntMatrix | None, project: IntMatrix, r: int) -> Callable[[IntMatrix], IntMatrix]:
     """The map from the Hermite basis B of a base fixed lattice's image in
     L / L^G to the Hermite basis of the same subgroup's fixed lattice on
     the r-fold sum, in the coordinates of the sum's effective reduction.
-    ``section`` holds preimages in L of the base's reduced basis, and
-    ``project`` is the r n x (r n - f) map to the sum's coordinates, the
-    columns past f of the Smith transform of the sum's fixed part."""
+    ``section`` holds preimages in L of the base's reduced basis, or is
+    None when L^G = 0 and B lies in L; ``project`` is the r n x (r n - f)
+    map to the sum's coordinates, the columns past f of the Smith transform
+    of the sum's fixed part."""
     total, reduced = project.rows, project.cols
     n = total // r
-    # B S is the base's fixed lattice modulo L^G, which every block p_i of n
-    # rows of project kills, so diag(B S, ..., B S) project stacks B (S p_i)
-    blocks = [section * IntMatrix(n, reduced, project.entries[i * n * reduced : (i + 1) * n * reduced])
-              for i in range(r)]
+    # diag(B, ..., B) project stacks the products B p_i, for p_i the i-th block of n rows
+    blocks = [IntMatrix(n, reduced, project.entries[i * n * reduced : (i + 1) * n * reduced]) for i in range(r)]
+    if section is not None:
+        # B S is the base's fixed lattice modulo L^G, which every p_i kills
+        blocks = [section * p for p in blocks]
 
     def lift(basis: IntMatrix) -> IntMatrix:
         lifted = hnf_basis(IntMatrix.vstack([basis * q for q in blocks], cols=reduced))

@@ -530,7 +530,7 @@ def test_copies_lift_equals_the_closure_sweep(name, r):
     fixed = block_diagonal([base_fixed] * r)
     f = fixed.rows
     base_project, base_section = _coordinates(base_fixed)
-    lift = _lift_to_copies(base_section, _coordinates(fixed)[0], r)
+    lift = _lift_to_copies(base_section if f else None, _coordinates(fixed)[0], r)
     catalog = enumerate_isotropy_groups(G, (base_project, effective_reduction(G.lattice)), lift)
     # the whole closure is swept in L, so its bases are projected to L / L^G first
     expected = closure_catalog(G, lambda basis: lift(hnf_basis(basis * base_project)))
