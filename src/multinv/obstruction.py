@@ -355,7 +355,7 @@ def _lift_to_copies(section: IntMatrix | None, project: IntMatrix, r: int) -> Ca
     # diag(B, ..., B) project stacks the products B p_i, for p_i the i-th block of n rows
     blocks = [IntMatrix(n, reduced, project.entries[i * n * reduced : (i + 1) * n * reduced]) for i in range(r)]
     if section is not None:
-        # B S is the base's fixed lattice modulo L^G, which every p_i kills
+        # B S spans the base's fixed lattice up to vectors of L^G, which every p_i kills
         blocks = [section * p for p in blocks]
 
     def lift(basis: IntMatrix) -> IntMatrix:
