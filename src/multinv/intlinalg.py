@@ -18,8 +18,11 @@ Normal forms follow the usual conventions:
 Returned lattice bases are always in Hermite form, so equal sublattices
 compare equal entry-by-entry.  ``quotient_transform`` completes a
 saturated basis to a basis of the ambient lattice and returns the Smith
-transform with its inverse; the induced action on the quotient by a
-fixed lattice is built from the pair in ``obstruction.effective_reduction``.
+transform with its inverse.  ``obstruction._coordinates`` reads off them
+the one description of the quotient by a fixed lattice, a pair (P, S)
+of the projection to its coordinates and preimages of its basis; the
+isotropy catalog is swept in it, and ``obstruction.effective_reduction``
+reads the induced action off it.
 ``rref_mod`` is the one computation over a finite field: the canonical
 reduced echelon form of a row space over F_p.
 """

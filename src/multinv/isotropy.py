@@ -79,30 +79,35 @@ echelon form of the rows of key(W) times g^-1.  An orbit moves one key
 per member, not one per member and generator.  A key reached with two
 stabilizers, or a stabilizer with two keys, raises ``TheoremViolation``.
 Integer arithmetic is one fixed lattice per orbit, W = Fix_Z(G_W) at the
-orbit's first key, and one Hermite form per other member.  The bases
-are kept in L, or in the coordinates of the effective reduction
-L / L^G, which ``obstruction`` reports.  A saturated W contains L^G, and
-its image in L / L^G is saturated, with basis the Hermite form of W P
-for x P the reduced coordinates of x.  G acts there through the matrices
-g' that its generators induce (``obstruction.effective_reduction``), so
-each other member's basis is the Hermite form of B g'^T, for B the
-basis of the member it was reached from; in L, g' is g.  g W stays
-saturated because g is unimodular.  Keys and stabilizers stay in L
-either way.  Each integer basis is checked against its key's dimension,
-less rank L^G, under a ``TheoremViolation`` guard.  Reporting in L / L^G
+orbit's first key, and one Hermite form per member.  The bases are
+given in the coordinates of a pair (P, S) for the effective reduction
+L / L^G, which ``obstruction`` reports: x P holds the reduced
+coordinates of x, and the rows of S are preimages in L of the
+quotient's basis, so S P = I (``obstruction._coordinates`` makes the
+pair from the Smith transform that completes L^G).  A saturated W
+contains L^G, and its image in L / L^G is saturated, with basis the
+Hermite form of W P.  G acts there through x -> x S g^T P: S lifts a
+reduced vector to L, g^T moves it, and P projects it back, which is
+well defined because g fixes L^G.  So each other member's basis is the
+Hermite form of B S g^T P, for B the basis of the member it was reached
+from; g W stays saturated because g is unimodular.  The default pair
+(I, I) keeps the bases in L.  Keys and stabilizers stay in L either
+way.  Each integer basis is checked against its key's dimension, less
+rank L^G, under a ``TheoremViolation`` guard.  Reporting in L / L^G
 this way makes the Hermite form of each member once, where projecting
 the bases of L afterwards made it twice: one ``analyze_orders``
-benchmark pass at seed 1 makes 2,294 ``hnf_basis`` calls, against 4,618
-(H. Cohen, *A Course in Computational Algebraic Number Theory*, §2.4,
-for the Hermite form).  The sweep (:func:`isotropy_orbits`) hands out
-each orbit's members as pairs (sorted element indices, Hermite basis)
-and keeps only their keys and stabilizers once the orbit is done.  The
-catalog lets the member with the least basis represent the class; a
-caller that reports the fixed lattices in yet other coordinates, the
-r-fold sum of ``copies``, passes a ``lift`` for the bases, and the least
-lifted basis represents the class instead.  The whole closure is
-explored, and the orbit index lists every member.  References: Holt,
-Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 4.
+benchmark pass at seed 1 makes 2,410 ``hnf_basis`` calls, one per
+catalog member, against 4,618 (H. Cohen, *A Course in Computational
+Algebraic Number Theory*, §2.4, for the Hermite form).  The sweep
+(:func:`isotropy_orbits`) hands out each orbit's members as pairs
+(sorted element indices, Hermite basis) and keeps only their keys and
+stabilizers once the orbit is done.  The catalog lets the member with
+the least basis represent the class; a caller that reports the fixed
+lattices in yet other coordinates, the r-fold sum of ``copies``, passes
+a ``lift`` for the bases, and the least lifted basis represents the
+class instead.  The whole closure is explored, and the orbit index
+lists every member.  References: Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, ch. 4.
 """
 
 from __future__ import annotations
@@ -116,11 +121,9 @@ from operator import mul
 from .errors import NotIsotropy, TheoremViolation
 from .groups import (
     FiniteMatrixGroup,
-    GLattice,
     Subgroup,
     _breadth_first,
     _prime_divisors,
-    _table_rows,
     element_order_histogram,
     is_perfect,
 )
@@ -168,14 +171,15 @@ class IsotropyCatalog:
 
 def enumerate_isotropy_groups(
     G: FiniteMatrixGroup,
-    reduction: tuple[IntMatrix, GLattice] | None = None,
+    coordinates: tuple[IntMatrix, IntMatrix] | None = None,
     lift: Callable[[IntMatrix], IntMatrix] | None = None,
 ) -> IsotropyCatalog:
     """The catalog of G's isotropy groups, from one sweep of :func:`isotropy_orbits`.
 
-    With no ``reduction`` the fixed spaces are bases in L; with the pair
-    (P, L / L^G) that :func:`isotropy_orbits` describes they are bases of
-    their images in L / L^G, each made by one Hermite form.  ``lift``,
+    The fixed spaces are Hermite bases in the coordinates of the pair
+    ``coordinates`` = (P, S) that :func:`isotropy_orbits` describes, each
+    made by one Hermite form: of their images in L / L^G for the pair of
+    the effective reduction, and in L for the default (I, I).  ``lift``,
     when given, maps each member's Hermite basis to the Hermite basis the
     catalog reports instead, as the fixed lattice of the same subgroup
     acting on another lattice (``obstruction.copies_verdict`` lifts to the
@@ -185,7 +189,7 @@ def enumerate_isotropy_groups(
     """
     classes: list[IsotropyClass] = []
     orbit_index: dict[tuple[int, ...], IsotropyClass] = {}
-    for root, orbit in isotropy_orbits(G, reduction):
+    for root, orbit in isotropy_orbits(G, coordinates):
         if lift is not None:
             orbit = [(members, lift(basis)) for members, basis in orbit]
         indices, basis = min(orbit, key=lambda member: member[1].entries)
@@ -203,22 +207,25 @@ def enumerate_isotropy_groups(
 
 
 def isotropy_orbits(
-    G: FiniteMatrixGroup, reduction: tuple[IntMatrix, GLattice] | None = None
+    G: FiniteMatrixGroup, coordinates: tuple[IntMatrix, IntMatrix] | None = None
 ) -> Iterator[tuple[Subgroup, list[tuple[tuple[int, ...], IntMatrix]]]]:
     """Steps 1-3 of the module docstring: yields each conjugation orbit of
     isotropy groups as its root's stabilizer and the list of its members,
     each a pair (sorted element indices, saturated Hermite basis of the
     fixed lattice); the root comes first.
 
-    ``reduction``, when given, is a pair (P, L / L^G): P is the n x (n - f)
-    matrix for which x P holds the coordinates of x in L / L^G, f the rank
-    of L^G, and L / L^G the effective reduction of G's lattice, whose
-    generators are those G's generators induce there, position by
-    position.  The bases are then those of the fixed lattices' images in
-    L / L^G, and keys and stabilizers stay in L."""
+    ``coordinates`` is a pair (P, S) for the effective reduction L / L^G
+    of G's lattice, f the rank of L^G: P is the n x (n - f) matrix for
+    which x P holds the coordinates of x in L / L^G, and S the
+    (n - f) x n matrix whose rows are preimages in L of the quotient's
+    basis (``obstruction._coordinates``).  The bases are those of the
+    fixed lattices' images in L / L^G: the root's is the Hermite form of
+    its fixed lattice times P, and a generator g moves each member's by
+    S g^T P.  The default is the identity pair, which keeps the bases in
+    L.  Keys and stabilizers stay in L either way."""
     n = G.lattice.rank
     p = G.prime
-    project, reduced = reduction or (None, G.lattice)
+    project, section = coordinates or (IntMatrix.identity(n),) * 2
 
     # 1. distinct cyclic fixed spaces by key, each with the elements whose key it
     # is, and the keys of elements of prime-power order, each with the first
@@ -235,13 +242,13 @@ def isotropy_orbits(
             prime_power.setdefault(key, i)
 
     conj_by = _conjugation_tables(G)
-    # table row k moves bases by the k-th distinct generator's induced matrix, transposed
-    moves = {row[0]: reduced.generators[at].transpose() for row, at in zip(G.left, _table_rows(G.lattice.generators))}
-    gens = [(G.element(G.inv(g)).transpose(), moves[g], conj_by[g]) for g in G.generator_indices]
+    # x S g^T P is the image under g of the reduced vector x: S lifts it to L, P projects back
+    gens = [(G.element(G.inv(g)).transpose(), section * G.element(g).transpose() * project, conj_by[g])
+            for g in G.generator_indices]
 
     # 3. the sweep of one orbit: one stabilizer and one fixed lattice.  g fixes W
     # exactly when g's key vanishes on the space key(W) annihilates; the image of
-    # W under a generator g is keyed by key(W) g^-1, has the basis B g^T, and is
+    # W under a generator g is keyed by key(W) g^-1, has the basis B S g^T P, and is
     # stabilized by the conjugate of W's stabilizer by g.  A space and its
     # stabilizer determine each other, so the conjugated stabilizer tells
     # whether the image is a new member.
@@ -265,15 +272,14 @@ def isotropy_orbits(
             for i in members
         ])
         record(key, root.indices)
-        basis = fixed_lattice(root) if project is None else hnf_basis(fixed_lattice(root) * project)
-        orbit = [(key, root.indices, _checked_basis(basis, key, reduced.rank))]
+        orbit = [(key, root.indices, _checked_basis(hnf_basis(fixed_lattice(root) * project), key, project.cols))]
         for space, indices, basis in orbit:
             for inv_t, t, conj in gens:
                 members = tuple(sorted([conj[i] for i in indices]))
                 if members not in spaces:
                     image = rref_mod((inv_t.apply(r) for r in space), p)
                     record(image, members)
-                    orbit.append((image, members, _checked_basis(hnf_basis(basis * t), image, reduced.rank)))
+                    orbit.append((image, members, _checked_basis(hnf_basis(basis * t), image, project.cols)))
         return root, [(indices, basis) for _, indices, basis in orbit]
 
     # 2. the whole lattice, then its meets with the prime-power keys, which are

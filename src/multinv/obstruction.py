@@ -49,14 +49,18 @@ of diag(x, ..., x) is r tr x).  Three facts carry the rest over.
    (L^r)^G (``intlinalg.quotient_transform``): x P holds the reduced
    coordinates of x.  That fixed part is the block copy of L^G's, so it
    needs no kernel at rank r n.  With L^G = 0, v is the identity and
-   B P is diag(B, ..., B), already in Hermite form.  The base's catalog
-   is swept in the coordinates of L / L^G (``isotropy`` module
-   docstring), so at r = 1 its bases are the report's, with no second
-   Hermite form.  For r >= 2 a reduced basis B' has the preimages B' S_L
-   in L, for S_L the rows of the base's v^-1 past rank L^G, and P kills
-   (L^G)^r, so the sum's basis is the Hermite form of the stacked
-   B' (S_L p_i), for p_i the i-th block of n rows of P; each S_L p_i is
-   made once.
+   B P is diag(B, ..., B), already in Hermite form.  L / L^G itself has
+   one description, the pair (P_L, S_L) that ``_coordinates`` reads off
+   the Smith transform completing L^G, which is computed once: x P_L
+   holds the reduced coordinates of x, and the rows of S_L are
+   preimages of the quotient's basis.  The base's catalog is swept in
+   it (``isotropy`` module docstring), :func:`effective_reduction`
+   reads its generators off it, and at r = 1 it is the sum's own pair,
+   so the catalog's bases are the report's, with no second Hermite
+   form.  With L^G = 0 it is (I, I).  For r >= 2 a reduced basis B' has
+   the preimages B' S_L in L, and P kills (L^G)^r, so the sum's basis is
+   the Hermite form of the stacked B' (S_L p_i), for p_i the i-th block
+   of n rows of P; each S_L p_i is made once.
 3. g is a bireflection of the sum exactly when r rank(g - I) <= 2; for
    r >= 3 only the identity is.
 
@@ -162,31 +166,30 @@ def effective_reduction(lat: GLattice) -> GLattice:
     """The induced action on L / L^G; unchanged when already effective.
 
     The saturated basis of L^G is completed to a unimodular basis of L by
-    its Smith transform, which :func:`intlinalg.quotient_transform` returns
-    with its inverse.  In the completed coordinates each generator is
-    block upper triangular with an identity block on L^G, and the
-    lower-right block is the induced action.  Generators that induce the
-    identity are kept (dropping them would change the declared generator
-    pairing); the closed group is the same either way because the induced
-    action of the closure is faithful.  A trivial action reduces to rank
-    0, with 0x0 generators.
+    its Smith transform, and the generators are read off the pair (P, S)
+    that :func:`_coordinates` makes of it, the one description of L / L^G
+    that ``copies_verdict`` also sweeps its catalog in: x P holds the
+    reduced coordinates of x, and the rows of S are preimages of the
+    quotient's basis.  A generator g moves a reduced row vector x to
+    x S g^T P, so it induces P^T g S^T on column vectors; this is the
+    lower-right block of g in the completed basis.  Each generator must
+    fix pointwise the rows x - x P S, which span the kernel of P, or the
+    pair does not complete L^G.  Generators that induce the identity are
+    kept (dropping them would change the declared generator pairing); the
+    closed group is the same either way because the induced action of the
+    closure is faithful.  A trivial action reduces to rank 0, with 0x0
+    generators.
     """
     n = lat.rank
     fixed = common_fixed_lattice(lat.generators, n)
-    k = fixed.rows
-    if not k:
+    if not fixed.rows:
         return lat
-    v, v_inv = quotient_transform(fixed)
-    pt = v_inv.transpose()  # columns 0..k-1 span L^G
-    vt = v.transpose()  # the inverse of pt
-    q = n - k
-    induced = []
-    for g in lat.generators:
-        gt = vt * g * pt
-        if any(gt.entry(i, j) != (i == j) for i in range(n) for j in range(k)):
-            raise TheoremViolation("a generator does not fix L^G pointwise")
-        induced.append(IntMatrix(q, q, (gt.entry(k + i, k + j) for i in range(q) for j in range(q))))
-    return GLattice(q, induced, lat.name + "/effective")
+    project, section = _coordinates(fixed)
+    along = IntMatrix.identity(n) - project * section  # rows spanning the kernel of P
+    if any(along * g.transpose() != along for g in lat.generators):
+        raise TheoremViolation("a generator does not fix L^G pointwise")
+    induced = [project.transpose() * g * section.transpose() for g in lat.generators]
+    return GLattice(project.cols, induced, lat.name + "/effective")
 
 
 def direct_sum_copies(lat: GLattice, r: int) -> GLattice:
@@ -283,16 +286,17 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     three or more copies of a nontrivial action are always obstructed.
 
     Only the base lattice is closed, and its catalog is swept at its own
-    rank n, with its bases in the coordinates of L / L^G, moved by the
-    generators that :func:`effective_reduction` induces (module
-    docstring).  The sum's group has the base's Cayley graph, and L and
-    L^r have the same isotropy groups, with Fix_{L^r}(H) = Fix_L(H)^r.
-    At r = 1 the catalog's bases are the report's.  For r >= 2 each
-    member's basis is lifted to the sum's reduced coordinates: the
-    Hermite form of the block copy of its preimage in L times the last
-    columns of the Smith transform of (L^r)^G = (L^G)^r, which is exact
-    because a saturated fixed lattice containing the fixed part maps onto
-    the quotient's fixed lattice.  The least lifted basis represents each
+    rank n, with its bases in the coordinates of the base's pair (P, S)
+    for L / L^G, which is computed once with L^G (module docstring); the
+    sum's pair is made only for r >= 2.  The sum's group has the base's
+    Cayley graph, and L and L^r have the same isotropy groups, with
+    Fix_{L^r}(H) = Fix_L(H)^r.  At r = 1 the catalog's bases are the
+    report's.  For r >= 2 each member's basis is lifted to the sum's
+    reduced coordinates through the base's section S: the Hermite form of
+    the block copy of its preimage in L times the last columns of the
+    Smith transform of (L^r)^G = (L^G)^r, which is exact because a
+    saturated fixed lattice containing the fixed part maps onto the
+    quotient's fixed lattice.  The least lifted basis represents each
     class.  The rows run on the base's subgroups, and the sum's
     bireflections are the elements with r rank(g - I) <= 2.  The witness
     of the first class failing condition A is scanned over preimages in
@@ -307,22 +311,18 @@ def copies_verdict(lat: GLattice, r: int, cap: int = DEFAULT_CAP) -> Obstruction
     G = close(lat, cap)
     n = lat.rank
     base_fixed = common_fixed_lattice(lat.generators, n)
-    fixed = block_diagonal([base_fixed] * r)  # (L^r)^G = (L^G)^r
-    total, f = r * n, fixed.rows
-    project, section = _coordinates(fixed)
-    reduction = preimages = None
-    if base_fixed.rows:
-        # the base's catalog is swept in the coordinates of L / L^G, which at r = 1 are the sum's
-        base_project, preimages = (project, section) if r == 1 else _coordinates(base_fixed)
-        reduction = (base_project, effective_reduction(lat))
-    lift = None if r == 1 else _lift_to_copies(preimages, project, r)
+    base = _coordinates(base_fixed)
+    # (L^r)^G = (L^G)^r, whose coordinates at r = 1 are the base's
+    project, section = base if r == 1 else _coordinates(block_diagonal([base_fixed] * r))
+    lift = None if r == 1 else _lift_to_copies(base[1], project, r)
+    total = r * n
 
     def witness(cl: IsotropyClass) -> tuple[int, ...]:
         m = witness_vector(G, cl.subgroup, cl.fixed_space * section)
         return (IntMatrix(1, total, m) * project).entries
 
-    catalog = enumerate_isotropy_groups(G, reduction, lift)
-    report = _decide(_sum_name(lat, r), total, f, catalog, r, witness)
+    catalog = enumerate_isotropy_groups(G, base, lift)
+    report = _decide(_sum_name(lat, r), total, r * base_fixed.rows, catalog, r, witness)
     if r >= 3 and not report.reduction.trivial_action and report.verdict != OBSTRUCTED:
         raise TheoremViolation(
             f"{r} copies of a nontrivial action must be obstructed, got {report.verdict}"
@@ -342,21 +342,19 @@ def _coordinates(fixed: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return project, IntMatrix(m - k, m, v_inv.entries[k * m :])
 
 
-def _lift_to_copies(section: IntMatrix | None, project: IntMatrix, r: int) -> Callable[[IntMatrix], IntMatrix]:
+def _lift_to_copies(section: IntMatrix, project: IntMatrix, r: int) -> Callable[[IntMatrix], IntMatrix]:
     """The map from the Hermite basis B of a base fixed lattice's image in
     L / L^G to the Hermite basis of the same subgroup's fixed lattice on
     the r-fold sum, in the coordinates of the sum's effective reduction.
-    ``section`` holds preimages in L of the base's reduced basis, or is
-    None when L^G = 0 and B lies in L; ``project`` is the r n x (r n - f)
-    map to the sum's coordinates, the columns past f of the Smith transform
-    of the sum's fixed part."""
-    total, reduced = project.rows, project.cols
-    n = total // r
-    # diag(B, ..., B) project stacks the products B p_i, for p_i the i-th block of n rows
-    blocks = [IntMatrix(n, reduced, project.entries[i * n * reduced : (i + 1) * n * reduced]) for i in range(r)]
-    if section is not None:
-        # B S spans the base's fixed lattice up to vectors of L^G, which every p_i kills
-        blocks = [section * p for p in blocks]
+    ``section`` holds preimages in L of the base's reduced basis, the S of
+    the base's pair (P, S); ``project`` is the r n x (r n - f) map to the
+    sum's coordinates, the columns past f of the Smith transform of the
+    sum's fixed part."""
+    n, reduced = section.cols, project.cols
+    # diag(B S, ..., B S) project stacks the products B S p_i, for p_i the i-th
+    # block of n rows; B S spans the base's fixed lattice up to vectors of L^G,
+    # which every p_i kills
+    blocks = [section * IntMatrix(n, reduced, project.entries[i * n * reduced : (i + 1) * n * reduced]) for i in range(r)]
 
     def lift(basis: IntMatrix) -> IntMatrix:
         lifted = hnf_basis(IntMatrix.vstack([basis * q for q in blocks], cols=reduced))

@@ -13,11 +13,15 @@ closure on the unit vectors' orbits is redone by ``close``'s own matrix
 products, the isotropy catalog's meet closure is redone with one integer
 kernel per pair of spaces, the catalog itself is redone from its whole meet closure
 over F_p, swept space by space, minimal isotropy classes are found by conjugating
-matrices, fixed points on a quotient L / L^H are read off the determinant
-of the induced matrix, generated subgroups are closed by numpy matrix products
-looked up by value, and the ``copies`` report is redone on the r-fold sum
-itself, its group materialized, carried to the reduction along the base's
-BFS tree with plain ``IntMatrix`` products, and catalogued at rank r n.
+matrices, the action induced on a quotient L / W is the lower-right
+block of each element in a completed basis whose inverse is read off a
+Hermite form (the reference for ``effective_reduction``, which reads it
+off the pair the catalog is swept in), fixed points on a quotient
+L / L^H are read off the determinant of that induced matrix, generated
+subgroups are closed by numpy matrix products looked up by value, and
+the ``copies`` report is redone on the r-fold sum itself, its group
+materialized, carried to the reference reduction along the base's BFS
+tree with plain ``IntMatrix`` products, and catalogued at rank r n.
 
 The brute-force references below the imports have no caller in the
 library: an element's index by linear search, stabilizers by applying every element, subgroup meets and
@@ -66,7 +70,7 @@ from multinv.isotropy import (
     fixed_lattice,
     witness_vector,
 )
-from multinv.obstruction import _decide, direct_sum_copies, effective_reduction
+from multinv.obstruction import _decide, direct_sum_copies
 from multinv.orbit_algebra import (
     DecompositionCertificate,
     DecompositionFailure,
@@ -592,24 +596,44 @@ def minimal_classes_oracle(G, classes):
     ]
 
 
-def fixes_quotient_vectors(G, indices, fixed_space):
-    """For each element index, whether the element fixes a nonzero vector
-    of L / W, for W the saturated lattice with basis ``fixed_space``, which
-    the elements fix pointwise: det(q - I) = 0 for q the induced matrix,
-    the lower-right block of the element in a basis of L that completes W
-    (the rows of v^-1, for v the Smith transform of W's basis)."""
+def induced_actions(mats, fixed_space):
+    """The matrices that ``mats`` induce on L / W, for W the saturated
+    lattice with basis ``fixed_space``, which each of them fixes
+    pointwise: the lower-right block of v^T g v^-T, for v the Smith
+    transform of W's basis, in the basis of L that the rows of v^-1 give,
+    whose first k rows span W.  v^-1 is read off a Hermite form, not
+    taken from ``snf``.  Raises ``ValueError`` unless the first k columns
+    of each v^T g v^-T are the identity's, that is unless g fixes those
+    rows."""
     n, k = fixed_space.cols, fixed_space.rows
     v, _ = quotient_transform(fixed_space)
     vt, pt = v.transpose(), unimodular_inverse(v).transpose()
-    ident = IntMatrix.identity(n - k)
     out = []
-    for i in indices:
-        g = vt * G.element(i) * pt
-        if any(g.entry(a, b) != (a == b) for a in range(n) for b in range(k)):
+    for g in mats:
+        gt = vt * g * pt
+        if any(gt.entry(a, b) != (a == b) for a in range(n) for b in range(k)):
             raise ValueError("an element does not fix the sub-lattice pointwise")
-        q = IntMatrix(n - k, n - k, [g.entry(a, b) for a in range(k, n) for b in range(k, n)])
-        out.append((q - ident).det() == 0)
+        out.append(IntMatrix(n - k, n - k, [gt.entry(a, b) for a in range(k, n) for b in range(k, n)]))
     return out
+
+
+def reference_reduction(lat):
+    """The effective reduction L / L^G by the block formula of
+    ``induced_actions``, generator by generator, named as
+    ``effective_reduction`` names it; ``lat`` itself when L^G = 0."""
+    fixed = common_fixed_lattice(lat.generators, lat.rank)
+    if not fixed.rows:
+        return lat
+    return GLattice(lat.rank - fixed.rows, induced_actions(lat.generators, fixed), lat.name + "/effective")
+
+
+def fixes_quotient_vectors(G, indices, fixed_space):
+    """For each element index, whether the element fixes a nonzero vector
+    of L / W, for W the saturated lattice with basis ``fixed_space``, which
+    the elements fix pointwise: det(q - I) = 0 for q the induced matrix
+    (``induced_actions``)."""
+    ident = IntMatrix.identity(fixed_space.cols - fixed_space.rows)
+    return [(q - ident).det() == 0 for q in induced_actions([G.element(i) for i in indices], fixed_space)]
 
 
 def _by_value(G):
@@ -722,7 +746,7 @@ def materialized_copies_report(lat, r):
     rank r n, its condition rows read with its own moved ranks."""
     total = direct_sum_copies(lat, r)
     G = diagonal_group(close(lat), total)
-    reduced = effective_reduction(total)
+    reduced = reference_reduction(total)
     if reduced is not total:
         G = induced_group(G, reduced)
     catalog = enumerate_isotropy_groups(G)

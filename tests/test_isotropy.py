@@ -16,7 +16,7 @@ from multinv.groups import (
     subgroup_generated,
 )
 from multinv.intlinalg import IntMatrix, common_fixed_lattice, hnf_basis
-from multinv.obstruction import _coordinates, _lift_to_copies, direct_sum_copies, effective_reduction
+from multinv.obstruction import _coordinates, _lift_to_copies, direct_sum_copies
 from multinv.isotropy import (
     check_fpf_constraints,
     enumerate_isotropy_groups,
@@ -530,8 +530,8 @@ def test_copies_lift_equals_the_closure_sweep(name, r):
     fixed = block_diagonal([base_fixed] * r)
     f = fixed.rows
     base_project, base_section = _coordinates(base_fixed)
-    lift = _lift_to_copies(base_section if f else None, _coordinates(fixed)[0], r)
-    catalog = enumerate_isotropy_groups(G, (base_project, effective_reduction(G.lattice)), lift)
+    lift = _lift_to_copies(base_section, _coordinates(fixed)[0], r)
+    catalog = enumerate_isotropy_groups(G, (base_project, base_section), lift)
     # the whole closure is swept in L, so its bases are projected to L / L^G first
     expected = closure_catalog(G, lambda basis: lift(hnf_basis(basis * base_project)))
     assert catalog_summary(catalog) == catalog_summary(expected)
@@ -621,8 +621,8 @@ def test_an_orbit_swept_twice_raises(monkeypatch):
     stabilizers is indexed twice."""
     orbits = isotropy.isotropy_orbits
 
-    def twice(G, reduction=None):
-        swept = orbits(G, reduction)
+    def twice(G, coordinates=None):
+        swept = orbits(G, coordinates)
         first = next(swept)
         yield first
         yield first

@@ -1,9 +1,10 @@
+import io
 import random
 from pathlib import Path
 
 import pytest
 
-from multinv import groups, obstruction
+from multinv import cli, groups, obstruction
 from multinv.catalog import DEFAULT_BUILTINS, builtin, parse_group_definition
 from multinv.errors import CapExceeded, InfiniteGroup, TheoremViolation
 from multinv.groups import GLattice, block_diagonal, close
@@ -18,6 +19,7 @@ from multinv.obstruction import (
     effective_reduction,
 )
 
+from corpus_digest import corpus
 from helpers import conjugated_lattice, cycle, random_unimodular, transposition
 from oracles import (
     GeneratorMismatch,
@@ -25,6 +27,7 @@ from oracles import (
     materialized_copies_report,
     moved_rank,
     rationally_isomorphic,
+    reference_reduction,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -65,6 +68,18 @@ def _in_basis(vec, n):
     return coeffs
 
 
+def _has_fixed_part(name):
+    lat = builtin(name)
+    return common_fixed_lattice(lat.generators, lat.rank).rows > 0
+
+
+REDUCTION_CASES = (
+    [name for name in DEFAULT_BUILTINS if _has_fixed_part(name)]
+    + [f"{kind}{n}_u{n}" for kind in ("sym", "alt") for n in (5, 6, 7)]
+    + list(CONJ)
+)
+
+
 class TestEffectiveReduction:
     def test_trivial_action(self):
         lat = GLattice(2, [IntMatrix.identity(2)] * 2, "t")
@@ -99,6 +114,46 @@ class TestEffectiveReduction:
         monkeypatch.setattr(obstruction, "quotient_transform", lambda fixed: (ident, ident))
         with pytest.raises(TheoremViolation, match="a generator does not fix L\\^G pointwise"):
             effective_reduction(builtin("sym3_u3"))
+
+    @pytest.mark.parametrize("name", REDUCTION_CASES)
+    def test_generators_are_the_reference_blocks(self, name):
+        """Each generator P^T g S^T read off the pair is the lower-right
+        block of v^T g v^-T, the reference formula."""
+        lat = _copies_base(name)
+        red, expected = effective_reduction(lat), reference_reduction(lat)
+        assert red.rank == expected.rank
+        assert red.name == expected.name
+        for g, h in zip(red.generators, expected.generators, strict=True):
+            assert g == h
+
+    def test_corpus_generators_are_the_reference_blocks(self):
+        reduced = 0
+        for lat in corpus().values():
+            if common_fixed_lattice(lat.generators, lat.rank).rows:
+                assert effective_reduction(lat).generators == reference_reduction(lat).generators, lat.name
+                reduced += 1
+        assert reduced >= 10
+
+
+@pytest.mark.parametrize("r, kernels, transforms", [(1, 1, 1), (3, 1, 2)])
+def test_copies_makes_one_fixed_lattice_and_one_pair_per_lattice(r, kernels, transforms, monkeypatch):
+    """copies_verdict computes L^G once, and one Smith pair for L / L^G
+    that the catalog sweep and the reduced coordinates share; at r >= 2
+    it adds the sum's pair.  effective_reduction is never called."""
+    calls = dict.fromkeys(["common_fixed_lattice", "quotient_transform", "effective_reduction"], 0)
+    for name in calls:
+        real = getattr(obstruction, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(obstruction, name, counted)
+    copies_verdict(builtin("sym4_u4"), r)
+    assert calls == {"common_fixed_lattice": kernels, "quotient_transform": transforms, "effective_reduction": 0}
+    for argv in (["analyze", "builtin:sym4_u4"], ["copies", "builtin:sym4_u4", "--r", "2"]):
+        assert cli.run(argv, io.StringIO()) == 0
+    assert calls["effective_reduction"] == 0
 
 
 class TestRationalIsomorphism:
@@ -286,8 +341,8 @@ def test_copies_lift_the_base_catalog(name, r, monkeypatch):
     catalogs = []
     real = obstruction.enumerate_isotropy_groups
 
-    def recorded(G, reduction=None, lift=None):
-        catalogs.append(real(G, reduction, lift))
+    def recorded(G, coordinates=None, lift=None):
+        catalogs.append(real(G, coordinates, lift))
         return catalogs[-1]
 
     monkeypatch.setattr(obstruction, "enumerate_isotropy_groups", recorded)
