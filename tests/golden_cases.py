@@ -60,6 +60,10 @@ DIGEST_CASES = {
     for _preset in ("diag_sl", "alt_laurent")
     for _bound in (4, 6)
 }
+# rank 5 at bound 5: the largest orbit windows, where the products' orbit
+# lookups dominate
+for _preset in ("diag_sl", "alt_laurent"):
+    DIGEST_CASES[f"orbit_{_preset}_r5_b5"] = ["orbit", "verify", _preset, "--rank", "5", "--bound", "5"]
 # the large builtins of the benchmark; alt6_u6 is the one whose meet closure
 # adds spaces beyond the cyclic ones (97 cyclic, 188 in all); alt7_u7 and
 # sym8_u8 have the largest closures (856 and 4,140 spaces)
