@@ -32,6 +32,16 @@ so the coefficients of g(x^R a) on O(r) add up to those of x^R a, which
 is the inner sum; and the invariant f*a has the same coefficient at all
 |O(r)| members of O(r).  The division is exact; a remainder means the
 invariance argument failed and raises TheoremViolation.
+
+The inner sum depends on R and a only, so ``verify_free_decomposition``
+keeps one product table per algebra generator a: R's entry holds the
+pairs (r, |O(R)| sum a[e]) and is filled the first time R is multiplied
+by a.  A product then costs one table read per term of f, and an orbit
+lookup per term of a only on a new R: diag_sl at rank 4, bound 4 makes
+5,370 orbit lookups, against 30,873 when every term of every product
+looked its orbit up.  Orbits come from the group's
+:meth:`~multinv.groups.FiniteMatrixGroup.action`, by index on a group of
+signed permutations.
 """
 
 from __future__ import annotations
@@ -176,12 +186,7 @@ def act(g: IntMatrix, a: LaurentElement) -> LaurentElement:
 
 
 def orbit_of(G: FiniteMatrixGroup, m) -> list[tuple]:
-    return _memo_orbit(_applies(G), tuple(m), {})
-
-
-def _applies(G: FiniteMatrixGroup) -> list:
-    """Every element's ``apply``, bound once for all the orbits of one group."""
-    return [G.element(i).apply for i in range(G.order)]
+    return _memo_orbit(G.action(), tuple(m), {})
 
 
 def orbit_sum(G: FiniteMatrixGroup, m) -> LaurentElement:
@@ -195,12 +200,13 @@ def is_invariant(G: FiniteMatrixGroup, a: LaurentElement) -> bool:
     return all(act(g, a) == a for g in gens)
 
 
-def _memo_orbit(applies: list, m: tuple, orbits: dict) -> list[tuple]:
-    """The orbit of m under the group whose bound ``apply`` methods are
-    ``applies``, memoized in ``orbits`` for every orbit member."""
+def _memo_orbit(images, m: tuple, orbits: dict) -> list[tuple]:
+    """The orbit of m under the group whose :meth:`~FiniteMatrixGroup.action`
+    is ``images``, memoized in ``orbits`` for every orbit member: a miss
+    reads all |G| images once."""
     orbit = orbits.get(m)
     if orbit is None:
-        orbit = sorted({apply(m) for apply in applies}, reverse=True)
+        orbit = sorted(set(images(m)), reverse=True)
         orbits.update(dict.fromkeys(orbit, orbit))
     return orbit
 
@@ -215,12 +221,12 @@ def express_in_orbit_basis(
     ``orbits`` may carry orbits already computed for G across calls.
     """
     orbits = {} if orbits is None else orbits
-    applies = _applies(G)
+    images = G.action()
     out: dict[tuple, int] = {}
     remaining = dict(a.terms)
     while remaining:
         exp = next(iter(remaining))
-        orbit = _memo_orbit(applies, exp, orbits)
+        orbit = _memo_orbit(images, exp, orbits)
         coeff = remaining.get(orbit[0], 0)
         for member in orbit:
             if remaining.pop(member, None) != coeff or coeff == 0:
@@ -298,8 +304,9 @@ def verify_free_decomposition(
     # product is carried as its orbit coordinates {representative: coeff},
     # which determine it, so equal rows are equal values.
     orbits: dict[tuple, list[tuple]] = {}
-    applies = _applies(G)
+    images = G.action()
     gen_terms = [list(a.terms.items()) for a in algebra_gens]
+    tables: list[dict] = [{} for _ in algebra_gens]
     gen_boxes = [a.newton_box() for a in algebra_gens]
     products: list[tuple[ProductTerm, dict]] = []
     seen: set[frozenset] = set()
@@ -319,7 +326,7 @@ def verify_free_decomposition(
             queue.append((term, row, h.newton_box()))
     while queue:
         term, row, (lo, hi) = queue.popleft()
-        for i, (terms, (gen_lo, gen_hi)) in enumerate(zip(gen_terms, gen_boxes)):
+        for i, (terms, table, (gen_lo, gen_hi)) in enumerate(zip(gen_terms, tables, gen_boxes)):
             key = (term.module_index, _bump(term.exponents, i))
             if key in visited:
                 continue
@@ -328,7 +335,7 @@ def verify_free_decomposition(
             new_hi = tuple(map(add, hi, gen_hi))
             if min(new_lo) < -bound or max(new_hi) > bound:
                 continue
-            new = _times(applies, row, terms, orbits)
+            new = _times(images, row, terms, table, orbits)
             value = frozenset(new.items())
             if value in seen:
                 continue
@@ -336,6 +343,7 @@ def verify_free_decomposition(
             word = ProductTerm(*key)
             products.append((word, new))
             queue.append((word, new, (new_lo, new_hi)))
+    del tables  # freed before the elimination, which holds the memory peak
 
     # sparse coefficient rows over the touched orbit representatives,
     # greatest representative first; rows enter the elimination by leading
@@ -363,7 +371,7 @@ def verify_free_decomposition(
     covered = []
     expressions = {}
     for v in _by_shells(interior, n):
-        rep = _memo_orbit(applies, v, orbits)[0]
+        rep = _memo_orbit(images, v, orbits)[0]
         if rep != v:
             continue
         combo = solve_echelon(pivots, {col[rep]: 1}) if rep in col else None
@@ -384,17 +392,27 @@ def verify_free_decomposition(
     return DecompositionResult(True, certificate=certificate)
 
 
-def _times(applies: list, f: dict, terms: list, orbits: dict) -> dict:
+def _times(images, f: dict, terms: list, table: dict, orbits: dict) -> dict:
     """Orbit coordinates of f * a, for f given by its orbit coordinates and
-    the invariant a by its terms; see the module docstring.  ``applies``
-    and ``orbits`` are as for :func:`_memo_orbit`."""
+    the invariant a by its terms; see the module docstring.  ``table`` is
+    a's product table: it maps a representative R to the pairs
+    (r, |O(R)| sum_{e in supp a, rep(R+e) = r} a[e]), one per r in the
+    order first reached, and gains R's entry the first time R is
+    multiplied by a.  Its entries number the distinct representatives
+    multiplied by a, each at most |supp a| pairs long.  ``images`` and
+    ``orbits`` are as for :func:`_memo_orbit`."""
     acc: dict[tuple, int] = {}
     get = acc.get
     for rep, c in f.items():
-        c *= len(_memo_orbit(applies, rep, orbits))
-        for e, a_e in terms:
-            r = _memo_orbit(applies, tuple(map(add, rep, e)), orbits)[0]
-            acc[r] = get(r, 0) + c * a_e
+        pairs = table.get(rep)
+        if pairs is None:
+            size, sums = len(_memo_orbit(images, rep, orbits)), {}
+            for e, a_e in terms:
+                r = _memo_orbit(images, tuple(map(add, rep, e)), orbits)[0]
+                sums[r] = sums.get(r, 0) + a_e
+            pairs = table[rep] = [(r, size * s) for r, s in sums.items()]
+        for r, w in pairs:
+            acc[r] = get(r, 0) + c * w
     out = {}
     for r, total in acc.items():
         q, rem = divmod(total, len(orbits[r]))
@@ -415,10 +433,11 @@ def _bump(exponents: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 def _by_shells(bound: int, n: int):
     """Vectors of [-bound, bound]^n by increasing sup-norm, lex-descending
-    inside each shell."""
+    inside each shell: the vectors of the cube [-s, s]^n with an entry of
+    -s or s."""
     for s in range(bound + 1):
         for v in iter_product(range(s, -s - 1, -1), repeat=n):
-            if s == 0 or max(abs(x) for x in v) == s:
+            if s == 0 or s in v or -s in v:
                 yield v
 
 

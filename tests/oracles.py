@@ -7,8 +7,11 @@ histogram is computed from scratch over the finite field, abelian
 invariants come from sympy's permutation groups, orbit-verify
 certificates are re-multiplied with plain Laurent arithmetic, the
 orbit-verify enumeration is redone with every product multiplied out
-as a Laurent polynomial before it is read in orbit coordinates, group
-closures are redone breadth-first with plain ``IntMatrix`` products, a
+as a Laurent polynomial before it is read in orbit coordinates, orbits
+are read off every element's matrix, never off ``action``'s index maps,
+a product in orbit coordinates is redone term by term from the formula
+its product tables cache, group closures are redone breadth-first with
+plain ``IntMatrix`` products, a
 closure on the unit vectors' orbits is redone by ``close``'s own matrix
 products, the isotropy catalog's meet closure is redone with one integer
 kernel per pair of spaces, the catalog itself is redone from its whole meet closure
@@ -77,8 +80,6 @@ from multinv.orbit_algebra import (
     DecompositionResult,
     LaurentElement,
     ProductTerm,
-    express_in_orbit_basis,
-    orbit_of,
 )
 
 from helpers import elements, unimodular_inverse
@@ -128,9 +129,55 @@ def are_conjugate_subgroups(G, h1, h2):
     return any(all(G.conj(g, i) in h2 for i in h1.indices) for g in range(G.order))
 
 
+def matrix_orbit(G, m, orbits=None):
+    """The orbit of m, greatest member first, applying every element's
+    matrix; memoized in ``orbits`` for every member when given."""
+    orbit = None if orbits is None else orbits.get(m)
+    if orbit is None:
+        orbit = sorted({G.element(i).apply(m) for i in range(G.order)}, reverse=True)
+        if orbits is not None:
+            orbits.update(dict.fromkeys(orbit, orbit))
+    return orbit
+
+
 def orbit_representative(G, m):
     """Canonical (lexicographically greatest) member of the orbit of m."""
-    return orbit_of(G, m)[0]
+    return matrix_orbit(G, tuple(m))[0]
+
+
+def orbit_coordinates(G, a, orbits):
+    """The coefficients of the invariant a on the orbit sums, keyed by
+    representative in the order a's terms first reach them; asserts that a
+    is constant on each orbit."""
+    out = {}
+    for exp, c in a.terms.items():
+        orbit = matrix_orbit(G, exp, orbits)
+        assert all(a.terms.get(e) == c for e in orbit), exp
+        out[orbit[0]] = c
+    return out
+
+
+def orbit_product(G, f, a):
+    """Orbit coordinates of f * a for f in orbit coordinates and the
+    invariant a, term by term from the formula of the ``orbit_algebra``
+    docstring, with every orbit read off the matrices: the reference for
+    ``orbit_algebra._times`` and its product tables.  A sum that |O(r)|
+    does not divide raises the library's ``TheoremViolation``."""
+    orbits = {}
+    acc = {}
+    for rep, c in f.items():
+        size = len(matrix_orbit(G, rep, orbits))
+        for e, a_e in a.terms.items():
+            r = matrix_orbit(G, tuple(map(add, rep, e)), orbits)[0]
+            acc[r] = acc.get(r, 0) + c * size * a_e
+    out = {}
+    for r, total in acc.items():
+        q, rem = divmod(total, len(orbits[r]))
+        if rem:
+            raise TheoremViolation(f"orbit coordinate {total}/{len(orbits[r])} at {r} is not an integer")
+        if q:
+            out[r] = q
+    return out
 
 
 def parse_group_file(data):
@@ -342,7 +389,7 @@ def check_certificate(G, algebra_gens, module_gens, cert):
 def dense_free_decomposition(G, algebra_gens, module_gens, bound):
     """``verify_free_decomposition`` on valid input, with every product
     multiplied out as a Laurent polynomial, deduplicated by value, and only
-    then read in orbit coordinates by ``express_in_orbit_basis``.  The
+    then read in orbit coordinates off the matrices' orbits.  The
     enumeration order, the elimination and the interior scan follow the
     library's, so the two results must be equal."""
     n = G.lattice.rank
@@ -388,7 +435,7 @@ def dense_free_decomposition(G, algebra_gens, module_gens, bound):
             queue.append((word, new, (new_lo, new_hi)))
 
     orbits = {}
-    expansions = [express_in_orbit_basis(G, p, orbits) for _, p in products]
+    expansions = [orbit_coordinates(G, p, orbits) for _, p in products]
     reps = sorted({r for e in expansions for r in e}, reverse=True)
     col = {r: j for j, r in enumerate(reps)}
     rows = [{col[r]: c for r, c in e.items()} for e in expansions]
@@ -409,10 +456,7 @@ def dense_free_decomposition(G, algebra_gens, module_gens, bound):
         if s == 0 or max(map(abs, v)) == s
     )
     for v in shells:
-        if v not in orbits:
-            orbit = orbit_of(G, v)
-            orbits.update(dict.fromkeys(orbit, orbit))
-        if orbits[v][0] != v:
+        if matrix_orbit(G, v, orbits)[0] != v:
             continue
         combo = solve_echelon(pivots, {col[v]: 1}) if v in col else None
         if combo is None:

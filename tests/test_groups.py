@@ -39,6 +39,7 @@ from helpers import (
     cycle,
     diag,
     elements,
+    random_signed_perm,
     random_signed_perm_lattice,
     random_unimodular,
     transposition,
@@ -674,6 +675,74 @@ def test_groups_off_signed_permutations_are_not_monomial(name):
     G = close(lat)
     assert G._signed is None
     assert [G.fixed_key(i) for i in range(G.order)] == [echelon_fixed_key(G, i) for i in range(G.order)]
+
+
+# -- the action on vectors ---------------------------------------------------------
+
+
+def _check_action(G, vectors):
+    """``action`` lists g m in index order, as every element's matrix does."""
+    act = G.action()
+    for m in vectors:
+        assert act(m) == [G.element(i).apply(m) for i in range(G.order)], m
+
+
+def _window(n, rng):
+    """All of [-2, 2]^n up to rank 4, 200 seeded draws from it above."""
+    if n <= 4:
+        return list(product(range(-2, 3), repeat=n))
+    return [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(200)]
+
+
+def _check_index_action(lat, rng, monkeypatch):
+    """A monomial group acts by index, building no element matrix."""
+    G = close(lat)
+    assert G._signed is not None
+    built = counted_builds(monkeypatch)
+    G.action()
+    assert built == []
+    monkeypatch.undo()
+    _check_action(G, _window(lat.rank, rng))
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in DEFAULT_BUILTINS if not name.startswith(("root_", "signed_", "icosian"))]
+    + ["diag_sl5", "alt5_u5"],
+)
+def test_the_index_action_is_the_matrix_action(name, monkeypatch):
+    """Every monomial builtin, and the rank-5 groups of the orbit presets."""
+    _check_index_action(builtin(name), random.Random(5), monkeypatch)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("family", ["diag_sl{n}", "alt{n}_u{n}"])
+def test_the_index_action_on_signed_permutation_conjugates(family, n, monkeypatch):
+    """The orbit presets' groups in two seeded signed-permutation bases."""
+    rng = random.Random(n)
+    for _ in range(2):
+        lat = conjugated_lattice(builtin(family.format(n=n)), random_signed_perm(n, rng))
+        _check_index_action(lat, rng, monkeypatch)
+
+
+def test_the_index_action_on_random_and_small_rank_groups(monkeypatch):
+    """Rank 0, {±1} and the trivial group on rank 1, where one index is a
+    slice, and random signed permutation groups of rank 1 to 5."""
+    rng = random.Random(47)
+    lattices = [GLattice(0, [IntMatrix(0, 0, ())]), GLattice(1, [IntMatrix(1, 1, (-1,))]), GLattice(1, [])]
+    lattices += [random_signed_perm_lattice(n, rng, 3) for n in range(1, 6) for _ in range(3)]
+    for lat in lattices:
+        _check_index_action(lat, rng, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["root_a5", "icosian", "conj_sym4_u4"])
+def test_groups_off_signed_permutations_act_by_matrices(name, monkeypatch):
+    G = close(_finite_lattice(name))
+    assert G._signed is None
+    built = counted_builds(monkeypatch)
+    G.action()
+    assert len(built) == G.order
+    monkeypatch.undo()
+    _check_action(G, _window(G.lattice.rank, random.Random(5)))
 
 
 def test_analyze_sym7_u7_makes_one_hermite_form_per_member(monkeypatch):

@@ -22,7 +22,7 @@ from multinv.orbit_algebra import (
 )
 
 from helpers import counted_builds, cycle, diag, transposition
-from oracles import check_certificate, dense_free_decomposition, orbit_representative, product_value
+from oracles import check_certificate, dense_free_decomposition, orbit_product, orbit_representative, product_value
 
 
 def neg_group(n):
@@ -488,10 +488,42 @@ def test_box_of_zero_and_width():
 
 
 def test_one_verification_builds_each_element_matrix_at_most_once(monkeypatch):
-    """Every orbit reads every element; the matrices are built once, on a
-    group whose matrices no orbit sum has read yet."""
+    """On a group whose matrices no orbit sum has read yet.  alt_laurent's
+    group acts by index, so only the invariance check reads matrices, the
+    generators'; reading orbits by matrices built all 12."""
     group, algebra, module = _orbit_preset("alt_laurent", 4)
     G = close(group.lattice)
     built = counted_builds(monkeypatch)
     assert verify_free_decomposition(G, algebra, module, 4).ok
-    assert 0 < len(built) <= G.order, len(built)
+    assert 0 < len(built) == len(G.generator_indices) < G.order, len(built)
+
+
+def test_products_read_their_orbits_off_the_product_tables(monkeypatch):
+    """diag_sl at rank 4, bound 4 makes 5,370 orbit lookups: one for each
+    table entry and each of its generator's terms, for the module
+    generators' terms and for the interior scan.  Looking up every term of
+    every product, as before the tables, made 30,873."""
+    group, algebra, module = _orbit_preset("diag_sl", 4)
+    calls = []
+    memo = orbit_algebra._memo_orbit
+    monkeypatch.setattr(orbit_algebra, "_memo_orbit", lambda *args: calls.append(None) or memo(*args))
+    assert verify_free_decomposition(group, algebra, module, 4).ok
+    assert len(calls) <= 6000, len(calls)
+
+
+@pytest.mark.parametrize("preset,rank_,seed", [
+    ("diag_sl", 3, 1), ("diag_sl", 4, 2), ("alt_laurent", 3, 3), ("alt_laurent", 4, 4),
+])
+def test_products_by_table_match_the_reference_product(preset, rank_, seed):
+    """Seeded combinations of orbit sums times each algebra generator, with
+    one product table per generator shared by every draw, against the
+    term-by-term product over the matrices' orbits."""
+    g, algebra, module = moved_preset(preset, rank_, seed)
+    rng = random.Random(seed)
+    images, orbits, tables = g.action(), {}, [{} for _ in algebra]
+    for _ in range(30):
+        f = {orbit_representative(g, [rng.randint(-2, 2) for _ in range(rank_)]): rng.randint(1, 3) for _ in range(4)}
+        for a, table in zip(algebra, tables):
+            assert orbit_algebra._times(images, f, list(a.terms.items()), table, orbits) == orbit_product(g, f, a)
+    for a, table in zip(algebra, tables):
+        assert table and all(len(pairs) <= len(a.terms) for pairs in table.values())
